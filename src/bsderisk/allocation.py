@@ -19,6 +19,11 @@ plus the density representations of the risk number itself:
                            exponentials
   coherent_representation  the positively homogeneous case, where a single
                            beta = 1 exponential suffices
+
+Every route builds a block of terminals (finite-difference legs, scaled
+claims), runs one backward sweep on the engine's bundle and reads columns;
+the allocation report is one sweep over 2 + 2D + Q columns for D
+directions and Q quadrature nodes.
 """
 
 from __future__ import annotations
@@ -28,17 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import RegressionConfig, solve_bsde
+from .bsde import BsdeColumns, RegressionConfig, solve_bsde
 from .drivers import Driver
 from .errors import SignedDensityFailure
 from .market import PathBundle, Payoff
-from .measure import (
-    RNProcess,
-    doleans_dade,
-    kazamaki_check,
-    reweighted_expectation,
-    weighted_condexp,
-)
+from .measure import weighted_condexp, weighted_mean_se
 from .risk import RiskEngine, _claim_values
 
 __all__ = [
@@ -86,60 +85,77 @@ def default_fd_step(xi_values: np.ndarray) -> float:
     return 0.05 * (1.0 + float(np.abs(xi_values).max()))
 
 
+def _quadrature(weights, parts: list[Estimate]) -> Estimate:
+    """Gauss-Legendre combination of per-node estimates; errors add in quadrature."""
+    return Estimate(
+        value=float(sum(w * p.value for w, p in zip(weights, parts))),
+        se=float(math.sqrt(sum((w * p.se) ** 2 for w, p in zip(weights, parts)))),
+        per_path=sum(w * p.per_path for w, p in zip(weights, parts)),
+    )
+
+
+def _fd_legs(pairs, h: float) -> list[np.ndarray]:
+    """Claim columns x + h e, x - h e of a central difference per (x, e) pair."""
+    if not h > 0.0:
+        raise ValueError(f"fd step must be positive, got {h}")
+    return [x + sign * h * e for x, e in pairs for sign in (1.0, -1.0)]
+
+
+def _fd_estimates(columns: BsdeColumns, first: int, count: int, h: float, node: int):
+    """Central differences of ``count`` leg pairs from column ``first`` on. The
+    standard error is the delta-method one: dispersion of the pathwise
+    differenced value process one step after the averaging node."""
+    probe = max(node, 1)
+    estimates = []
+    for j in range(first, first + 2 * count, 2):
+        per_path = (columns.y[node][:, j] - columns.y[node][:, j + 1]) / (2.0 * h)
+        diffs = (columns.y[probe][:, j] - columns.y[probe][:, j + 1]) / (2.0 * h)
+        se = float(diffs.std() / math.sqrt(diffs.size))
+        estimates.append(Estimate(value=_collapse(per_path, node), se=se, per_path=per_path))
+    return estimates
+
+
 def gradient_fd(engine: RiskEngine, xi, eta, step: float | None = None, node: int = 0) -> Estimate:
     """Central difference [rho(xi + h eta) - rho(xi - h eta)] / 2h.
 
-    Both solves run on the engine's bundle (common random numbers), so the
-    Monte Carlo noise largely cancels pathwise. The standard error is the
-    delta-method one: dispersion of the pathwise differenced value process
-    one step after the averaging node.
+    Both legs are columns of one sweep on the engine's bundle (common random
+    numbers), so the Monte Carlo noise largely cancels pathwise.
     """
     xi_v = _claim_values(engine.bundle, xi)
     eta_v = _claim_values(engine.bundle, eta)
     h = default_fd_step(xi_v) if step is None else float(step)
-    if not h > 0.0:
-        raise ValueError(f"fd step must be positive, got {h}")
-    up = solve_bsde(engine.bundle, engine.driver, -(xi_v + h * eta_v), engine.config)
-    dn = solve_bsde(engine.bundle, engine.driver, -(xi_v - h * eta_v), engine.config)
-    per_path = (up.y[:, node] - dn.y[:, node]) / (2.0 * h)
-    probe = max(node, 1)
-    diffs = (up.y[:, probe] - dn.y[:, probe]) / (2.0 * h)
-    se = float(diffs.std() / math.sqrt(engine.bundle.path_count))
-    return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
+    legs = np.column_stack(_fd_legs([(xi_v, eta_v)], h))
+    columns = solve_bsde(engine.bundle, engine.driver, -legs, engine.config,
+                         nodes={node, max(node, 1)})
+    return _fd_estimates(columns, 0, 1, h, node)[0]
 
 
 def solution_measure(
     bundle: PathBundle,
     driver: Driver,
-    xi_values: np.ndarray,
+    claims: np.ndarray,
     config: RegressionConfig = RegressionConfig(),
-) -> RNProcess:
-    """Solve the risk BSDE for xi and exponentiate the driver's partials.
-
-    The integrands are phi_z = dg/dz and phi_k = dg/du_k evaluated at the
-    solved controls; a uniform Kazamaki failure (some phi_k <= -1) means
-    the candidate density is signed and is raised as such.
+    nodes=(0,),
+    densities: int = 1,
+) -> BsdeColumns:
+    """Solve the risk BSDE for an (M,) or (M, B) claim block and exponentiate
+    the driver's partials at the solved controls of the first ``densities``
+    columns. The one admissibility guard of every measure route: a uniform
+    Kazamaki failure (some dg/du_k <= -1) means a signed density and raises.
     """
-    solution = solve_bsde(bundle, driver, -xi_values, config)
-    phi_z = driver.partial_z(solution.z, solution.upsilon)
-    phi_jump = driver.partial_upsilon(solution.z, solution.upsilon)
-    rn = doleans_dade(bundle, phi_z, phi_jump)
-    report = kazamaki_check(rn, delta=1e-12)
-    if not report.passed:
+    columns = solve_bsde(bundle, driver, -np.asarray(claims), config, nodes=nodes,
+                         densities=densities)
+    if columns.worst_jump_integrand < -1.0 + 1e-12:
         raise SignedDensityFailure(
-            f"jump integrand reaches {1.0 + float(rn.phi_jump.min()):.3e} above -1; "
+            f"jump integrand reaches {1.0 + columns.worst_jump_integrand:.3e} above -1; "
             "density is not a positive martingale"
         )
-    return rn
+    return columns
 
 
-def _weighted_estimate(
-    rn: RNProcess, payload: np.ndarray, node: int, config: RegressionConfig
-) -> Estimate:
-    per_path = reweighted_expectation(rn, payload, node, config)
-    w = rn.terminal / rn.terminal.sum()
-    center = float(w @ payload)
-    se = float(np.sqrt((w * w) @ ((payload - center) ** 2)))
+def _weighted_estimate(bundle: PathBundle, weights, payload, node: int, config) -> Estimate:
+    per_path = weighted_condexp(bundle, weights, payload, node, config)
+    _, se = weighted_mean_se(weights, payload)
     return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
 
 
@@ -154,34 +170,20 @@ def gradient_measure(
     """Marginal risk along eta via the gradient measure: E_Q[-eta | F_t]."""
     xi_v = _claim_values(bundle, xi)
     eta_v = _claim_values(bundle, eta)
-    rn = solution_measure(bundle, driver, xi_v, config)
-    return _weighted_estimate(rn, -eta_v, node, config)
+    density = solution_measure(bundle, driver, xi_v, config).density[0][:, 0]
+    return _weighted_estimate(bundle, density, -eta_v, node, config)
 
 
-def _shapley_multi(
-    engine: RiskEngine,
-    xi_v: np.ndarray,
-    directions: list[np.ndarray],
-    node_count: int,
-    node: int,
-) -> list[Estimate]:
-    """Aumann-Shapley estimates for several directions, one solve per beta."""
-    betas, weights = _unit_legendre(node_count)
-    m = engine.bundle.path_count
-    values = np.zeros(len(directions))
-    variances = np.zeros(len(directions))
-    fields = [np.zeros(m) for _ in directions]
-    for beta, w in zip(betas, weights):
-        rn = solution_measure(engine.bundle, engine.driver, beta * xi_v, engine.config)
-        for d, eta_v in enumerate(directions):
-            est = _weighted_estimate(rn, -eta_v, node, engine.config)
-            values[d] += w * est.value
-            variances[d] += (w * est.se) ** 2
-            fields[d] += w * est.per_path
-    return [
-        Estimate(value=float(values[d]), se=float(math.sqrt(variances[d])), per_path=fields[d])
-        for d in range(len(directions))
-    ]
+def _shapley_multi(bundle: PathBundle, densities, directions, node: int, config) -> list[Estimate]:
+    """Aumann-Shapley estimates for several directions; column q of
+    ``densities`` is L(T) of the claim beta_q * xi at Gauss-Legendre node q."""
+    _, weights = _unit_legendre(densities.shape[1])
+    estimates = []
+    for eta_v in directions:
+        parts = [_weighted_estimate(bundle, densities[:, q], -eta_v, node, config)
+                 for q in range(len(weights))]
+        estimates.append(_quadrature(weights, parts))
+    return estimates
 
 
 def aumann_shapley(
@@ -196,27 +198,27 @@ def aumann_shapley(
     """Aumann-Shapley allocation along eta.
 
     Integrates the directional gradient of rho at the scaled claim beta*xi
-    over beta in (0, 1) with a Gauss-Legendre rule; every beta node re-solves
-    the BSDE on the same bundle. ``inner`` picks the gradient estimator at
-    each node: the measure-change identity (default) or central differences.
+    over beta in (0, 1) with a Gauss-Legendre rule; all beta nodes are
+    columns of one sweep on the same bundle. ``inner`` picks the gradient
+    estimator at each node: the measure-change identity (default) or
+    central differences.
     """
     if inner not in ("measure", "fd"):
         raise ValueError(f"inner must be 'measure' or 'fd', got {inner!r}")
     xi_v = _claim_values(engine.bundle, xi)
     eta_v = _claim_values(engine.bundle, eta)
-    if inner == "measure":
-        return _shapley_multi(engine, xi_v, [eta_v], node_count, node)[0]
     betas, weights = _unit_legendre(node_count)
+    scaled = np.column_stack([beta * xi_v for beta in betas])
+    if inner == "measure":
+        columns = solution_measure(engine.bundle, engine.driver, scaled, engine.config,
+                                   densities=node_count)
+        return _shapley_multi(engine.bundle, columns.density[0], [eta_v], node,
+                              engine.config)[0]
     h = default_fd_step(xi_v) if step is None else float(step)
-    value = 0.0
-    variance = 0.0
-    per_path = np.zeros(engine.bundle.path_count)
-    for beta, w in zip(betas, weights):
-        est = gradient_fd(engine, beta * xi_v, eta_v, step=h, node=node)
-        value += w * est.value
-        variance += (w * est.se) ** 2
-        per_path += w * est.per_path
-    return Estimate(value=float(value), se=float(math.sqrt(variance)), per_path=per_path)
+    legs = np.column_stack(_fd_legs([(x, eta_v) for x in scaled.T], h))
+    columns = solve_bsde(engine.bundle, engine.driver, -legs, engine.config,
+                         nodes={node, max(node, 1)})
+    return _quadrature(weights, _fd_estimates(columns, 0, node_count, h, node))
 
 
 def convex_representation(
@@ -231,19 +233,14 @@ def convex_representation(
 
     Lambda(T, t) is the Gauss-Legendre mixture over beta of the stochastic
     exponentials built from the solved controls of the scaled claims
-    beta * xi; expectations are self-normalized.
+    beta * xi, all columns of one sweep; expectations are self-normalized.
     """
     xi_v = _claim_values(bundle, xi)
     betas, weights = _unit_legendre(node_count)
-    mix = np.zeros(bundle.path_count)
-    for beta, w in zip(betas, weights):
-        rn = solution_measure(bundle, driver, beta * xi_v, config)
-        mix += w * (rn.terminal / rn.lam[:, node])
-    per_path = weighted_condexp(bundle, mix, -xi_v, node, config)
-    wn = mix / mix.sum()
-    center = float(wn @ (-xi_v))
-    se = float(np.sqrt((wn * wn) @ ((-xi_v - center) ** 2)))
-    return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
+    scaled = np.column_stack([beta * xi_v for beta in betas])
+    columns = solution_measure(bundle, driver, scaled, config, (node,), densities=node_count)
+    mix = columns.density[node] @ weights
+    return _weighted_estimate(bundle, mix, -xi_v, node, config)
 
 
 def coherent_representation(
@@ -264,20 +261,16 @@ def coherent_representation(
             f"got family {driver.family!r}"
         )
     xi_v = _claim_values(bundle, xi)
-    rn = solution_measure(bundle, driver, xi_v, config)
-    weights = rn.terminal / rn.lam[:, node]
-    per_path = weighted_condexp(bundle, weights, -xi_v, node, config)
-    wn = weights / weights.sum()
-    center = float(wn @ (-xi_v))
-    se = float(np.sqrt((wn * wn) @ ((-xi_v - center) ** 2)))
-    return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
+    weights = solution_measure(bundle, driver, xi_v, config, nodes=(node,)).density[node][:, 0]
+    return _weighted_estimate(bundle, weights, -xi_v, node, config)
 
 
 @dataclass(frozen=True)
 class FullAllocationCheck:
-    """Does the allocation sum recover the risk number?"""
+    """Does the allocation sum recover rho(xi) - rho(0)?"""
 
     rho: float
+    rho_zero: float
     allocated: float
     residual: float
     pooled_se: float
@@ -288,35 +281,25 @@ class FullAllocationCheck:
         return self.residual <= self.tolerance
 
 
-def full_allocation_check(allocations, rho, tolerance: float = 1e-2) -> FullAllocationCheck:
-    """Compare sum_i allocation_i against rho; pooled SE is informational.
-
-    The path-integral allocations recover rho(xi) - rho(0); passing rho(xi)
-    here presumes the normalized case rho(0) = 0, i.e. a driver with
-    g(0, 0) = 0, which holds for every family built by this package's
-    factories except a qexp driver given a nonzero constant term.
+def full_allocation_check(
+    allocations, rho, tolerance: float = 1e-2, rho_zero=0.0
+) -> FullAllocationCheck:
+    """Compare sum_i allocation_i, which path-integral allocations make
+    rho(xi) - rho(0), against that difference; pooled SE is informational.
+    The default rho(0) = 0 is the normalized case g(0, 0) = 0 of every
+    factory-built family except a qexp driver with a constant term.
     """
-    values = []
-    variances = []
-    for a in allocations:
-        if isinstance(a, Estimate):
-            values.append(a.value)
-            variances.append(a.se**2)
-        else:
-            values.append(float(a))
-            variances.append(0.0)
-    if isinstance(rho, Estimate):
-        rho_v, rho_var = rho.value, rho.se**2
-    else:
-        rho_v, rho_var = float(rho), 0.0
-    allocated = float(sum(values))
-    return FullAllocationCheck(
-        rho=rho_v,
-        allocated=allocated,
-        residual=abs(rho_v - allocated),
-        pooled_se=float(math.sqrt(rho_var + sum(variances))),
-        tolerance=tolerance,
-    )
+
+    def value_var(x):
+        return (x.value, x.se**2) if isinstance(x, Estimate) else (float(x), 0.0)
+
+    parts = [value_var(a) for a in allocations]
+    rho_v, rho_var = value_var(rho)
+    zero_v, zero_var = value_var(rho_zero)
+    allocated = float(sum(v for v, _ in parts))
+    pooled_se = float(math.sqrt(rho_var + zero_var + sum(var for _, var in parts)))
+    return FullAllocationCheck(rho_v, zero_v, allocated, abs(rho_v - zero_v - allocated),
+                               pooled_se, tolerance)
 
 
 @dataclass(frozen=True)
@@ -324,6 +307,7 @@ class AllocationReport:
     """Side-by-side allocation of one decomposed claim."""
 
     rho: Estimate
+    rho_zero: Estimate
     fd: tuple[Estimate, ...]
     measure: tuple[Estimate, ...]
     shapley: tuple[Estimate, ...]
@@ -346,9 +330,10 @@ def build_allocation_report(
     """Run all three allocation routes across a claim's decomposition.
 
     The payoff must carry components (a decomposition); the portfolio claim
-    is their exact pathwise sum. The measure-change gradients for every
-    direction share one solve; the Aumann-Shapley estimates share one solve
-    per quadrature node.
+    is their exact pathwise sum. One sweep solves [xi, beta_q xi, 0,
+    xi +- h eta_d]: the first 1 + Q columns carry the densities of the measure
+    and Aumann-Shapley routes, the zero claim gives rho(0) for the
+    full-allocation check and the legs the finite differences.
     """
     if payoff.components is None:
         raise ValueError("allocation needs a payoff with a decomposition")
@@ -356,33 +341,28 @@ def build_allocation_report(
     xi_v = _claim_values(bundle, payoff)
     directions = [_claim_values(bundle, c) for c in payoff.components]
     h = default_fd_step(xi_v) if step is None else float(step)
+    betas, _ = _unit_legendre(node_count)
 
-    solution = solve_bsde(bundle, engine.driver, -xi_v, engine.config)
-    rho_pp = solution.y[:, node].copy()
-    rho_se = float(solution.y[:, max(node, 1)].std() / math.sqrt(bundle.path_count))
-    rho = Estimate(value=_collapse(rho_pp, node), se=rho_se, per_path=rho_pp)
+    claims = ([xi_v] + [beta * xi_v for beta in betas] + [np.zeros_like(xi_v)]
+              + _fd_legs([(xi_v, eta_v) for eta_v in directions], h))
+    probe = max(node, 1)
+    columns = solution_measure(bundle, engine.driver, np.column_stack(claims), engine.config,
+                               nodes={0, node, probe}, densities=1 + node_count)
 
-    phi_z = engine.driver.partial_z(solution.z, solution.upsilon)
-    phi_jump = engine.driver.partial_upsilon(solution.z, solution.upsilon)
-    rn = doleans_dade(bundle, phi_z, phi_jump)
+    def risk(j):
+        per_path = columns.y[node][:, j].copy()
+        se = float(columns.y[probe][:, j].std() / math.sqrt(bundle.path_count))
+        return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
+
+    rho, rho_zero = risk(0), risk(1 + node_count)
+    density = columns.density[0]
     measure = tuple(
-        _weighted_estimate(rn, -eta_v, node, engine.config) for eta_v in directions
+        _weighted_estimate(bundle, density[:, 0], -eta_v, node, engine.config)
+        for eta_v in directions
     )
-    fd = tuple(
-        gradient_fd(engine, xi_v, eta_v, step=h, node=node) for eta_v in directions
-    )
-    shapley = tuple(_shapley_multi(engine, xi_v, directions, node_count, node))
+    fd = tuple(_fd_estimates(columns, 2 + node_count, len(directions), h, node))
+    shapley = tuple(_shapley_multi(bundle, density[:, 1:], directions, node, engine.config))
     gaps = tuple(abs(f.value - m.value) for f, m in zip(fd, measure))
-    check = full_allocation_check(shapley, rho, tolerance)
-    return AllocationReport(
-        rho=rho,
-        fd=fd,
-        measure=measure,
-        shapley=shapley,
-        fd_measure_gaps=gaps,
-        check=check,
-        h=h,
-        node_count=node_count,
-        node=node,
-        seed=bundle.seed,
-    )
+    check = full_allocation_check(shapley, rho, tolerance, rho_zero)
+    return AllocationReport(rho, rho_zero, fd, measure, shapley, gaps, check, h,
+                            node_count, node, bundle.seed)

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import Driver
-from .errors import SolverFailure
+from .errors import EstimatorFailure, SignedDensityFailure, SolverFailure
 from .market import PathBundle
 
 __all__ = [
     "RegressionConfig",
     "BsdeSolution",
+    "BsdeColumns",
     "ResidualReport",
     "regress_condexp",
     "features_at_node",
@@ -119,7 +120,7 @@ def features_at_node(
     if xs is not None and config.degree >= 1:
         cols.append(np.vander(xs, config.degree + 1, increasing=True)[:, 1:])
     if config.jump_count_features and bundle.mark_count and node > 0:
-        counts = bundle.dn[:, :node, :].sum(axis=1)
+        counts = bundle.jump_counts[:, node - 1, :]
         for k in range(bundle.mark_count):
             ck = _standardize(counts[:, k].astype(float))
             if ck is not None:
@@ -143,11 +144,14 @@ def condexp_at_node(
         raise ValueError(f"node {node} outside grid 0..{bundle.grid.step_count}")
     if node == bundle.grid.step_count:
         return y
-    feats = features_at_node(bundle, node, config)
+    return _project(features_at_node(bundle, node, config), y, config.ridge)
+
+
+def _project(feats: np.ndarray | None, targets: np.ndarray, ridge: float) -> np.ndarray:
+    """Regression fit on the design; the plain cross-path mean without one."""
     if feats is None:
-        mean = y.mean(axis=0)
-        return np.broadcast_to(mean, y.shape).copy()
-    return regress_condexp(feats, y, config.ridge)
+        return np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
+    return regress_condexp(feats, targets, ridge)
 
 
 @dataclass
@@ -176,95 +180,128 @@ class BsdeSolution:
         return float(self.y[0, 0])
 
 
+@dataclass(frozen=True)
+class BsdeColumns:
+    """One backward sweep over B terminals, read at the requested nodes.
+
+    y        {node: (M, B)} value process
+    density  {node: (M, D)} L(T)/L(t_node) for the first D columns, L the
+             stochastic exponential of the driver's partials at the controls
+    clamped_z, clamped_upsilon (B,) per column; worst_jump_integrand min dg/du_k
+    """
+
+    y: dict
+    density: dict
+    clamped_z: np.ndarray
+    clamped_upsilon: np.ndarray
+    worst_jump_integrand: float
+
+
 def solve_bsde(
     bundle: PathBundle,
     driver: Driver,
     terminal: np.ndarray,
     config: RegressionConfig = RegressionConfig(),
-) -> BsdeSolution:
-    """Run the backward regression scheme for the given terminal values."""
+    nodes=None,
+    densities: int = 0,
+) -> BsdeSolution | BsdeColumns:
+    """Run the backward regression scheme once for a block of terminals.
+
+    ``terminal`` is (M,) or (M, B); each step fits all B columns of Y_{i+1}
+    in one regression and their B (1 + K) control targets in a second. A
+    single terminal without ``nodes`` returns the full BsdeSolution;
+    otherwise only the (M, B) state is kept and BsdeColumns holds ``nodes``.
+    The first ``densities`` columns also sum the logs of the per-step factors
+    of measure.doleans_dade, under its guards (SignedDensityFailure at a
+    realized jump with 1 + dg/du_k <= 0, EstimatorFailure on overflow).
+    """
     xi = np.asarray(terminal, dtype=float)
-    if xi.shape != (bundle.path_count,):
-        raise ValueError(
-            f"terminal must have shape ({bundle.path_count},), got {xi.shape}"
-        )
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    if xi.ndim not in (1, 2) or xi.shape[0] != m:
+        raise ValueError(f"terminal must have shape ({m},) or ({m}, B), got {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal values must be finite")
-    if driver.mark_count != bundle.mark_count:
-        raise ValueError(
-            f"driver has {driver.mark_count} marks, bundle has {bundle.mark_count}"
-        )
+    if driver.mark_count != k:
+        raise ValueError(f"driver has {driver.mark_count} marks, bundle has {k}")
+    full = nodes is None
+    if full and (xi.ndim != 1 or densities):
+        raise ValueError("a block of terminals or densities needs nodes to read")
+    reads = set() if full else {int(node) for node in nodes}
+    if not reads <= set(range(n + 1)):
+        raise ValueError(f"nodes must lie in 0..{n}, got {sorted(reads)}")
 
-    m = bundle.path_count
-    n = bundle.grid.step_count
-    k = bundle.mark_count
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
-    dnc = bundle.compensated_dn() if k else None
-
-    y = np.empty((m, n + 1))
-    y[:, n] = xi
-    z = np.zeros((m, n))
-    ups = np.zeros((m, n, k))
-    r_squared = np.full(n, np.nan)
-    condition = np.full(n, np.nan)
-    clamped_z = 0
-    clamped_u = 0
+    dnc = bundle.compensated_dn()
+    cur = xi.reshape(m, -1)
+    if full:
+        y, z, ups = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, k))
+        y[:, n] = xi
+        r_squared, condition = np.full(n, np.nan), np.full(n, np.nan)
+    y_at = {n: cur.copy()} if n in reads else {}
+    log_l = np.zeros((m, densities))
+    log_at = {n: log_l} if n in reads else {}
+    clamped_z = clamped_u = np.zeros(cur.shape[1], dtype=np.int64)
+    worst = np.inf
 
     for i in range(n - 1, -1, -1):
-        y_next = y[:, i + 1]
         feats = features_at_node(bundle, i, config)
-        if feats is None:
-            y_fit = np.full(m, y_next.mean())
-        else:
-            y_fit = regress_condexp(feats, y_next, config.ridge)
-            gram = feats.T @ feats
-            condition[i] = np.linalg.cond(gram)
-            var = y_next.var()
-            if var > 0.0:
-                r_squared[i] = 1.0 - np.mean((y_next - y_fit) ** 2) / var
-            else:
-                r_squared[i] = 1.0
+        y_fit = _project(feats, cur, config.ridge)
+        if full and feats is not None:
+            condition[i] = np.linalg.cond(feats.T @ feats)
+            var = cur.var()
+            r_squared[i] = 1.0 - np.mean((cur - y_fit) ** 2) / var if var > 0.0 else 1.0
 
         # martingale-increment control variate: the fitted mean is known at
         # t_i and the increments are conditionally centered, so subtracting
         # it leaves the estimand unchanged while the target variance drops
-        # from O(Y^2) to O(one-step variance)
-        resid = y_next - y_fit
-        targets = np.empty((m, 1 + k))
-        targets[:, 0] = resid * bundle.dw[:, i]
-        for j in range(k):
-            targets[:, 1 + j] = resid * dnc[:, i, j]
-        if feats is None:
-            fitted = np.broadcast_to(targets.mean(axis=0), targets.shape)
-        else:
-            fitted = regress_condexp(feats, targets, config.ridge)
-
-        z_raw = fitted[:, 0] / dt
-        clamped_z += int(np.count_nonzero(np.abs(z_raw) > config.z_clip))
-        z[:, i] = np.clip(z_raw, -config.z_clip, config.z_clip)
-        for j in range(k):
-            u_raw = fitted[:, 1 + j] / lam_dt[j]
-            clamped_u += int(np.count_nonzero(np.abs(u_raw) > config.upsilon_clip))
-            ups[:, i, j] = np.clip(u_raw, -config.upsilon_clip, config.upsilon_clip)
-
-        g = driver(z[:, i], ups[:, i, :])
-        y[:, i] = y_fit + g * dt
-        if not np.all(np.isfinite(y[:, i])):
+        # from O(Y^2) to O(one-step variance); targets are (M, 1 + K, B)
+        increments = np.concatenate([bundle.dw[:, i, None], dnc[:, i]], axis=1)
+        targets = (cur - y_fit)[:, None, :] * increments[:, :, None]
+        fitted = _project(feats, targets.reshape(m, -1), config.ridge).reshape(targets.shape)
+        z_raw = fitted[:, 0, :] / dt
+        u_raw = np.moveaxis(fitted[:, 1:, :], 1, 2) / lam_dt
+        clamped_z = clamped_z + np.count_nonzero(np.abs(z_raw) > config.z_clip, axis=0)
+        clamped_u = clamped_u + np.count_nonzero(
+            np.abs(u_raw) > config.upsilon_clip, axis=(0, 2))
+        z_i = np.clip(z_raw, -config.z_clip, config.z_clip)
+        u_i = np.clip(u_raw, -config.upsilon_clip, config.upsilon_clip)
+        cur = y_fit + driver(z_i, u_i) * dt
+        if not np.all(np.isfinite(cur)):
             raise SolverFailure(f"non-finite value process at step {i}", step=i)
 
-    return BsdeSolution(
-        bundle=bundle,
-        driver=driver,
-        config=config,
-        y=y,
-        z=z,
-        upsilon=ups,
-        r_squared=r_squared,
-        condition=condition,
-        clamped_z=clamped_z,
-        clamped_upsilon=clamped_u,
-    )
+        if densities:
+            phi_z = driver.partial_z(z_i[:, :densities], u_i[:, :densities])
+            phi_jump = driver.partial_upsilon(z_i[:, :densities], u_i[:, :densities])
+            worst = min(worst, float(phi_jump.min(initial=np.inf)))
+            log_l = (log_l + phi_z * bundle.dw[:, i, None] - 0.5 * phi_z * phi_z * dt
+                     - (phi_jump * lam_dt).sum(axis=2))
+            # the per-jump factors 1 + dg/du_k enter only on paths where a mark fired
+            jumped = np.flatnonzero(bundle.dn[:, i, :].any(axis=1))
+            factors, jumps = 1.0 + phi_jump[jumped], bundle.dn[jumped, i, None, :]
+            bad = ((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))
+            if np.any(bad):
+                paths = jumped[bad]
+                raise SignedDensityFailure(
+                    f"non-positive per-jump factor at a realized jump on "
+                    f"{paths.size} paths (first: {paths[:5]})",
+                    paths=paths,
+                )
+            log_l[jumped] += (np.log(np.where(jumps > 0, factors, 1.0)) * jumps).sum(axis=2)
+        if full:
+            y[:, i], z[:, i], ups[:, i, :] = cur[:, 0], z_i[:, 0], u_i[:, 0, :]
+        if i in reads:
+            y_at[i], log_at[i] = cur, log_l
+
+    if full:
+        return BsdeSolution(bundle, driver, config, y, z, ups, r_squared, condition,
+                            int(clamped_z[0]), int(clamped_u[0]))
+    # the finiteness guard below turns any overflow into a typed failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = {node: np.exp(log) for node, log in log_at.items()}
+    if not all(np.all(np.isfinite(d)) for d in density.values()):
+        raise EstimatorFailure("density path overflowed to non-finite values")
+    return BsdeColumns(y_at, density, clamped_z, clamped_u, worst)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,7 @@ class EntropicControls:
     z                    (M, N)    -beta E[e^{-g b xi} D xi | F_t] / E[e^{-g b xi} | F_t]
     upsilon              (M, N, K) exact: (1/gamma) log of the conditional jump ratio
     upsilon_linearized   (M, N, K) first-order variant using the jump field directly
+    normalizer           (M, N)    E[e^{-g b (xi - min xi)} | F_t], the shifted Gamma(t)
     """
 
     gamma: float
@@ -145,6 +146,7 @@ class EntropicControls:
     z: np.ndarray
     upsilon: np.ndarray
     upsilon_linearized: np.ndarray
+    normalizer: np.ndarray
 
 
 def entropic_controls(
@@ -179,6 +181,7 @@ def entropic_controls(
             z=np.zeros((m, n)),
             upsilon=np.zeros((m, n, k)),
             upsilon_linearized=np.zeros((m, n, k)),
+            normalizer=np.ones((m, n)),
         )
 
     field = malliavin_derivative(bundle, payoff)
@@ -202,9 +205,10 @@ def entropic_controls(
     z = np.empty((m, n))
     ups = np.empty((m, n, k))
     ups_lin = np.empty((m, n, k))
+    normalizer = np.empty((m, n))
     for i in range(n):
         fitted = condexp_at_node(bundle, i, targets, config)
-        den = fitted[:, 0]
+        den = normalizer[:, i] = fitted[:, 0]
         bad = np.flatnonzero(den <= 0.0)
         if bad.size:
             raise EstimatorFailure(
@@ -225,7 +229,8 @@ def entropic_controls(
                 np.log(num) - log_den - gamma * beta * (shifts[j] - c0)
             ) / gamma
             ups_lin[:, i, j] = -beta * fitted[:, 2 + k + j] / den
-    return EntropicControls(gamma=gamma, beta=beta, z=z, upsilon=ups, upsilon_linearized=ups_lin)
+    return EntropicControls(gamma=gamma, beta=beta, z=z, upsilon=ups, upsilon_linearized=ups_lin,
+                            normalizer=normalizer)
 
 
 @dataclass(frozen=True)
@@ -234,9 +239,11 @@ class GammaExponentialReport:
 
     gaps holds the cross-path mean absolute difference per node for the
     exact jump control; gaps_linearized the same for the linearized
-    variant (equal to gaps when there are no marks).
+    variant (equal to gaps when there are no marks). controls are the
+    estimated entropic controls the exponential was built from.
     """
 
+    controls: EntropicControls
     gaps: np.ndarray
     gaps_linearized: np.ndarray
     max_gap: float
@@ -254,26 +261,17 @@ def gamma_exponential_check(
 
     The candidate exponential uses phi_z = gamma Z^{beta xi} and
     phi_k = e^{gamma Ups_k} - 1 built from the estimated controls; the
-    reference ratio re-estimates Gamma(t) = E[e^{-gamma beta xi} | F_t] by
-    regression at every node. With exact controls the discrete identity is
-    exact even with jumps, so the reported gap is pure estimation error.
+    reference ratio takes Gamma(t) = E[e^{-gamma beta xi} | F_t] from the
+    regression that normalized those controls at every node. With exact
+    controls the discrete identity is exact even with jumps, so the reported
+    gap is pure estimation error.
     """
     controls = entropic_controls(bundle, payoff, gamma, beta, config)
     n, k = bundle.grid.step_count, bundle.mark_count
 
     xi = terminal_values(bundle, payoff)
-    c0 = float(xi.min())
-    w = np.exp(-gamma * beta * (xi - c0))
-    gamma_hat = np.empty((bundle.path_count, n + 1))
-    for i in range(n + 1):
-        fit = condexp_at_node(bundle, i, w, config)
-        bad = np.flatnonzero(fit <= 0.0)
-        if bad.size:
-            raise EstimatorFailure(
-                f"non-positive Gamma estimate at node {i} on {bad.size} paths",
-                paths=bad,
-            )
-        gamma_hat[:, i] = fit
+    # Gamma(T) is the shifted exponential itself
+    gamma_hat = np.column_stack([controls.normalizer, np.exp(-gamma * beta * (xi - xi.min()))])
     ratio = gamma_hat / gamma_hat[:, :1]
 
     def gaps_for(upsilon: np.ndarray) -> np.ndarray:
@@ -287,6 +285,7 @@ def gamma_exponential_check(
     else:
         gaps_lin = gaps.copy()
     return GammaExponentialReport(
+        controls=controls,
         gaps=gaps,
         gaps_linearized=gaps_lin,
         max_gap=float(gaps.max()),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +144,11 @@ class PathBundle:
     @property
     def terminal(self) -> np.ndarray:
         return self.state[:, -1]
+
+    @cached_property
+    def jump_counts(self) -> np.ndarray:
+        """Cumulative per-mark jump counts, shape (M, N, K): [:, i] counts steps 0..i."""
+        return np.cumsum(self.dn, axis=1)
 
     def compensated_dn(self) -> np.ndarray:
         """Jump increments minus their compensator: dN_k - lambda_k dt, shape (M, N, K)."""

@@ -32,6 +32,7 @@ __all__ = [
     "kazamaki_check",
     "martingale_diagnostic",
     "weighted_condexp",
+    "weighted_mean_se",
     "reweighted_expectation",
     "girsanov_shift_check",
 ]
@@ -155,7 +156,8 @@ def weighted_condexp(
     node: int = 0,
     config: RegressionConfig = RegressionConfig(),
 ) -> np.ndarray:
-    """Self-normalized weighted conditional mean fit(w * h) / fit(w) at a node.
+    """Self-normalized weighted conditional mean fit(w * h) / fit(w) at a node,
+    both fitted in one two-column regression.
 
     Wherever the conditional estimate of the weights is not strictly
     positive the normalization is meaningless and EstimatorFailure is
@@ -168,8 +170,7 @@ def weighted_condexp(
     if w.size and np.all(w == w[0]):
         # constant weights cancel exactly; keep the unweighted estimator bit-for-bit
         return condexp_at_node(bundle, node, h, config)
-    num = condexp_at_node(bundle, node, w * h, config)
-    den = condexp_at_node(bundle, node, w, config)
+    num, den = condexp_at_node(bundle, node, np.column_stack([w * h, w]), config).T
     bad = np.flatnonzero(den <= 0.0)
     if bad.size:
         raise EstimatorFailure(
@@ -177,6 +178,14 @@ def weighted_condexp(
             paths=bad,
         )
     return num / den
+
+
+def weighted_mean_se(weights: np.ndarray, payload: np.ndarray) -> tuple[float, float]:
+    """Self-normalized weighted mean sum w h / sum w and its importance-sampling
+    standard error sqrt(sum v_m^2 (h_m - mean)^2), v = w / sum w."""
+    v = weights / weights.sum()
+    mean = float(v @ payload)
+    return mean, float(np.sqrt((v * v) @ ((payload - mean) ** 2)))
 
 
 def reweighted_expectation(
@@ -222,29 +231,21 @@ def girsanov_shift_check(rn: RNProcess, k_sigma: float = 4.0) -> GirsanovReport:
     Under the reweighted measure, E[dW_i] = E[phi_z(t_i)] dt and
     E[dN_{k,i}] = lambda_k E[1 + phi_k(t_i)] dt, both exactly at the
     discrete level. Gaps are self-normalized weighted means of
-    d = increment - predicted drift, with importance-sampling standard
-    errors sqrt(sum w_m^2 (d_m - gap)^2) for normalized weights w.
+    d = increment - predicted drift (``weighted_mean_se``).
     """
     b = rn.bundle
     n, k = b.grid.step_count, b.mark_count
     dt = b.grid.dt
-    w = rn.terminal / rn.terminal.sum()
-
-    def norm_mean_se(d):
-        gap = float(w @ d)
-        se = float(np.sqrt((w * w) @ ((d - gap) ** 2)))
-        return gap, se
-
     dw_gap = np.empty(n)
     dw_se = np.empty(n)
     dn_gap = np.empty((n, k))
     dn_se = np.empty((n, k))
     lam = b.model.jump_intensities
     for i in range(n):
-        dw_gap[i], dw_se[i] = norm_mean_se(b.dw[:, i] - rn.phi_z[:, i] * dt)
+        dw_gap[i], dw_se[i] = weighted_mean_se(rn.terminal, b.dw[:, i] - rn.phi_z[:, i] * dt)
         for j in range(k):
             predicted = lam[j] * (1.0 + rn.phi_jump[:, i, j]) * dt
-            dn_gap[i, j], dn_se[i, j] = norm_mean_se(b.dn[:, i, j] - predicted)
+            dn_gap[i, j], dn_se[i, j] = weighted_mean_se(rn.terminal, b.dn[:, i, j] - predicted)
     return GirsanovReport(
         dw_gap=dw_gap, dw_se=dw_se, dn_gap=dn_gap, dn_se=dn_se, k_sigma=k_sigma
     )

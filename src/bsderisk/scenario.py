@@ -46,7 +46,7 @@ from .allocation import build_allocation_report
 from .bsde import RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
 from .errors import ConfigParseError, ConfigValidationError
-from .malliavin import clark_ocone, entropic_controls, gamma_exponential_check
+from .malliavin import clark_ocone, gamma_exponential_check
 from .market import (
     AffinePayoff,
     ClippedPayoff,
@@ -188,6 +188,9 @@ class _Block:
         self.path = path
         self.seen: set[str] = set()
 
+    KINDS = {float: "a number", int: "an integer", bool: "a boolean",
+             str: "a string", list: "a list", dict: "an object"}
+
     def take(self, key: str, kind, required: bool = True, default=None):
         self.seen.add(key)
         if key not in self.data:
@@ -195,31 +198,11 @@ class _Block:
                 raise ConfigValidationError(f"missing required field {self.path}.{key}")
             return default
         value = self.data[key]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigValidationError(f"{self.path}.{key} must be a number")
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigValidationError(f"{self.path}.{key} must be an integer")
-            return value
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigValidationError(f"{self.path}.{key} must be a boolean")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigValidationError(f"{self.path}.{key} must be a string")
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ConfigValidationError(f"{self.path}.{key} must be a list")
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                raise ConfigValidationError(f"{self.path}.{key} must be an object")
-            return value
-        raise AssertionError(kind)
+        # bool subclasses int, so only a boolean field accepts true/false
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigValidationError(f"{self.path}.{key} must be {self.KINDS[kind]}")
+        return float(value) if kind is float else value
 
     def finish(self):
         unknown = set(self.data) - self.seen
@@ -594,8 +577,14 @@ def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     return _solution_rows(cfg, solution, "y0")
 
 
-def _closed_form_default(cfg: ScenarioConfig) -> float:
-    return 5e-3 if cfg.model.mark_count == 0 else 1e-2
+def _closed_form_rows(cfg: ScenarioConfig, bundle: PathBundle, xi, rho0: float) -> list[Row]:
+    """The entropic closed-form rho0 and its gap to the engine's rho0."""
+    closed = float(entropic_closed_form(cfg.driver.alpha, xi, 0, bundle, cfg.method.regression)[0])
+    tol = cfg.method.tolerance("closed_form", 5e-3 if cfg.model.mark_count == 0 else 1e-2)
+    gap = abs(rho0 - closed)
+    return [Row(cfg.scenario_id, "rho0_closed_form", closed),
+            Row(cfg.scenario_id, "rho0_closed_form_gap", gap,
+                check=f"closed_form_within_{tol:g}", passed=gap <= tol)]
 
 
 def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
@@ -616,13 +605,7 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
         rho0 = float(rho[0])
         rows.append(Row(sid, "rho0", rho0))
     if cfg.driver.family == "entropic" and not cfg.driver.unscaled_jump_exponent:
-        closed = float(entropic_closed_form(
-            cfg.driver.alpha, xi, 0, bundle, cfg.method.regression)[0])
-        tol = cfg.method.tolerance("closed_form", _closed_form_default(cfg))
-        rows.append(Row(sid, "rho0_closed_form", closed))
-        rows.append(Row(sid, "rho0_closed_form_gap", abs(rho0 - closed),
-                        check=f"closed_form_within_{tol:g}",
-                        passed=abs(rho0 - closed) <= tol))
+        rows += _closed_form_rows(cfg, bundle, xi, rho0)
     return rows
 
 
@@ -638,7 +621,8 @@ def _task_allocate(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     )
     gap_tol = cfg.method.tolerance("fd_measure_gap")
     gap_sigmas = cfg.method.tolerance("fd_measure_sigmas")
-    rows = [Row(sid, "rho0", report.rho.value, report.rho.se)]
+    rows = [Row(sid, "rho0", report.rho.value, report.rho.se),
+            Row(sid, "rho0_zero_claim", report.rho_zero.value, report.rho_zero.se)]
     for i, (fd, mv, shap) in enumerate(zip(report.fd, report.measure, report.shapley)):
         rows.append(Row(sid, f"alloc_fd_{i}", fd.value, fd.se))
         rows.append(Row(sid, f"alloc_measure_{i}", mv.value, mv.se))
@@ -702,10 +686,9 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
     reg = cfg.method.regression
 
     report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
-    controls = entropic_controls(bundle, cfg.payoff, gamma, beta, reg)
     xi = terminal_values(bundle, cfg.payoff)
     solution = solve_bsde(bundle, cfg.driver, -beta * xi, reg)
-    z_gap = float(np.sqrt(np.mean((solution.z - controls.z) ** 2)))
+    z_gap = float(np.sqrt(np.mean((solution.z - report.controls.z) ** 2)))
     rows = [
         Row(sid, "gamma_exponential_gap", report.max_gap,
             check=f"gamma_exponential_within_{gap_tol:g}", passed=report.max_gap <= gap_tol),
@@ -714,7 +697,7 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
     ]
     if cfg.model.mark_count:
         rows.append(Row(sid, "gamma_exponential_gap_linearized", report.max_gap_linearized))
-        u_gap = float(np.sqrt(np.mean((solution.upsilon - controls.upsilon) ** 2)))
+        u_gap = float(np.sqrt(np.mean((solution.upsilon - report.controls.upsilon) ** 2)))
         rows.append(Row(sid, "controls_upsilon_l2_gap", u_gap,
                         check=f"controls_upsilon_within_{ctl_tol:g}",
                         passed=u_gap <= ctl_tol))
@@ -760,13 +743,8 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
             if cfg.driver.family != "entropic" or cfg.driver.unscaled_jump_exponent:
                 raise ConfigValidationError("verify check closed_form requires an entropic driver")
             xi = terminal_values(bundle, cfg.payoff)
-            solution = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression)
-            closed = float(entropic_closed_form(
-                cfg.driver.alpha, xi, 0, bundle, cfg.method.regression)[0])
-            tol = cfg.method.tolerance("closed_form", _closed_form_default(cfg))
-            gap = abs(solution.y0 - closed)
-            rows.append(Row(sid, "rho0_closed_form_gap", gap,
-                            check=f"closed_form_within_{tol:g}", passed=gap <= tol))
+            rho0 = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression).y0
+            rows.append(_closed_form_rows(cfg, bundle, xi, rho0)[1])
         elif check == "clark_ocone":
             co = clark_ocone(bundle, cfg.payoff, cfg.method.regression)
             tol = cfg.method.tolerance("clark_ocone")

@@ -156,3 +156,30 @@ def test_fd_step_default_scales_with_claim():
     from bsderisk.allocation import default_fd_step
 
     assert default_fd_step(xi) == pytest.approx(0.05 * 5.0)
+
+
+@pytest.mark.parametrize("jump_coef, message", [
+    # 1 + dg/du = -0.5 on every path that jumps
+    (-1.5, "non-positive per-jump factor at a realized jump"),
+    # every realized factor is positive; only the uniform Kazamaki bound fails
+    (-1.0 + 5e-13, "density is not a positive martingale"),
+])
+def test_signed_density_guard_shared_by_measure_routes(jump_bundle, jump_coef, message):
+    # zero claims keep the solved controls exactly at zero, so dg/du = jump_coef
+    driver = br.make_qexp_driver(1.0, br.LinearForm(0.0, (jump_coef,)), (1.5,))
+    payoff = br.PortfolioPayoff((br.AffinePayoff(0.0, 0.0), br.AffinePayoff(0.0, 0.0)))
+    xi = br.terminal_values(jump_bundle, payoff)
+    with pytest.raises(br.SignedDensityFailure, match=message):
+        br.gradient_measure(jump_bundle, driver, xi, xi)
+    with pytest.raises(br.SignedDensityFailure, match=message):
+        br.build_allocation_report(br.RiskEngine(jump_bundle, driver), payoff, node_count=4)
+
+
+def test_full_allocation_subtracts_risk_of_zero_claim(jump_bundle, parts):
+    # g(0, 0) = 0.3 makes rho(0) = 0.3 T; the allocations sum to rho(xi) - rho(0)
+    driver = br.make_qexp_driver(1.0, br.LinearForm(0.0, (0.0,), 0.3), (1.5,))
+    report = br.build_allocation_report(
+        br.RiskEngine(jump_bundle, driver), br.PortfolioPayoff(parts), node_count=8)
+    assert report.rho_zero.value == pytest.approx(0.3, abs=1e-12)
+    assert report.check.rho_zero == report.rho_zero.value
+    assert report.check.passed, report.check

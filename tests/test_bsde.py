@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsderisk as br
-from bsderisk.bsde import condexp_at_node, features_at_node, regress_condexp
+from bsderisk.bsde import _standardize, condexp_at_node, features_at_node, regress_condexp
 from bsderisk.errors import SolverFailure
 
 
@@ -70,6 +72,39 @@ def test_jump_count_features_extend_basis(jump_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
     feats = features_at_node(jump_bundle, 25, cfg)
     assert feats.shape == (jump_bundle.path_count, 5)
+
+
+def reference_features(bundle, node, config):
+    """The design as built by re-summing the count increments at every node."""
+    xs = _standardize(bundle.state[:, node])
+    cols = []
+    if xs is not None and config.degree >= 1:
+        cols.append(np.vander(xs, config.degree + 1, increasing=True)[:, 1:])
+    if config.jump_count_features and bundle.mark_count and node > 0:
+        counts = bundle.dn[:, :node, :].sum(axis=1)
+        for k in range(bundle.mark_count):
+            ck = _standardize(counts[:, k].astype(float))
+            if ck is not None:
+                cols.append(ck[:, None])
+    if not cols:
+        return None
+    return np.hstack([np.ones((bundle.path_count, 1))] + cols)
+
+
+def test_jump_count_basis_matches_direct_sums(two_mark_bundle):
+    cfg = br.RegressionConfig(jump_count_features=True)
+    for node in range(two_mark_bundle.grid.step_count + 1):
+        feats = features_at_node(two_mark_bundle, node, cfg)
+        ref = reference_features(two_mark_bundle, node, cfg)
+        assert (feats is None and ref is None) or np.array_equal(feats, ref), node
+
+
+def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
+    bundle = br.simulate_paths(desk_grid, jump_model, 500, 9)
+    features_at_node(bundle, 25, br.RegressionConfig())
+    assert "jump_counts" not in vars(bundle)
+    features_at_node(bundle, 25, br.RegressionConfig(jump_count_features=True))
+    assert "jump_counts" in vars(bundle)
 
 
 def test_zero_noise_reduces_to_backward_euler():
@@ -156,3 +191,83 @@ def test_mark_count_mismatch_rejected(brownian_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):
         br.solve_bsde(brownian_bundle, driver, -brownian_bundle.terminal)
+
+
+# --------------------------------------------------------------------------
+# batched sweep
+
+
+def block_driver(bundle):
+    return br.make_qexp_driver(
+        1.0, br.LinearForm(0.1, (0.2, -0.1), 0.05), bundle.model.jump_intensities)
+
+
+def test_block_sweep_matches_single_solves(two_mark_bundle):
+    b = two_mark_bundle
+    driver = block_driver(b)
+    # a tight z clamp makes the clamp counts nonzero
+    cfg = br.RegressionConfig(z_clip=0.3)
+    x = b.terminal
+    terminals = np.column_stack([-x, -(x * x), -(0.5 * x + 0.2), -np.clip(x, -0.1, 0.3),
+                                 np.zeros_like(x)])
+    block = br.solve_bsde(b, driver, terminals, cfg, nodes=(0, 1), densities=5)
+    assert sum(block.clamped_z) > 0
+    for j in range(terminals.shape[1]):
+        single = br.solve_bsde(b, driver, terminals[:, j], cfg)
+        for node in (0, 1):
+            np.testing.assert_allclose(block.y[node][:, j], single.y[:, node],
+                                       rtol=0.0, atol=1e-10)
+        assert block.clamped_z[j] == single.clamped_z
+        assert block.clamped_upsilon[j] == single.clamped_upsilon
+        rn = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon),
+                             driver.partial_upsilon(single.z, single.upsilon))
+        np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
+                                   rtol=0.0, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def small_bundle(jump_model):
+    return br.simulate_paths(br.build_grid(1.0, 10), jump_model, 2000, 5)
+
+
+def claim_column(bundle, coefs):
+    x = bundle.terminal
+    return coefs[0] + coefs[1] * x + coefs[2] * x * x
+
+
+coef = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=coef, b=coef, c=coef, shift=st.floats(-5.0, 5.0))
+def test_block_translation_invariance(small_bundle, a, b, c, shift):
+    driver = br.make_entropic_driver(1.5, (1.5,))
+    xi = claim_column(small_bundle, (a, b, c))
+    y = br.solve_bsde(small_bundle, driver, -np.column_stack([xi, xi + shift]),
+                      nodes=(0,)).y[0]
+    assert y[0, 1] == pytest.approx(y[0, 0] - shift, rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=st.tuples(coef, coef, coef),
+       others=st.lists(st.tuples(coef, coef, coef), max_size=4),
+       position=st.integers(0, 4))
+def test_column_independent_of_block_partners(small_bundle, target, others, position):
+    driver = br.make_entropic_driver(1.5, (1.5,))
+    cfg = br.RegressionConfig(z_clip=0.5)
+    columns = [claim_column(small_bundle, c) for c in others]
+    j = min(position, len(columns))
+    columns.insert(j, claim_column(small_bundle, target))
+    alone = br.solve_bsde(small_bundle, driver, -columns[j][:, None], cfg,
+                          nodes=(0, 1), densities=1)
+    shared = br.solve_bsde(small_bundle, driver, -np.column_stack(columns), cfg,
+                           nodes=(0, 1), densities=len(columns))
+    # relative tolerances: fit roundoff reaches the driver and the density
+    # through e^{gamma u}, which the clamp lets grow to e^{7.5}
+    for node in (0, 1):
+        np.testing.assert_allclose(shared.y[node][:, j], alone.y[node][:, 0],
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(np.log(shared.density[node][:, j]),
+                                   np.log(alone.density[node][:, 0]), rtol=1e-10, atol=1e-12)
+    assert shared.clamped_z[j] == alone.clamped_z[0]
+    assert shared.clamped_upsilon[j] == alone.clamped_upsilon[0]

@@ -167,3 +167,24 @@ def test_console_script_is_installed(config_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "cli-unit.csv").exists()
+
+
+def test_allocate_non_normalized_driver_passes_full_allocation(tmp_path, capsys):
+    # g(0, 0) = 0.3: the Aumann-Shapley sum recovers rho(xi) - rho(0), not rho(xi)
+    cfg = {
+        "scenario_id": "desk-qexp",
+        "task": "allocate",
+        "grid": {"horizon": 1.0, "steps": 20},
+        "mc": {"paths": 20000, "seed": 20240901},
+        "model": {"x0": 0.0, "mu": 0.1, "sigma": 0.3,
+                  "jumps": [{"size": -0.2, "intensity": 1.5}]},
+        "driver": {"family": "qexp", "alpha": 1.0, "const": 0.3},
+        "payoff": {"decomposition": [{"family": "affine", "a": a, "b": b}
+                                     for a, b in ((0.0, 0.5), (0.2, 0.3), (-0.1, 0.2))]},
+    }
+    path = tmp_path / "qexp.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("allocate", "--config", path, "--out", tmp_path / "o") == 0
+    rows = {r.quantity: r for r in read_report(tmp_path / "o" / "desk-qexp.csv").rows}
+    assert rows["rho0_zero_claim"].value == pytest.approx(0.3, abs=1e-12)
+    assert rows["allocation_residual"].passed

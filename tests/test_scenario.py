@@ -380,3 +380,25 @@ def test_run_scenario_is_seed_deterministic():
     r1 = run_scenario(build_scenario(copy.deepcopy(base_config(task="solve"))))
     r2 = run_scenario(build_scenario(copy.deepcopy(base_config(task="solve"))))
     assert [r.value for r in r1.rows] == [r.value for r in r2.rows]
+
+
+def test_verify_entropic_identity_estimates_controls_once(monkeypatch):
+    import bsderisk.malliavin as malliavin
+    import bsderisk.scenario as scenario
+
+    calls = []
+    original = malliavin.entropic_controls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # count calls through every binding the task pipeline could use
+    monkeypatch.setattr(malliavin, "entropic_controls", counted)
+    monkeypatch.setattr(scenario, "entropic_controls", counted, raising=False)
+    raw = base_config(task="verify")
+    raw["driver"] = {"family": "entropic", "gamma": 1.0}
+    raw["verify"] = {"checks": ["entropic_identity"], "beta": 0.5}
+    report = run_scenario(build_scenario(raw))
+    assert "controls_z_l2_gap" in quantities(report.rows)
+    assert len(calls) == 1
