@@ -64,14 +64,17 @@ class RegressionConfig:
             raise ValueError("clamps must be positive")
 
 
-def regress_condexp(features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8):
+def regress_condexp(
+    features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8, gram=None
+):
     """Fitted values of a (ridge) least-squares regression.
 
     ``features`` is (M, p); ``targets`` is (M,) or (M, q) for q regressions
     sharing one design matrix. The penalty is not applied to an intercept
     (constant) column in position 0. With ridge = 0 a rank-deficient design
     raises SolverFailure rather than silently picking a pseudoinverse
-    solution.
+    solution. ``gram`` is the design's F^T F when the caller has already
+    formed it (it is not modified); with ridge = 0 it is not used.
     """
     f = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -91,11 +94,10 @@ def regress_condexp(features: np.ndarray, targets: np.ndarray, ridge: float = 1e
                 f"design matrix rank {rank} < {p} columns with zero penalty"
             )
         return f @ beta
-    gram = f.T @ f
     penalty = np.full(p, ridge)
     if np.all(f[:, 0] == f[0, 0]):
         penalty[0] = 0.0
-    gram[np.diag_indices_from(gram)] += penalty
+    gram = (f.T @ f if gram is None else gram) + np.diag(penalty)
     beta = np.linalg.solve(gram, f.T @ y)
     return f @ beta
 
@@ -114,21 +116,26 @@ def features_at_node(
     """Regression design at grid node: [1, x, ..., x^degree] in the
     standardized state, optionally followed by standardized cumulative jump
     counts. Returns None when every candidate column is constant (the node
-    carries no cross-path information)."""
+    carries no cross-path information). The design is the (M, p) view of a
+    (p, M) buffer, so each basis function is one contiguous row."""
     xs = _standardize(bundle.state[:, node])
-    cols = []
-    if xs is not None and config.degree >= 1:
-        cols.append(np.vander(xs, config.degree + 1, increasing=True)[:, 1:])
+    powers = config.degree if xs is not None else 0
+    counts = []
     if config.jump_count_features and bundle.mark_count and node > 0:
-        counts = bundle.jump_counts[:, node - 1, :]
         for k in range(bundle.mark_count):
-            ck = _standardize(counts[:, k].astype(float))
+            ck = _standardize(bundle.jump_counts[:, node - 1, k].astype(float))
             if ck is not None:
-                cols.append(ck[:, None])
-    if not cols:
+                counts.append(ck)
+    if not powers and not counts:
         return None
-    ones = np.ones((bundle.path_count, 1))
-    return np.hstack([ones] + cols)
+    design = np.empty((1 + powers + len(counts), bundle.path_count))
+    design[0] = 1.0
+    # x^j = x^(j-1) * x, the multiplication order of np.vander
+    for j in range(1, powers + 1):
+        np.multiply(design[j - 1], xs, out=design[j])
+    for row, c in zip(design[1 + powers:], counts):
+        row[:] = c
+    return design.T
 
 
 def condexp_at_node(
@@ -147,11 +154,12 @@ def condexp_at_node(
     return _project(features_at_node(bundle, node, config), y, config.ridge)
 
 
-def _project(feats: np.ndarray | None, targets: np.ndarray, ridge: float) -> np.ndarray:
+def _project(feats: np.ndarray | None, targets: np.ndarray, ridge: float,
+             gram=None) -> np.ndarray:
     """Regression fit on the design; the plain cross-path mean without one."""
     if feats is None:
         return np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
-    return regress_condexp(feats, targets, ridge)
+    return regress_condexp(feats, targets, ridge, gram)
 
 
 @dataclass
@@ -161,6 +169,9 @@ class BsdeSolution:
     y        (M, N+1)  value process, y[:, N] is the terminal exactly
     z        (M, N)    Brownian control on [t_i, t_{i+1})
     upsilon  (M, N, K) jump controls, per mark
+
+    solve_bsde stores y, z and upsilon time-major, like the PathBundle arrays,
+    and these are transposed views: y[:, i] is a contiguous row.
     """
 
     bundle: PathBundle
@@ -207,10 +218,11 @@ def solve_bsde(
 ) -> BsdeSolution | BsdeColumns:
     """Run the backward regression scheme once for a block of terminals.
 
-    ``terminal`` is (M,) or (M, B); each step fits all B columns of Y_{i+1}
-    in one regression and their B (1 + K) control targets in a second. A
-    single terminal without ``nodes`` returns the full BsdeSolution;
-    otherwise only the (M, B) state is kept and BsdeColumns holds ``nodes``.
+    ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
+    and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
+    control targets in a second. A single terminal without ``nodes`` returns
+    the full BsdeSolution; otherwise only the (M, B) state is kept and
+    BsdeColumns holds ``nodes``.
     The first ``densities`` columns also sum the logs of the per-step factors
     of measure.doleans_dade, under its guards (SignedDensityFailure at a
     realized jump with 1 + dg/du_k <= 0, EstimatorFailure on overflow).
@@ -232,11 +244,10 @@ def solve_bsde(
 
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
-    dnc = bundle.compensated_dn()
     cur = xi.reshape(m, -1)
     if full:
-        y, z, ups = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, k))
-        y[:, n] = xi
+        y, z, ups = np.empty((n + 1, m)), np.zeros((n, m)), np.zeros((n, m, k))
+        y[n] = xi
         r_squared, condition = np.full(n, np.nan), np.full(n, np.nan)
     y_at = {n: cur.copy()} if n in reads else {}
     log_l = np.zeros((m, densities))
@@ -246,9 +257,10 @@ def solve_bsde(
 
     for i in range(n - 1, -1, -1):
         feats = features_at_node(bundle, i, config)
-        y_fit = _project(feats, cur, config.ridge)
+        gram = None if feats is None else feats.T @ feats
+        y_fit = _project(feats, cur, config.ridge, gram)
         if full and feats is not None:
-            condition[i] = np.linalg.cond(feats.T @ feats)
+            condition[i] = np.linalg.cond(gram)
             var = cur.var()
             r_squared[i] = 1.0 - np.mean((cur - y_fit) ** 2) / var if var > 0.0 else 1.0
 
@@ -256,9 +268,10 @@ def solve_bsde(
         # t_i and the increments are conditionally centered, so subtracting
         # it leaves the estimand unchanged while the target variance drops
         # from O(Y^2) to O(one-step variance); targets are (M, 1 + K, B)
-        increments = np.concatenate([bundle.dw[:, i, None], dnc[:, i]], axis=1)
+        increments = np.concatenate([bundle.dw[:, i, None], bundle.dn[:, i] - lam_dt], axis=1)
         targets = (cur - y_fit)[:, None, :] * increments[:, :, None]
-        fitted = _project(feats, targets.reshape(m, -1), config.ridge).reshape(targets.shape)
+        fitted = _project(feats, targets.reshape(m, -1), config.ridge,
+                          gram).reshape(targets.shape)
         z_raw = fitted[:, 0, :] / dt
         u_raw = np.moveaxis(fitted[:, 1:, :], 1, 2) / lam_dt
         clamped_z = clamped_z + np.count_nonzero(np.abs(z_raw) > config.z_clip, axis=0)
@@ -289,13 +302,13 @@ def solve_bsde(
                 )
             log_l[jumped] += (np.log(np.where(jumps > 0, factors, 1.0)) * jumps).sum(axis=2)
         if full:
-            y[:, i], z[:, i], ups[:, i, :] = cur[:, 0], z_i[:, 0], u_i[:, 0, :]
+            y[i], z[i], ups[i] = cur[:, 0], z_i[:, 0], u_i[:, 0, :]
         if i in reads:
             y_at[i], log_at[i] = cur, log_l
 
     if full:
-        return BsdeSolution(bundle, driver, config, y, z, ups, r_squared, condition,
-                            int(clamped_z[0]), int(clamped_u[0]))
+        return BsdeSolution(bundle, driver, config, y.T, z.T, ups.transpose(1, 0, 2),
+                            r_squared, condition, int(clamped_z[0]), int(clamped_u[0]))
     # the finiteness guard below turns any overflow into a typed failure
     with np.errstate(over="ignore", invalid="ignore"):
         density = {node: np.exp(log) for node, log in log_at.items()}

@@ -127,6 +127,10 @@ class PathBundle:
     dw       Brownian increments, shape (M, N)
     dn       Poisson jump counts per mark, shape (M, N, K), integer
     state    X at every node, shape (M, N+1); state[:, 0] == x0
+
+    simulate_paths stores the arrays time-major, one contiguous row per date,
+    and these fields are transposed views of that storage: the cross-section
+    dw[:, i] or state[:, i] that a backward step reads is contiguous.
     """
 
     grid: TimeGrid
@@ -148,7 +152,7 @@ class PathBundle:
     @cached_property
     def jump_counts(self) -> np.ndarray:
         """Cumulative per-mark jump counts, shape (M, N, K): [:, i] counts steps 0..i."""
-        return np.cumsum(self.dn, axis=1)
+        return np.cumsum(self.dn.transpose(1, 0, 2), axis=0).transpose(1, 0, 2)
 
     def compensated_dn(self) -> np.ndarray:
         """Jump increments minus their compensator: dN_k - lambda_k dt, shape (M, N, K)."""
@@ -185,23 +189,24 @@ def simulate_paths(
     dt = grid.dt
     root_dt = math.sqrt(dt)
 
-    dw = np.empty((m, n))
-    dn = np.zeros((m, n, k), dtype=np.int64)
+    # time-major storage: row i is the cross-section at step i
+    dw = np.empty((n, m))
+    dn = np.zeros((n, m, k), dtype=np.int64)
     for i in range(n):
-        dw[:, i] = _stream(seed, 0, i).standard_normal(m) * root_dt
+        dw[i] = _stream(seed, 0, i).standard_normal(m) * root_dt
         for j in range(k):
             lam = model.jumps[j].intensity
-            dn[:, i, j] = _stream(seed, 1 + j, i).poisson(lam * dt, m)
+            dn[i, :, j] = _stream(seed, 1 + j, i).poisson(lam * dt, m)
 
     increments = model.mu * dt + model.sigma * dw
     if k:
         increments = increments + dn @ model.jump_sizes
-    state = np.empty((m, n + 1))
-    state[:, 0] = model.x0
-    np.cumsum(increments, axis=1, out=state[:, 1:])
-    state[:, 1:] += model.x0
+    state = np.empty((n + 1, m))
+    state[0] = model.x0
+    np.cumsum(increments, axis=0, out=state[1:])
+    state[1:] += model.x0
 
-    return PathBundle(grid, model, path_count, seed, dw, dn, state)
+    return PathBundle(grid, model, path_count, seed, dw.T, dn.transpose(1, 0, 2), state.T)
 
 
 # --------------------------------------------------------------------------

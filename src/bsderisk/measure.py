@@ -180,12 +180,16 @@ def weighted_condexp(
     return num / den
 
 
-def weighted_mean_se(weights: np.ndarray, payload: np.ndarray) -> tuple[float, float]:
+def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     """Self-normalized weighted mean sum w h / sum w and its importance-sampling
-    standard error sqrt(sum v_m^2 (h_m - mean)^2), v = w / sum w."""
+    standard error sqrt(sum v_m^2 (h_m - mean)^2), v = w / sum w.
+
+    An (M,) payload gives two floats; an (M, q) payload gives two (q,) arrays,
+    one entry per column."""
     v = weights / weights.sum()
-    mean = float(v @ payload)
-    return mean, float(np.sqrt((v * v) @ ((payload - mean) ** 2)))
+    mean = v @ payload
+    se = np.sqrt((v * v) @ ((payload - mean) ** 2))
+    return (float(mean), float(se)) if np.ndim(payload) == 1 else (mean, se)
 
 
 def reweighted_expectation(
@@ -234,18 +238,10 @@ def girsanov_shift_check(rn: RNProcess, k_sigma: float = 4.0) -> GirsanovReport:
     d = increment - predicted drift (``weighted_mean_se``).
     """
     b = rn.bundle
-    n, k = b.grid.step_count, b.mark_count
+    m, n, k = b.path_count, b.grid.step_count, b.mark_count
     dt = b.grid.dt
-    dw_gap = np.empty(n)
-    dw_se = np.empty(n)
-    dn_gap = np.empty((n, k))
-    dn_se = np.empty((n, k))
-    lam = b.model.jump_intensities
-    for i in range(n):
-        dw_gap[i], dw_se[i] = weighted_mean_se(rn.terminal, b.dw[:, i] - rn.phi_z[:, i] * dt)
-        for j in range(k):
-            predicted = lam[j] * (1.0 + rn.phi_jump[:, i, j]) * dt
-            dn_gap[i, j], dn_se[i, j] = weighted_mean_se(rn.terminal, b.dn[:, i, j] - predicted)
-    return GirsanovReport(
-        dw_gap=dw_gap, dw_se=dw_se, dn_gap=dn_gap, dn_se=dn_se, k_sigma=k_sigma
-    )
+    dw_gap, dw_se = weighted_mean_se(rn.terminal, b.dw - rn.phi_z * dt)
+    predicted = b.model.jump_intensities * (1.0 + rn.phi_jump) * dt
+    dn_gap, dn_se = weighted_mean_se(rn.terminal, (b.dn - predicted).reshape(m, n * k))
+    return GirsanovReport(dw_gap=dw_gap, dw_se=dw_se, dn_gap=dn_gap.reshape(n, k),
+                          dn_se=dn_se.reshape(n, k), k_sigma=k_sigma)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bsde import BsdeSolution, RegressionConfig, condexp_at_node, solve_bsde
 from .drivers import Driver
@@ -194,6 +193,9 @@ def entropic_coherent_static(
             raise RootFailure(
                 f"no bracketing gamma <= {gamma_hi} reaches entropy level {level}"
             )
+    # imported here, its one use: scipy.optimize is most of the package's import time
+    from scipy.optimize import brentq
+
     gamma_c = float(brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
     c = float(xi.min())
@@ -226,7 +228,10 @@ class AxiomRow:
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """The axiom rows and rho_0(xi) of the claim they were checked on."""
+
     rows: tuple[AxiomRow, ...]
+    rho: float
 
     @property
     def passed(self) -> bool:
@@ -324,4 +329,4 @@ def axiom_suite(
                          tol["convexity"])
             )
 
-    return AxiomReport(rows=tuple(rows))
+    return AxiomReport(rows=tuple(rows), rho=float(rho))

@@ -65,6 +65,7 @@ from .market import (
 from .measure import doleans_dade, girsanov_shift_check, kazamaki_check, martingale_diagnostic
 from .reporting import Row, RunReport
 from .risk import (
+    AxiomReport,
     RiskEngine,
     axiom_suite,
     dynamic_risk,
@@ -593,11 +594,12 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     xi = terminal_values(bundle, cfg.payoff)
     rows: list[Row] = []
     if cfg.method.risk_mode == "bsde":
-        solution = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression)
-        rho0 = solution.y0
-        se = float(solution.y[:, 1].std() / math.sqrt(cfg.paths))
+        n = bundle.grid.step_count
+        y = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n)).y
+        rho0 = float(y[0][0, 0])
+        se = float(y[1][:, 0].std() / math.sqrt(cfg.paths))
         rows.append(Row(sid, "rho0", rho0, se))
-        terminal_gap = float(np.abs(solution.y[:, -1] + xi).max())
+        terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
         rows.append(Row(sid, "terminal_identity_gap", terminal_gap,
                         check="terminal_identity_exact", passed=terminal_gap == 0.0))
     else:
@@ -731,9 +733,18 @@ def _verify_coherent_static(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row
     return rows
 
 
+def _axiom_report(cfg: ScenarioConfig, bundle: PathBundle) -> AxiomReport:
+    engine = RiskEngine(bundle, cfg.driver, cfg.method.regression, mode=cfg.method.risk_mode)
+    return axiom_suite(engine, cfg.payoff)
+
+
 def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     rows: list[Row] = []
+    # in bsde mode the axiom block's first column is rho(xi), which the
+    # closed_form check then reads instead of solving xi again
+    share_rho = cfg.method.risk_mode == "bsde" and "axioms" in cfg.verify.checks
+    axioms = None
     for check in cfg.verify.checks:
         if check == "moments":
             rows.extend(_moment_rows(cfg, bundle, flag=True))
@@ -743,7 +754,12 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
             if cfg.driver.family != "entropic" or cfg.driver.unscaled_jump_exponent:
                 raise ConfigValidationError("verify check closed_form requires an entropic driver")
             xi = terminal_values(bundle, cfg.payoff)
-            rho0 = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression).y0
+            if share_rho:
+                axioms = axioms or _axiom_report(cfg, bundle)
+                rho0 = axioms.rho
+            else:
+                y = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0,)).y
+                rho0 = float(y[0][0, 0])
             rows.append(_closed_form_rows(cfg, bundle, xi, rho0)[1])
         elif check == "clark_ocone":
             co = clark_ocone(bundle, cfg.payoff, cfg.method.regression)
@@ -752,10 +768,8 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
                             check=f"clark_ocone_within_{tol:g}",
                             passed=co.residual <= tol))
         elif check == "axioms":
-            engine = RiskEngine(bundle, cfg.driver, cfg.method.regression,
-                                mode=cfg.method.risk_mode)
-            report = axiom_suite(engine, cfg.payoff)
-            for row in report.rows:
+            axioms = axioms or _axiom_report(cfg, bundle)
+            for row in axioms.rows:
                 rows.append(Row(sid, f"axiom_{row.axiom}_{row.case}".replace(" ", "_"),
                                 row.residual, check=row.axiom, passed=row.passed))
         elif check == "entropic_identity":

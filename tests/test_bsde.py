@@ -152,6 +152,69 @@ def test_solver_noise_shrinks_with_path_count(desk_grid, jump_model):
     assert gaps[1] < max(gaps[0], 5e-3)
 
 
+def reference_sweep(bundle, driver, xi, cfg):
+    """The backward recursion with one features_at_node and one
+    regress_condexp call per fit: y, z, upsilon and the Gram condition."""
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    dt = bundle.grid.dt
+    lam_dt = bundle.model.jump_intensities * dt
+    y, z, ups = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, k))
+    condition = np.full(n, np.nan)
+    y[:, n] = xi
+    for i in range(n - 1, -1, -1):
+        feats = features_at_node(bundle, i, cfg)
+
+        def fit(targets):
+            if feats is None:
+                return np.broadcast_to(targets.mean(axis=0), targets.shape)
+            return regress_condexp(feats, targets, cfg.ridge)
+
+        y_fit = fit(y[:, i + 1])
+        if feats is not None:
+            condition[i] = np.linalg.cond(feats.T @ feats)
+        noise = y[:, i + 1] - y_fit
+        z_raw = fit(noise * bundle.dw[:, i]) / dt
+        u_raw = np.column_stack([
+            fit(noise * (bundle.dn[:, i, j] - lam_dt[j])) / lam_dt[j] for j in range(k)])
+        z[:, i] = np.clip(z_raw, -cfg.z_clip, cfg.z_clip)
+        ups[:, i] = np.clip(u_raw, -cfg.upsilon_clip, cfg.upsilon_clip)
+        y[:, i] = y_fit + driver(z[:, i], ups[:, i]) * dt
+    return y, z, ups, condition
+
+
+@pytest.mark.parametrize("ridge", [1e-8, 0.0])
+def test_sweep_matches_reference_recursion(two_mark_bundle, ridge):
+    b = two_mark_bundle
+    driver = block_driver(b)
+    cfg = br.RegressionConfig(ridge=ridge, jump_count_features=True)
+    xi = -(b.terminal + 0.5 * b.terminal**2)
+    sol = br.solve_bsde(b, driver, xi, cfg)
+    y, z, ups, condition = reference_sweep(b, driver, xi, cfg)
+    np.testing.assert_allclose(sol.y, y, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(sol.z, z, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(sol.upsilon, ups, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(sol.condition, condition, rtol=1e-10, equal_nan=True)
+
+
+def test_node_reads_equal_full_solution(jump_bundle):
+    driver = br.make_entropic_driver(2.0, (1.5,))
+    xi = -jump_bundle.terminal
+    full = br.solve_bsde(jump_bundle, driver, xi)
+    nodes = (0, 1, 25, 50)
+    cols = br.solve_bsde(jump_bundle, driver, xi, nodes=nodes)
+    for i in nodes:
+        assert np.array_equal(cols.y[i][:, 0], full.y[:, i]), i
+
+
+def test_solution_rows_are_contiguous(jump_bundle):
+    sol = br.solve_bsde(jump_bundle, br.make_entropic_driver(2.0, (1.5,)), -jump_bundle.terminal)
+    for i in (0, 1, 49):
+        assert sol.y[:, i].flags.c_contiguous
+        assert sol.z[:, i].flags.c_contiguous
+        assert sol.upsilon[:, i].flags.c_contiguous
+    assert sol.y[:, 50].flags.c_contiguous
+
+
 def test_solution_shapes_and_terminal_row(jump_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     xi = jump_bundle.terminal

@@ -169,6 +169,17 @@ def test_console_script_is_installed(config_path, tmp_path):
     assert (out / "cli-unit.csv").exists()
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by its one caller, not by every CLI run
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bsderisk.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_allocate_non_normalized_driver_passes_full_allocation(tmp_path, capsys):
     # g(0, 0) = 0.3: the Aumann-Shapley sum recovers rho(xi) - rho(0), not rho(xi)
     cfg = {

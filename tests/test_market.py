@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsderisk as br
 
@@ -57,6 +59,33 @@ def test_path_count_extension_is_prefix(desk_grid, jump_model):
     assert np.array_equal(big.dw[:500], small.dw)
     assert np.array_equal(big.dn[:500], small.dn)
     assert np.array_equal(big.state[:500], small.state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small=st.integers(1, 300), extra=st.integers(0, 500), steps=st.integers(1, 12),
+       marks=st.integers(0, 2), seed=st.integers(0, 2**64 - 1))
+def test_prefix_extension_property(small, extra, steps, marks, seed):
+    jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
+    model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25, jumps=jumps)
+    grid = br.build_grid(1.0, steps)
+    a = br.simulate_paths(grid, model, small, seed)
+    b = br.simulate_paths(grid, model, small + extra, seed)
+    assert np.array_equal(b.dw[:small], a.dw)
+    assert np.array_equal(b.dn[:small], a.dn)
+    assert np.array_equal(b.state[:small], a.state)
+
+
+def test_cross_sections_are_contiguous(desk_grid, jump_model):
+    # time-major storage: a backward step reads each date's cross-section
+    # as one contiguous row
+    b = br.simulate_paths(desk_grid, jump_model, 300, 4)
+    assert b.dw.shape == (300, 50) and b.dn.shape == (300, 50, 1)
+    assert b.state.shape == (300, 51)
+    for i in (0, 17, 49):
+        assert b.dw[:, i].flags.c_contiguous
+        assert b.dn[:, i].flags.c_contiguous
+        assert b.state[:, i].flags.c_contiguous
+    assert b.state[:, 50].flags.c_contiguous
 
 
 def test_state_accumulates_increments(desk_grid, jump_model):

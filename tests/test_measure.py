@@ -7,6 +7,7 @@ import pytest
 
 import bsderisk as br
 from bsderisk.errors import EstimatorFailure, SignedDensityFailure
+from bsderisk.measure import weighted_mean_se
 
 
 def constant_rn(bundle, phi_z, phi_jumps):
@@ -121,6 +122,28 @@ def test_girsanov_flags_wrong_drift(jump_bundle):
     )
     rep = br.girsanov_shift_check(tampered)
     assert not rep.passed
+
+
+def test_girsanov_block_matches_per_step_means(two_mark_bundle):
+    # path-dependent integrands, so every step and mark has its own drift
+    b = two_mark_bundle
+    m, n, k = b.path_count, b.grid.step_count, b.mark_count
+    dt = b.grid.dt
+    pz = 0.4 * np.tanh(b.state[:, :-1])
+    pj = np.stack([0.3 * np.cos(b.state[:, :-1]), -0.2 * np.sin(b.state[:, :-1])], axis=2)
+    rn = br.doleans_dade(b, pz, pj)
+    rep = br.girsanov_shift_check(rn)
+    lam = b.model.jump_intensities
+    for i in range(n):
+        gap, se = weighted_mean_se(rn.terminal, b.dw[:, i] - pz[:, i] * dt)
+        assert rep.dw_gap[i] == pytest.approx(gap, rel=1e-12, abs=1e-300)
+        assert rep.dw_se[i] == pytest.approx(se, rel=1e-12)
+        for j in range(k):
+            predicted = lam[j] * (1.0 + pj[:, i, j]) * dt
+            gap, se = weighted_mean_se(rn.terminal, b.dn[:, i, j] - predicted)
+            assert rep.dn_gap[i, j] == pytest.approx(gap, rel=1e-12, abs=1e-300)
+            assert rep.dn_se[i, j] == pytest.approx(se, rel=1e-12)
+    assert rep.dn_gap.shape == rep.dn_se.shape == (n, k)
 
 
 def test_overflowing_density_raises(jump_bundle):

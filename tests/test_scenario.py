@@ -382,6 +382,36 @@ def test_run_scenario_is_seed_deterministic():
     assert [r.value for r in r1.rows] == [r.value for r in r2.rows]
 
 
+@pytest.mark.parametrize("checks", [["closed_form", "axioms"], ["axioms", "closed_form"],
+                                    ["closed_form"]])
+def test_verify_solves_claim_once(monkeypatch, checks):
+    # the closed_form check reads rho(xi) off the axiom block when both run
+    import bsderisk.scenario as scenario
+
+    calls = []
+    original = scenario.solve_bsde
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "solve_bsde", counted)
+    monkeypatch.setattr(br.risk, "solve_bsde", counted)
+    raw = base_config(task="verify")
+    raw["verify"] = {"checks": checks}
+    cfg = build_scenario(raw)
+    report = run_scenario(cfg)
+    assert len(calls) == 1
+    gap = next(r for r in report.rows if r.quantity == "rho0_closed_form_gap")
+    # the gap against a standalone full solve of xi
+    bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
+    xi = br.terminal_values(bundle, cfg.payoff)
+    alone = original(bundle, cfg.driver, -xi, cfg.method.regression).y0
+    closed = float(br.entropic_closed_form(cfg.driver.alpha, xi, 0, bundle,
+                                           cfg.method.regression)[0])
+    assert gap.value == pytest.approx(abs(alone - closed), rel=0.0, abs=1e-10)
+
+
 def test_verify_entropic_identity_estimates_controls_once(monkeypatch):
     import bsderisk.malliavin as malliavin
     import bsderisk.scenario as scenario
