@@ -23,7 +23,9 @@ plus the density representations of the risk number itself:
 Every route builds a block of terminals (finite-difference legs, scaled
 claims), runs one backward sweep on the engine's bundle and reads columns;
 the allocation report is one sweep over 2 + 2D + Q columns for D
-directions and Q quadrature nodes.
+directions and Q quadrature nodes. The measure routes read their densities
+off that sweep (solve_bsde's ``densities``), so every density passes the
+sweep's sign, overflow and uniform Kazamaki guards.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 
 from .bsde import BsdeColumns, RegressionConfig, solve_bsde
 from .drivers import Driver
-from .errors import SignedDensityFailure
 from .market import PathBundle, Payoff
 from .measure import weighted_condexp, weighted_mean_se
 from .risk import RiskEngine, _claim_values
@@ -130,29 +131,6 @@ def gradient_fd(engine: RiskEngine, xi, eta, step: float | None = None, node: in
     return _fd_estimates(columns, 0, 1, h, node)[0]
 
 
-def solution_measure(
-    bundle: PathBundle,
-    driver: Driver,
-    claims: np.ndarray,
-    config: RegressionConfig = RegressionConfig(),
-    nodes=(0,),
-    densities: int = 1,
-) -> BsdeColumns:
-    """Solve the risk BSDE for an (M,) or (M, B) claim block and exponentiate
-    the driver's partials at the solved controls of the first ``densities``
-    columns. The one admissibility guard of every measure route: a uniform
-    Kazamaki failure (some dg/du_k <= -1) means a signed density and raises.
-    """
-    columns = solve_bsde(bundle, driver, -np.asarray(claims), config, nodes=nodes,
-                         densities=densities)
-    if columns.worst_jump_integrand < -1.0 + 1e-12:
-        raise SignedDensityFailure(
-            f"jump integrand reaches {1.0 + columns.worst_jump_integrand:.3e} above -1; "
-            "density is not a positive martingale"
-        )
-    return columns
-
-
 def _weighted_estimate(bundle: PathBundle, weights, payload, node: int, config) -> Estimate:
     per_path = weighted_condexp(bundle, weights, payload, node, config)
     _, se = weighted_mean_se(weights, payload)
@@ -170,7 +148,7 @@ def gradient_measure(
     """Marginal risk along eta via the gradient measure: E_Q[-eta | F_t]."""
     xi_v = _claim_values(bundle, xi)
     eta_v = _claim_values(bundle, eta)
-    density = solution_measure(bundle, driver, xi_v, config).density[0][:, 0]
+    density = solve_bsde(bundle, driver, -xi_v, config, nodes=(0,), densities=1).density[0][:, 0]
     return _weighted_estimate(bundle, density, -eta_v, node, config)
 
 
@@ -210,8 +188,8 @@ def aumann_shapley(
     betas, weights = _unit_legendre(node_count)
     scaled = np.column_stack([beta * xi_v for beta in betas])
     if inner == "measure":
-        columns = solution_measure(engine.bundle, engine.driver, scaled, engine.config,
-                                   densities=node_count)
+        columns = solve_bsde(engine.bundle, engine.driver, -scaled, engine.config,
+                             nodes=(0,), densities=node_count)
         return _shapley_multi(engine.bundle, columns.density[0], [eta_v], node,
                               engine.config)[0]
     h = default_fd_step(xi_v) if step is None else float(step)
@@ -238,7 +216,7 @@ def convex_representation(
     xi_v = _claim_values(bundle, xi)
     betas, weights = _unit_legendre(node_count)
     scaled = np.column_stack([beta * xi_v for beta in betas])
-    columns = solution_measure(bundle, driver, scaled, config, (node,), densities=node_count)
+    columns = solve_bsde(bundle, driver, -scaled, config, nodes=(node,), densities=node_count)
     mix = columns.density[node] @ weights
     return _weighted_estimate(bundle, mix, -xi_v, node, config)
 
@@ -261,7 +239,8 @@ def coherent_representation(
             f"got family {driver.family!r}"
         )
     xi_v = _claim_values(bundle, xi)
-    weights = solution_measure(bundle, driver, xi_v, config, nodes=(node,)).density[node][:, 0]
+    weights = solve_bsde(bundle, driver, -xi_v, config, nodes=(node,),
+                         densities=1).density[node][:, 0]
     return _weighted_estimate(bundle, weights, -xi_v, node, config)
 
 
@@ -346,8 +325,8 @@ def build_allocation_report(
     claims = ([xi_v] + [beta * xi_v for beta in betas] + [np.zeros_like(xi_v)]
               + _fd_legs([(xi_v, eta_v) for eta_v in directions], h))
     probe = max(node, 1)
-    columns = solution_measure(bundle, engine.driver, np.column_stack(claims), engine.config,
-                               nodes={0, node, probe}, densities=1 + node_count)
+    columns = solve_bsde(bundle, engine.driver, -np.column_stack(claims), engine.config,
+                         nodes={0, node, probe}, densities=1 + node_count)
 
     def risk(j):
         per_path = columns.y[node][:, j].copy()

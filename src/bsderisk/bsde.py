@@ -14,11 +14,13 @@ sigma = 0 and K = 0) the estimates collapse to plain cross-path means, which
 reduces the scheme to deterministic backward Euler. Driver inputs are
 clamped to configured guards against regression outliers; the stored
 controls are the clamped values the driver actually saw.
+The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
+sweep and ``measure.doleans_dade`` share it and its guards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,14 +200,46 @@ class BsdeColumns:
     y        {node: (M, B)} value process
     density  {node: (M, D)} L(T)/L(t_node) for the first D columns, L the
              stochastic exponential of the driver's partials at the controls
-    clamped_z, clamped_upsilon (B,) per column; worst_jump_integrand min dg/du_k
+    clamped_z, clamped_upsilon (B,) per column
     """
 
     y: dict
     density: dict
     clamped_z: np.ndarray
     clamped_upsilon: np.ndarray
-    worst_jump_integrand: float
+
+
+def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt) -> None:
+    """One step of D stochastic exponentials of int phi_z dW + sum_k int
+    phi_k dN~_k, in place: log_l (M, D) adds phi_z dW - phi_z^2 dt / 2 -
+    sum_k phi_k lambda_k dt and jump_l (M, D) multiplies in prod_k
+    (1 + phi_k)^{dN_k}, a product so that an overflow stays non-finite (a sum
+    of logs would exponentiate to a finite zero). phi_z (M, D), phi_jump
+    (M, D, K), dw (M,), dn (M, K)."""
+    log_l += phi_z * dw[:, None] - 0.5 * phi_z * phi_z * dt - (phi_jump * lam_dt).sum(axis=2)
+    # the per-jump factors 1 + phi_k enter only on paths where a mark fired
+    jumped = np.flatnonzero(dn.any(axis=1))
+    factors, jumps = 1.0 + phi_jump[jumped], dn[jumped, None, :]
+    bad = ((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))
+    if np.any(bad):
+        paths = jumped[bad]
+        raise SignedDensityFailure(
+            f"non-positive per-jump factor at a realized jump on "
+            f"{paths.size} paths (first: {paths[:5]})",
+            paths=paths,
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        jump_l[jumped] *= (factors ** jumps).prod(axis=2)
+
+
+def _exponential(log_l, jump_l) -> np.ndarray:
+    """The density exp(log_l) * jump_l of ``_doleans_step``'s state."""
+    # the finiteness guard below turns any overflow into a typed failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.exp(log_l) * jump_l
+    if not np.all(np.isfinite(density)):
+        raise EstimatorFailure("density path overflowed to non-finite values")
+    return density
 
 
 def solve_bsde(
@@ -223,9 +257,10 @@ def solve_bsde(
     control targets in a second. A single terminal without ``nodes`` returns
     the full BsdeSolution; otherwise only the (M, B) state is kept and
     BsdeColumns holds ``nodes``.
-    The first ``densities`` columns also sum the logs of the per-step factors
-    of measure.doleans_dade, under its guards (SignedDensityFailure at a
-    realized jump with 1 + dg/du_k <= 0, EstimatorFailure on overflow).
+    The first ``densities`` columns also run ``_doleans_step`` on the driver's
+    partials at their controls and return L(T)/L(t_node), under its guards
+    and the uniform Kazamaki bound: a dg/du_k below -1 + 1e-12 at any step
+    raises SignedDensityFailure after the sweep.
     """
     xi = np.asarray(terminal, dtype=float)
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
@@ -250,8 +285,8 @@ def solve_bsde(
         y[n] = xi
         r_squared, condition = np.full(n, np.nan), np.full(n, np.nan)
     y_at = {n: cur.copy()} if n in reads else {}
-    log_l = np.zeros((m, densities))
-    log_at = {n: log_l} if n in reads else {}
+    log_l, jump_l = np.zeros((m, densities)), np.ones((m, densities))
+    state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
     clamped_z = clamped_u = np.zeros(cur.shape[1], dtype=np.int64)
     worst = np.inf
 
@@ -287,34 +322,23 @@ def solve_bsde(
             phi_z = driver.partial_z(z_i[:, :densities], u_i[:, :densities])
             phi_jump = driver.partial_upsilon(z_i[:, :densities], u_i[:, :densities])
             worst = min(worst, float(phi_jump.min(initial=np.inf)))
-            log_l = (log_l + phi_z * bundle.dw[:, i, None] - 0.5 * phi_z * phi_z * dt
-                     - (phi_jump * lam_dt).sum(axis=2))
-            # the per-jump factors 1 + dg/du_k enter only on paths where a mark fired
-            jumped = np.flatnonzero(bundle.dn[:, i, :].any(axis=1))
-            factors, jumps = 1.0 + phi_jump[jumped], bundle.dn[jumped, i, None, :]
-            bad = ((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))
-            if np.any(bad):
-                paths = jumped[bad]
-                raise SignedDensityFailure(
-                    f"non-positive per-jump factor at a realized jump on "
-                    f"{paths.size} paths (first: {paths[:5]})",
-                    paths=paths,
-                )
-            log_l[jumped] += (np.log(np.where(jumps > 0, factors, 1.0)) * jumps).sum(axis=2)
+            _doleans_step(log_l, jump_l, phi_z, phi_jump, bundle.dw[:, i], bundle.dn[:, i],
+                          dt, lam_dt)
         if full:
             y[i], z[i], ups[i] = cur[:, 0], z_i[:, 0], u_i[:, 0, :]
         if i in reads:
-            y_at[i], log_at[i] = cur, log_l
+            y_at[i], state_at[i] = cur, (log_l.copy(), jump_l.copy())
 
     if full:
         return BsdeSolution(bundle, driver, config, y.T, z.T, ups.transpose(1, 0, 2),
                             r_squared, condition, int(clamped_z[0]), int(clamped_u[0]))
-    # the finiteness guard below turns any overflow into a typed failure
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = {node: np.exp(log) for node, log in log_at.items()}
-    if not all(np.all(np.isfinite(d)) for d in density.values()):
-        raise EstimatorFailure("density path overflowed to non-finite values")
-    return BsdeColumns(y_at, density, clamped_z, clamped_u, worst)
+    density = {node: _exponential(*state) for node, state in state_at.items()}
+    if worst < -1.0 + 1e-12:
+        raise SignedDensityFailure(
+            f"jump integrand reaches {1.0 + worst:.3e} above -1; "
+            "density is not a positive martingale"
+        )
+    return BsdeColumns(y_at, density, clamped_z, clamped_u)
 
 
 @dataclass(frozen=True)

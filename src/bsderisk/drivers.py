@@ -76,13 +76,18 @@ class Driver:
     alpha: float | None = None
     linear: LinearForm = ZERO_FORM
     forms: tuple[LinearForm, ...] = ()
-    convex_in_controls: bool = True
     positively_homogeneous: bool = False
     unscaled_jump_exponent: bool = False
 
     @property
     def mark_count(self) -> int:
         return len(self.intensities)
+
+    @property
+    def canonical_entropic(self) -> bool:
+        """The entropic family at its canonical jump exponent, the one whose
+        risk has the closed form (1/gamma) ln E[e^{-gamma xi} | F_t]."""
+        return self.family == "entropic" and not self.unscaled_jump_exponent
 
     # drivers in these families do not depend on (t, y); the backward solver
     # therefore calls them with the controls only

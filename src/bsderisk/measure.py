@@ -7,10 +7,11 @@ density process is the exact per-step Doleans-Dade factorization
                 * prod_k (1 + phi_k)^{dN_{k,i}} * exp(-phi_k lambda_k dt),
 
 whose one-step conditional expectation is exactly 1, so L is a discrete-time
-martingale by construction and E[L(T)] = 1 up to sampling noise only.
-Expectations under the new measure are estimated with self-normalized
-importance weights: divide by the sample (or conditional) mean of L(T)
-rather than trusting raw weights.
+martingale by construction and E[L(T)] = 1 up to sampling noise only; the
+step is bsde._doleans_step, shared with the backward sweep. Expectations
+under the new measure are estimated with self-normalized importance
+weights: divide by the sample (or conditional) mean of L(T) rather than
+trusting raw weights.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import RegressionConfig, condexp_at_node
-from .errors import EstimatorFailure, SignedDensityFailure
+from .bsde import RegressionConfig, _doleans_step, _exponential, condexp_at_node
+from .errors import EstimatorFailure
 from .market import PathBundle
 
 __all__ = [
@@ -64,7 +65,8 @@ def doleans_dade(
 
     Integrands must be adapted: the value at step i is the one in force on
     [t_i, t_{i+1}). A factor 1 + phi_k <= 0 at a realized jump makes the
-    density signed and raises SignedDensityFailure.
+    density signed and raises SignedDensityFailure (naming the paths of the
+    first such step); an overflow raises EstimatorFailure.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     dt = bundle.grid.dt
@@ -76,30 +78,15 @@ def doleans_dade(
     if not (np.all(np.isfinite(pz)) and np.all(np.isfinite(pj))):
         raise ValueError("integrands must be finite")
 
-    if k:
-        bad = (1.0 + pj <= 0.0) & (bundle.dn > 0)
-        if np.any(bad):
-            paths = np.flatnonzero(bad.any(axis=(1, 2)))
-            raise SignedDensityFailure(
-                f"non-positive per-jump factor at a realized jump on "
-                f"{paths.size} paths (first: {paths[:5]})",
-                paths=paths,
-            )
-
-    lam = np.empty((m, n + 1))
-    lam[:, 0] = 1.0
-    # the finiteness guard below turns any overflow into a typed failure
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_diffusion = pz * bundle.dw - 0.5 * pz * pz * dt
-        factors = np.exp(log_diffusion)
-        if k:
-            lam_dt = bundle.model.jump_intensities * dt
-            jump_part = (1.0 + pj) ** bundle.dn * np.exp(-pj * lam_dt)
-            factors = factors * jump_part.prod(axis=2)
-        np.cumprod(factors, axis=1, out=lam[:, 1:])
-    if not np.all(np.isfinite(lam)):
-        raise EstimatorFailure("density path overflowed to non-finite values")
-    return RNProcess(bundle=bundle, lam=lam, phi_z=pz, phi_jump=pj)
+    lam_dt = bundle.model.jump_intensities * dt
+    lam = np.empty((n + 1, m))
+    lam[0] = 1.0
+    log_l, jump_l = np.zeros((m, 1)), np.ones((m, 1))
+    for i in range(n):
+        _doleans_step(log_l, jump_l, pz[:, i, None], pj[:, i, None, :], bundle.dw[:, i],
+                      bundle.dn[:, i], dt, lam_dt)
+        lam[i + 1] = _exponential(log_l, jump_l)[:, 0]
+    return RNProcess(bundle=bundle, lam=lam.T, phi_z=pz, phi_jump=pj)
 
 
 @dataclass(frozen=True)

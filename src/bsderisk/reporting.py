@@ -77,14 +77,20 @@ def _csv_payload(rows: list[Row]) -> str:
     return buf.getvalue()
 
 
+def _json_number(value: float | None) -> str:
+    """_fmt's text, non-finite values spelled as json.dumps writes them."""
+    text = _fmt(value) or "null"
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
 def _jsonl_payload(rows: list[Row]) -> str:
     lines = []
     for r in rows:
         fields = [
             f'"scenario_id": {json.dumps(r.scenario_id)}',
             f'"quantity": {json.dumps(r.quantity)}',
-            f'"value": {_fmt(r.value) if r.value is not None else "null"}',
-            f'"std_error": {_fmt(r.std_error) if r.std_error is not None else "null"}',
+            f'"value": {_json_number(r.value)}',
+            f'"std_error": {_json_number(r.std_error)}',
             f'"check": {json.dumps(r.check)}',
             f'"pass": {_fmt_bool(r.passed) or "null"}',
         ]
@@ -152,7 +158,8 @@ def read_report(path) -> RunReport:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                # numbers are floats; "-0" must read back as -0.0, not the integer 0
+                rec = json.loads(line, parse_int=float)
             except json.JSONDecodeError as exc:
                 raise ConfigParseError(f"{p}:{line_no}: invalid json line: {exc}") from exc
             rows.append(

@@ -11,7 +11,7 @@ independent cross-check and as a cheap engine mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class RiskEngine:
                 f"bundle has {self.bundle.mark_count}"
             )
         if self.mode == "entropic-closed-form":
-            if self.driver.family != "entropic" or self.driver.unscaled_jump_exponent:
+            if not self.driver.canonical_entropic:
                 raise ValueError(
                     "entropic-closed-form mode requires a canonical entropic driver"
                 )
@@ -266,9 +266,9 @@ def axiom_suite(
     All claims are columns of one block on the engine's bundle, so
     comparisons are common random numbers throughout. Checked: monotonicity
     against xi plus a nonnegative increment, translation for each constant
-    shift, the terminal identity rho_T(xi) = -xi, then convexity (convex
-    drivers) or positive homogeneity plus subadditivity (positively
-    homogeneous drivers). Scaling rows use the relative tolerance
+    shift, the terminal identity rho_T(xi) = -xi, then positive homogeneity
+    plus subadditivity (positively homogeneous drivers) or convexity (every
+    other driver). Scaling rows use the relative tolerance
     tol * (1 + |rho_0(xi)|).
     """
     tol = dict(DEFAULT_AXIOM_TOLERANCES)
@@ -287,7 +287,7 @@ def axiom_suite(
     claims = [xi_v, xi_v + inc] + [xi_v + shift for shift in shifts]
     if engine.driver.positively_homogeneous:
         claims += [k * xi_v for k in scales] + [other, xi_v + other]
-    elif engine.driver.convex_in_controls:
+    else:
         if any(not 0.0 <= w <= 1.0 for w in mix_weights):
             raise ValueError(f"mix weights must be in [0, 1], got {mix_weights}")
         claims += [other] + [w * xi_v + (1.0 - w) * other for w in mix_weights]
@@ -320,7 +320,7 @@ def axiom_suite(
                      max(0.0, float(rho_sum - rho - rho_other)),
                      tol["subadditivity"])
         )
-    elif engine.driver.convex_in_controls:
+    else:
         rho_other = next(risks)
         for w in mix_weights:
             rows.append(

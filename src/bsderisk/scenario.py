@@ -488,11 +488,14 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
         raise ConfigValidationError(f"config.payoff is required for the {effective_task} task")
     if effective_task == "allocate" and payoff is not None and payoff.components is None:
         raise ConfigValidationError("config.payoff.decomposition is required for the allocate task")
-    if method.risk_mode == "entropic-closed-form" and driver is not None:
-        if driver.family != "entropic" or driver.unscaled_jump_exponent:
+    if driver is not None and not driver.canonical_entropic:
+        if method.risk_mode == "entropic-closed-form":
             raise ConfigValidationError(
                 "config.method.risk_mode entropic-closed-form requires an entropic driver"
             )
+        for check in ("closed_form", "entropic_identity"):
+            if effective_task == "verify" and check in verify.checks:
+                raise ConfigValidationError(f"verify check {check} requires an entropic driver")
 
     resolved = json.loads(json.dumps(raw))
     resolved.setdefault("mc", {})["seed"] = effective_seed
@@ -516,7 +519,7 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
 # task pipelines
 
 
-def _moment_rows(cfg: ScenarioConfig, bundle: PathBundle, flag: bool) -> list[Row]:
+def _moment_rows(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     x = bundle.terminal
     m = bundle.path_count
@@ -530,28 +533,28 @@ def _moment_rows(cfg: ScenarioConfig, bundle: PathBundle, flag: bool) -> list[Ro
     var_ref = cfg.model.terminal_variance(cfg.grid.horizon)
     k_mean = cfg.method.tolerance("mean_sigmas")
     k_var = cfg.method.tolerance("variance_sigmas")
-    rows = [
+    return [
         Row(sid, "terminal_mean", mean, se_mean),
         Row(sid, "terminal_mean_analytic", mean_ref),
         Row(sid, "terminal_variance", var, se_var),
         Row(sid, "terminal_variance_analytic", var_ref),
-    ]
-    if flag:
-        rows.append(Row(
-            sid, "terminal_mean_gap", abs(mean - mean_ref), se_mean,
+        Row(sid, "terminal_mean_gap", abs(mean - mean_ref), se_mean,
             check=f"mean_within_{k_mean:g}_se",
-            passed=abs(mean - mean_ref) <= k_mean * se_mean,
-        ))
-        rows.append(Row(
-            sid, "terminal_variance_gap", abs(var - var_ref), se_var,
+            passed=abs(mean - mean_ref) <= k_mean * se_mean),
+        Row(sid, "terminal_variance_gap", abs(var - var_ref), se_var,
             check=f"variance_within_{k_var:g}_se",
-            passed=abs(var - var_ref) <= k_var * se_var,
-        ))
-    return rows
+            passed=abs(var - var_ref) <= k_var * se_var),
+    ]
 
 
 def _task_simulate(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
-    return _moment_rows(cfg, bundle, flag=True)
+    return _moment_rows(cfg, bundle)
+
+
+def _clamp_rows(sid: str, label: str, clamped_z, clamped_upsilon) -> list[Row]:
+    """How many driver inputs the sweep clamped; information, not a check."""
+    return [Row(sid, f"{label}_clamped_z", float(clamped_z)),
+            Row(sid, f"{label}_clamped_upsilon", float(clamped_upsilon))]
 
 
 def _solution_rows(cfg: ScenarioConfig, solution, label: str) -> list[Row]:
@@ -564,8 +567,7 @@ def _solution_rows(cfg: ScenarioConfig, solution, label: str) -> list[Row]:
     worst = float(z_scores.max()) if z_scores.size else 0.0
     return [
         Row(sid, label, solution.y0, se),
-        Row(sid, f"{label}_clamped_z", float(solution.clamped_z)),
-        Row(sid, f"{label}_clamped_upsilon", float(solution.clamped_upsilon)),
+        *_clamp_rows(sid, label, solution.clamped_z, solution.clamped_upsilon),
         Row(sid, f"{label}_replay_worst_z", worst,
             check=f"replay_within_{cfg.method.tolerance('replay_sigmas'):g}_se",
             passed=replay.flagged.size == 0),
@@ -595,10 +597,12 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     rows: list[Row] = []
     if cfg.method.risk_mode == "bsde":
         n = bundle.grid.step_count
-        y = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n)).y
+        columns = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n))
+        y = columns.y
         rho0 = float(y[0][0, 0])
         se = float(y[1][:, 0].std() / math.sqrt(cfg.paths))
         rows.append(Row(sid, "rho0", rho0, se))
+        rows += _clamp_rows(sid, "rho0", columns.clamped_z[0], columns.clamped_upsilon[0])
         terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
         rows.append(Row(sid, "terminal_identity_gap", terminal_gap,
                         check="terminal_identity_exact", passed=terminal_gap == 0.0))
@@ -606,7 +610,7 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
         rho = dynamic_risk(engine, xi)
         rho0 = float(rho[0])
         rows.append(Row(sid, "rho0", rho0))
-    if cfg.driver.family == "entropic" and not cfg.driver.unscaled_jump_exponent:
+    if cfg.driver.canonical_entropic:
         rows += _closed_form_rows(cfg, bundle, xi, rho0)
     return rows
 
@@ -677,9 +681,6 @@ def _verify_doleans(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
 
 def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
-    if cfg.driver.family != "entropic" or cfg.driver.unscaled_jump_exponent:
-        raise ConfigValidationError(
-            "verify check entropic_identity requires an entropic driver")
     gamma = cfg.driver.alpha
     beta = cfg.verify.beta
     gap_tol = cfg.method.tolerance(
@@ -747,12 +748,10 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     axioms = None
     for check in cfg.verify.checks:
         if check == "moments":
-            rows.extend(_moment_rows(cfg, bundle, flag=True))
+            rows.extend(_moment_rows(cfg, bundle))
         elif check == "doleans":
             rows.extend(_verify_doleans(cfg, bundle))
         elif check == "closed_form":
-            if cfg.driver.family != "entropic" or cfg.driver.unscaled_jump_exponent:
-                raise ConfigValidationError("verify check closed_form requires an entropic driver")
             xi = terminal_values(bundle, cfg.payoff)
             if share_rho:
                 axioms = axioms or _axiom_report(cfg, bundle)
@@ -788,7 +787,7 @@ _TASK_RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, wall_seconds: float | None = None) -> RunReport:
+def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the scenario's task pipeline and assemble the report."""
     bundle = simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
     rows = _TASK_RUNNERS[cfg.task](cfg, bundle)
@@ -799,6 +798,4 @@ def run_scenario(cfg: ScenarioConfig, wall_seconds: float | None = None) -> RunR
         "version": __version__,
         "config": cfg.resolved,
     }
-    if wall_seconds is not None:
-        provenance["wall_seconds"] = wall_seconds
     return RunReport(scenario_id=cfg.scenario_id, rows=rows, provenance=provenance)

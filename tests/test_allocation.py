@@ -170,6 +170,8 @@ def test_signed_density_guard_shared_by_measure_routes(jump_bundle, jump_coef, m
     payoff = br.PortfolioPayoff((br.AffinePayoff(0.0, 0.0), br.AffinePayoff(0.0, 0.0)))
     xi = br.terminal_values(jump_bundle, payoff)
     with pytest.raises(br.SignedDensityFailure, match=message):
+        br.solve_bsde(jump_bundle, driver, -xi, nodes=(0,), densities=1)
+    with pytest.raises(br.SignedDensityFailure, match=message):
         br.gradient_measure(jump_bundle, driver, xi, xi)
     with pytest.raises(br.SignedDensityFailure, match=message):
         br.build_allocation_report(br.RiskEngine(jump_bundle, driver), payoff, node_count=4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bsderisk as br
 from bsderisk.bsde import _standardize, condexp_at_node, features_at_node, regress_condexp
-from bsderisk.errors import SolverFailure
+from bsderisk.errors import EstimatorFailure, SolverFailure
 
 
 def test_regression_recovers_linear_function_exactly():
@@ -286,6 +286,19 @@ def test_block_sweep_matches_single_solves(two_mark_bundle):
                              driver.partial_upsilon(single.z, single.upsilon))
         np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
                                    rtol=0.0, atol=1e-10)
+
+
+def test_sweep_density_overflow_raises_like_doleans_dade(jump_bundle):
+    # the zero claim keeps the controls at zero, so dg/du = 1e308 at every
+    # step: a path with two jumps overflows its product of jump factors
+    b = jump_bundle
+    driver = br.make_qexp_driver(1.0, br.LinearForm(0.0, (1e308,)), (1.5,))
+    m, n = b.path_count, b.grid.step_count
+    z, u = np.zeros((m, n)), np.zeros((m, n, 1))
+    with pytest.raises(EstimatorFailure, match="overflowed"):
+        br.doleans_dade(b, driver.partial_z(z, u), driver.partial_upsilon(z, u))
+    with pytest.raises(EstimatorFailure, match="overflowed"):
+        br.solve_bsde(b, driver, np.zeros(m), nodes=(0,), densities=1)
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,19 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsderisk.cli import main
 from bsderisk.errors import SolverFailure
-from bsderisk.reporting import read_report
+from bsderisk.reporting import Row, RunReport, emit_report, read_report
 
 
 @pytest.fixture()
@@ -92,6 +97,47 @@ def test_json_lines_format_round_trips(config_path, tmp_path):
     from_csv = read_report(csv_dir / "cli-unit.csv")
     from_jl = read_report(jl_dir / "cli-unit.jsonl")
     assert from_csv.rows == from_jl.rows
+
+
+texts = st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from(',"\''),
+                max_size=10)
+numbers = st.none() | st.floats()
+report_rows = st.lists(st.builds(Row, scenario_id=texts, quantity=texts, value=numbers,
+                                 std_error=numbers, check=texts,
+                                 passed=st.none() | st.booleans()), max_size=5)
+
+
+def same_number(a, b):
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a):
+        return math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+EDGE_ROWS = [Row('a,"b"', "\u00e9\u4e2d", -0.0, float("nan"), "c'", False),
+             Row("x", "y", float("inf"), float("-inf"), "", True), Row("", "", None, 1e-300)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=report_rows, fmt=st.sampled_from(["csv", "json-lines"]))
+@example(rows=EDGE_ROWS, fmt="csv")
+@example(rows=EDGE_ROWS, fmt="json-lines")
+def test_report_round_trip_property(rows, fmt):
+    # None, NaN, +-inf and -0.0 values, None or bool pass flags, and strings
+    # with commas, quotes and non-ASCII text come back as written, and
+    # re-emitting what was read reproduces the payload bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        first, _ = emit_report(RunReport("rt", rows), fmt, Path(tmp) / "a")
+        back = read_report(first).rows
+        second, _ = emit_report(RunReport("rt", back), fmt, Path(tmp) / "b")
+        assert second.read_bytes() == first.read_bytes()
+    assert len(back) == len(rows)
+    for got, want in zip(back, rows):
+        assert (got.scenario_id, got.quantity, got.check, got.passed) == (
+            want.scenario_id, want.quantity, want.check, want.passed)
+        assert same_number(got.value, want.value)
+        assert same_number(got.std_error, want.std_error)
 
 
 def test_report_reemits_identical_payload(config_path, tmp_path):

@@ -4,6 +4,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bsderisk as br
 from bsderisk.scenario import apply_overrides, build_scenario, load_config, run_scenario
@@ -92,6 +94,48 @@ def test_overrides_reject_missing_equals():
 def test_overrides_reject_crossing_scalars():
     with pytest.raises(br.ConfigValidationError):
         apply_overrides(base_config(), ["grid.horizon.sub=1"])
+
+
+key_paths = st.lists(st.text(st.characters(blacklist_characters=".=",
+                                           blacklist_categories=("Cs",)),
+                             min_size=1, max_size=6), min_size=1, max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def read_path(raw, parts):
+    for part in parts:
+        raw = raw[part]
+    return raw
+
+
+def is_json(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=key_paths, value=json_values)
+def test_override_sets_json_value_at_dotted_path(parts, value):
+    raw = {}
+    apply_overrides(raw, [".".join(parts) + "=" + json.dumps(value)])
+    assert read_path(raw, parts) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=key_paths, text=st.text(max_size=12))
+def test_override_keeps_non_json_text_verbatim(parts, text):
+    assume(not is_json(text))
+    raw = {}
+    apply_overrides(raw, [".".join(parts) + "=" + text])
+    assert read_path(raw, parts) == text
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +296,16 @@ def test_closed_form_mode_requires_entropic():
         build_scenario(raw)
 
 
+@pytest.mark.parametrize("check", ["closed_form", "entropic_identity"])
+def test_entropic_verify_checks_require_entropic_driver(check):
+    # rejected before any path is simulated, not after the earlier checks ran
+    raw = base_config(task="verify")
+    raw["driver"] = {"family": "qexp", "alpha": 2.0, "z_coef": 0.1}
+    raw["verify"] = {"checks": ["moments", "clark_ocone", check]}
+    with pytest.raises(br.ConfigValidationError, match=f"{check} requires an entropic driver"):
+        build_scenario(raw)
+
+
 def test_verify_requires_block():
     raw = base_config(task="verify")
     del raw["driver"]
@@ -345,6 +399,24 @@ def test_run_risk_skips_closed_form_for_qexp():
                      "jump_coefs": [0.1]}
     report = run_scenario(build_scenario(raw))
     assert "rho0_closed_form_gap" not in quantities(report.rows)
+
+
+def test_run_risk_reports_clamp_counts():
+    raw = base_config(task="risk")
+    raw["driver"] = {"family": "qexp", "alpha": 2.0, "z_coef": 0.1}
+    raw["method"] = {"z_clip": 0.2, "upsilon_clip": 0.05}
+    cfg = build_scenario(raw)
+    report = run_scenario(cfg)
+    bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
+    solution = br.solve_bsde(bundle, cfg.driver, -br.terminal_values(bundle, cfg.payoff),
+                             cfg.method.regression)
+    rows = {r.quantity: r for r in report.rows}
+    for name, count in (("rho0_clamped_z", solution.clamped_z),
+                        ("rho0_clamped_upsilon", solution.clamped_upsilon)):
+        assert count > 0
+        assert rows[name].value == float(count)
+        assert rows[name].passed is None and rows[name].check == ""
+    assert quantities(report.rows)[:3] == ["rho0", "rho0_clamped_z", "rho0_clamped_upsilon"]
 
 
 def test_run_allocate_rows():
