@@ -9,8 +9,8 @@ they can cross-check each other:
                     build the Radon-Nikodym density from the driver's
                     partials at the solved controls, and take E_Q[-eta]
   aumann_shapley    Gauss-Legendre average over beta in (0,1) of the
-                    gradient at the scaled claim beta * xi, which sums to
-                    the full risk across a decomposition
+                    measure-route gradient at the scaled claim beta * xi,
+                    which sums to the full risk across a decomposition
 
 plus the density representations of the risk number itself:
 
@@ -170,33 +170,20 @@ def aumann_shapley(
     eta,
     node_count: int = 16,
     node: int = 0,
-    inner: str = "measure",
-    step: float | None = None,
 ) -> Estimate:
     """Aumann-Shapley allocation along eta.
 
-    Integrates the directional gradient of rho at the scaled claim beta*xi
-    over beta in (0, 1) with a Gauss-Legendre rule; all beta nodes are
-    columns of one sweep on the same bundle. ``inner`` picks the gradient
-    estimator at each node: the measure-change identity (default) or
-    central differences.
+    Integrates the measure-route gradient of rho at the scaled claim beta*xi
+    over beta in (0, 1) with a Gauss-Legendre rule; the densities of all
+    beta nodes are columns of one sweep on the same bundle.
     """
-    if inner not in ("measure", "fd"):
-        raise ValueError(f"inner must be 'measure' or 'fd', got {inner!r}")
     xi_v = _claim_values(engine.bundle, xi)
     eta_v = _claim_values(engine.bundle, eta)
-    betas, weights = _unit_legendre(node_count)
+    betas, _ = _unit_legendre(node_count)
     scaled = np.column_stack([beta * xi_v for beta in betas])
-    if inner == "measure":
-        columns = solve_bsde(engine.bundle, engine.driver, -scaled, engine.config,
-                             nodes=(0,), densities=node_count)
-        return _shapley_multi(engine.bundle, columns.density[0], [eta_v], node,
-                              engine.config)[0]
-    h = default_fd_step(xi_v) if step is None else float(step)
-    legs = np.column_stack(_fd_legs([(x, eta_v) for x in scaled.T], h))
-    columns = solve_bsde(engine.bundle, engine.driver, -legs, engine.config,
-                         nodes={node, max(node, 1)})
-    return _quadrature(weights, _fd_estimates(columns, 0, node_count, h, node))
+    columns = solve_bsde(engine.bundle, engine.driver, -scaled, engine.config,
+                         nodes=(0,), densities=node_count)
+    return _shapley_multi(engine.bundle, columns.density[0], [eta_v], node, engine.config)[0]
 
 
 def convex_representation(

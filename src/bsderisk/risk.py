@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, RegressionConfig, condexp_at_node, solve_bsde
+from .bsde import RegressionConfig, condexp_at_node, solve_bsde
 from .drivers import Driver
 from .errors import EstimatorFailure, RootFailure
 from .market import PathBundle, Payoff, terminal_values
@@ -26,7 +26,6 @@ __all__ = [
     "AxiomRow",
     "AxiomReport",
     "dynamic_risk",
-    "risk_solution",
     "entropic_closed_form",
     "entropic_coherent_static",
     "axiom_suite",
@@ -68,12 +67,6 @@ def _claim_values(bundle: PathBundle, xi) -> np.ndarray:
             f"claim values must have shape ({bundle.path_count},), got {values.shape}"
         )
     return values
-
-
-def risk_solution(engine: RiskEngine, xi) -> BsdeSolution:
-    """Full backward solution of the risk BSDE (terminal -xi)."""
-    values = _claim_values(engine.bundle, xi)
-    return solve_bsde(engine.bundle, engine.driver, -values, engine.config)
 
 
 def dynamic_risk(engine: RiskEngine, xi, node: int = 0) -> np.ndarray:
@@ -155,16 +148,16 @@ def _relative_entropy(gamma: float, xi: np.ndarray) -> float:
 def entropic_coherent_static(
     level: float,
     xi_values: np.ndarray,
-    gamma_lo: float = 1e-6,
     gamma_hi: float = 1e3,
 ) -> CoherentStaticResult:
     """Static coherent risk inf_{gamma>0} [ level/gamma + (1/gamma) ln E e^{-gamma xi} ].
 
     The minimizer gamma_c is the root of the stationarity condition
     H(gamma) = level, where H is the relative entropy of the exponentially
-    tilted measure; H is increasing, so the root is bracketed and found with
-    a guarded Brent search on [gamma_lo, gamma_hi]. A degenerate
-    (constant) claim short-circuits to rho = -xi with a flag.
+    tilted measure. H is increasing, so doubling gamma from 1 (capped at
+    gamma_hi) brackets the root and bisection keeps it bracketed down to a
+    width of 1e-12 + 8.9e-16 gamma. A degenerate (constant) claim
+    short-circuits to rho = -xi with a flag.
     """
     if not (level > 0.0 and math.isfinite(level)):
         raise ValueError(f"level must be positive and finite, got {level}")
@@ -182,21 +175,24 @@ def entropic_coherent_static(
     def objective(g: float) -> float:
         return _relative_entropy(g, xi) - level
 
-    lo, hi = gamma_lo, min(1.0, gamma_hi)
+    lo, hi = 1e-6, min(1.0, gamma_hi)
     if objective(lo) > 0.0:
         raise RootFailure(
             f"relative entropy at gamma={lo} already exceeds level {level}"
         )
     while objective(hi) < 0.0:
-        hi *= 2.0
-        if hi > gamma_hi:
+        if hi >= gamma_hi:
             raise RootFailure(
                 f"no bracketing gamma <= {gamma_hi} reaches entropy level {level}"
             )
-    # imported here, its one use: scipy.optimize is most of the package's import time
-    from scipy.optimize import brentq
-
-    gamma_c = float(brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16))
+        lo, hi = hi, min(2.0 * hi, gamma_hi)
+    while hi - lo > 1e-12 + 8.9e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if objective(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    gamma_c = 0.5 * (lo + hi)
 
     c = float(xi.min())
     log_m = math.log(np.exp(-gamma_c * (xi - c)).mean()) - gamma_c * c
@@ -258,7 +254,6 @@ def axiom_suite(
     partner=None,
     shifts=(1.0,),
     scales=(2.0,),
-    mix_weights=(0.5,),
     tolerances: dict | None = None,
 ) -> AxiomReport:
     """Empirical residuals of the risk-measure axioms on common paths.
@@ -267,9 +262,9 @@ def axiom_suite(
     comparisons are common random numbers throughout. Checked: monotonicity
     against xi plus a nonnegative increment, translation for each constant
     shift, the terminal identity rho_T(xi) = -xi, then positive homogeneity
-    plus subadditivity (positively homogeneous drivers) or convexity (every
-    other driver). Scaling rows use the relative tolerance
-    tol * (1 + |rho_0(xi)|).
+    plus subadditivity (positively homogeneous drivers) or convexity at the
+    even mix of xi and the partner (every other driver). Scaling rows use
+    the relative tolerance tol * (1 + |rho_0(xi)|).
     """
     tol = dict(DEFAULT_AXIOM_TOLERANCES)
     tol.update(tolerances or {})
@@ -288,9 +283,7 @@ def axiom_suite(
     if engine.driver.positively_homogeneous:
         claims += [k * xi_v for k in scales] + [other, xi_v + other]
     else:
-        if any(not 0.0 <= w <= 1.0 for w in mix_weights):
-            raise ValueError(f"mix weights must be in [0, 1], got {mix_weights}")
-        claims += [other] + [w * xi_v + (1.0 - w) * other for w in mix_weights]
+        claims += [other, 0.5 * xi_v + 0.5 * other]
     n = engine.bundle.grid.step_count
     block = _risk_block(engine, np.column_stack(claims), (0, n))
     risks = iter(block[0][0])
@@ -321,12 +314,11 @@ def axiom_suite(
                      tol["subadditivity"])
         )
     else:
-        rho_other = next(risks)
-        for w in mix_weights:
-            rows.append(
-                AxiomRow("convexity", f"w={w:g}",
-                         max(0.0, float(next(risks) - w * rho - (1.0 - w) * rho_other)),
-                         tol["convexity"])
-            )
+        rho_other, rho_mix = next(risks), next(risks)
+        rows.append(
+            AxiomRow("convexity", "w=0.5",
+                     max(0.0, float(rho_mix - 0.5 * rho - 0.5 * rho_other)),
+                     tol["convexity"])
+        )
 
     return AxiomReport(rows=tuple(rows), rho=float(rho))

@@ -110,7 +110,7 @@ def test_aumann_shapley_equals_gradient_for_homogeneous(jump_bundle):
     xi = jump_bundle.terminal
     eta = 0.5 * xi
     grad = br.gradient_measure(jump_bundle, sub, xi, eta)
-    shap = br.aumann_shapley(engine, xi, eta, node_count=8, inner="measure")
+    shap = br.aumann_shapley(engine, xi, eta, node_count=8)
     assert abs(grad.value - shap.value) < 1e-2
 
 
@@ -144,6 +144,36 @@ def test_allocation_report_shares_seed_and_paths(engine, parts):
     assert report.check.passed
     for gap, fd, mv in zip(report.fd_measure_gaps, report.fd, report.measure):
         assert gap <= max(2e-2, 4 * math.sqrt(fd.se**2 + mv.se**2))
+
+
+def test_allocation_report_interior_node_matches_closed_forms(engine, jump_bundle, parts):
+    # xi = a + b X_T and eta = a' + b' X_T under the entropic driver have
+    # pathwise closed forms at t through the cumulant
+    # kappa(th) = mu th + sigma^2 th^2 / 2 + lam (e^{th zeta} - 1) of X
+    model = jump_bundle.model
+    mu, sigma = model.mu, model.sigma
+    (mark,) = model.jumps
+    lam, zeta = mark.intensity, mark.size
+    node = 25
+    report = br.build_allocation_report(engine, br.PortfolioPayoff(parts), node=node)
+    tau = 1.0 - jump_bundle.grid.nodes[node]
+    x_t = jump_bundle.state[:, node]
+    a, b = sum(p.a for p in parts), sum(p.b for p in parts)
+    th = -GAMMA * b
+    kappa = mu * th + sigma**2 * th**2 / 2 + lam * (math.exp(th * zeta) - 1.0)
+    dkappa = mu + sigma**2 * th + lam * zeta * math.exp(th * zeta)
+
+    def close(est, closed_form):
+        assert abs(est.value - closed_form.mean()) <= 4 * est.se
+        assert math.sqrt(np.mean((est.per_path - closed_form) ** 2)) <= 1e-2
+
+    close(report.rho, -a - b * x_t + tau * kappa / GAMMA)
+    for p, fd, mv, sh in zip(parts, report.fd, report.measure, report.shapley):
+        gradient = -p.a - p.b * (x_t + tau * dkappa)
+        close(fd, gradient)
+        close(mv, gradient)
+        close(sh, -p.a - p.b * x_t + p.b * tau * kappa / (GAMMA * b))
+    assert report.check.passed, report.check
 
 
 def test_allocation_report_requires_decomposition(engine):

@@ -3,6 +3,8 @@ and the axiom suite.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,29 @@ def test_coherent_static_unbracketable_root():
     xi = np.concatenate([np.zeros(1000), np.full(1, 1e-12)])
     with pytest.raises(RootFailure):
         br.entropic_coherent_static(5.0, xi, gamma_hi=10.0)
+
+
+def test_coherent_static_root_between_half_cap_and_cap():
+    # H crosses the level near gamma = 705, inside (gamma_hi / 2, gamma_hi]:
+    # the doubling bracket stops at gamma_hi instead of stepping past it
+    xi = 6.4e-4 * np.random.default_rng(1).standard_normal(20_000)
+    res = br.entropic_coherent_static(0.1, xi)
+    assert 512.0 < res.gamma < 1e3
+    assert res.gamma == pytest.approx(704.847, abs=1e-3)
+    assert abs(res.entropy_gap) < 1e-9
+
+
+def test_coherent_static_runs_without_scipy():
+    # the package needs numpy alone: a blocked scipy import must not matter
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np, bsderisk as br\n"
+        "xi = np.random.default_rng(5).normal(size=10_000)\n"
+        "print(br.entropic_coherent_static(0.1, xi).gamma)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0.0
 
 
 def test_relative_entropy_increasing():
