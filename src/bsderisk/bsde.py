@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Driver
+from .drivers import Driver, _mark_sum
 from .errors import EstimatorFailure, SignedDensityFailure, SolverFailure
 from .market import PathBundle
 
@@ -216,7 +216,10 @@ def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt) -> None:
     (1 + phi_k)^{dN_k}, a product so that an overflow stays non-finite (a sum
     of logs would exponentiate to a finite zero). phi_z (M, D), phi_jump
     (M, D, K), dw (M,), dn (M, K)."""
-    log_l += phi_z * dw[:, None] - 0.5 * phi_z * phi_z * dt - (phi_jump * lam_dt).sum(axis=2)
+    step = phi_z * dw[:, None] - 0.5 * phi_z * phi_z * dt
+    if lam_dt.size:
+        step -= _mark_sum(phi_jump[..., k] * lam_dt[k] for k in range(lam_dt.size))
+    log_l += step
     # the per-jump factors 1 + phi_k enter only on paths where a mark fired
     jumped = np.flatnonzero(dn.any(axis=1))
     factors, jumps = 1.0 + phi_jump[jumped], dn[jumped, None, :]
@@ -240,6 +243,18 @@ def _exponential(log_l, jump_l) -> np.ndarray:
     if not np.all(np.isfinite(density)):
         raise EstimatorFailure("density path overflowed to non-finite values")
     return density
+
+
+def _clamp(values: np.ndarray, bound: float, axis):
+    """Clip values to [-bound, bound] in place and return how many lay
+    outside, per column (counted over ``axis``), or 0 when none did. The
+    count and clip passes run only when the extremes of the whole array show
+    that some value is outside."""
+    if values.min() >= -bound and values.max() <= bound:
+        return 0
+    counts = np.count_nonzero(np.abs(values) > bound, axis=axis)
+    np.clip(values, -bound, bound, out=values)
+    return counts
 
 
 def solve_bsde(
@@ -307,20 +322,19 @@ def solve_bsde(
         targets = (cur - y_fit)[:, None, :] * increments[:, :, None]
         fitted = _project(feats, targets.reshape(m, -1), config.ridge,
                           gram).reshape(targets.shape)
-        z_raw = fitted[:, 0, :] / dt
-        u_raw = np.moveaxis(fitted[:, 1:, :], 1, 2) / lam_dt
-        clamped_z = clamped_z + np.count_nonzero(np.abs(z_raw) > config.z_clip, axis=0)
-        clamped_u = clamped_u + np.count_nonzero(
-            np.abs(u_raw) > config.upsilon_clip, axis=(0, 2))
-        z_i = np.clip(z_raw, -config.z_clip, config.z_clip)
-        u_i = np.clip(u_raw, -config.upsilon_clip, config.upsilon_clip)
-        cur = y_fit + driver(z_i, u_i) * dt
-        if not np.all(np.isfinite(cur)):
+        z_i = fitted[:, 0, :] / dt
+        u_i = np.moveaxis(fitted[:, 1:, :], 1, 2) / lam_dt
+        clamped_z = clamped_z + _clamp(z_i, config.z_clip, 0)
+        if k:
+            clamped_u = clamped_u + _clamp(u_i, config.upsilon_clip, (0, 2))
+        cur, phi_z, phi_jump = driver.evaluate(z_i, u_i, densities)
+        cur *= dt
+        cur += y_fit
+        # a finite sum has finite terms; only a non-finite one needs the scan
+        if not np.isfinite(cur.sum()) and not np.all(np.isfinite(cur)):
             raise SolverFailure(f"non-finite value process at step {i}", step=i)
 
         if densities:
-            phi_z = driver.partial_z(z_i[:, :densities], u_i[:, :densities])
-            phi_jump = driver.partial_upsilon(z_i[:, :densities], u_i[:, :densities])
             worst = min(worst, float(phi_jump.min(initial=np.inf)))
             _doleans_step(log_l, jump_l, phi_z, phi_jump, bundle.dw[:, i], bundle.dn[:, i],
                           dt, lam_dt)
@@ -372,15 +386,15 @@ def residual_replay(solution: BsdeSolution, k_sigma: float = 3.0) -> ResidualRep
     b = solution.bundle
     n = b.grid.step_count
     dt = b.grid.dt
-    dnc = b.compensated_dn() if b.mark_count else None
+    lam_dt = b.model.jump_intensities * dt
+    g = solution.driver(solution.z, solution.upsilon)
     means = np.empty(n)
     ses = np.empty(n)
     for i in range(n):
-        g = solution.driver(solution.z[:, i], solution.upsilon[:, i, :])
-        step = solution.y[:, i + 1] - solution.y[:, i] + g * dt
+        step = solution.y[:, i + 1] - solution.y[:, i] + g[:, i] * dt
         resid = step - solution.z[:, i] * b.dw[:, i]
         if b.mark_count:
-            resid -= (solution.upsilon[:, i, :] * dnc[:, i, :]).sum(axis=1)
+            resid -= (solution.upsilon[:, i, :] * (b.dn[:, i] - lam_dt)).sum(axis=1)
         means[i] = resid.mean()
         ses[i] = step.std() / np.sqrt(b.path_count)
     return ResidualReport(means=means, std_errors=ses, k_sigma=k_sigma)

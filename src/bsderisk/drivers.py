@@ -13,6 +13,14 @@ Jump partial derivatives use the per-mark density convention: partial_upsilon
 returns the derivative of the integrand at mark k, not of the lambda_k-weighted
 sum, which is what the measure-change integrands downstream require
 (e.g. e^{alpha u_k} - 1 for the qexp family).
+
+``Driver.evaluate`` is the one pass: it returns g, dg/dz and the per-mark
+dg/du_k at the same controls, the partials only on the leading columns asked
+for. The qexp family computes e^{alpha u} once for the value and the jump
+partial and skips the zero terms of its linear part; the sublinear family
+scores each form once and reads the value and both partials off the first
+maximal score. ``__call__``, ``partial_z`` and ``partial_upsilon`` are views of
+that pass that also check their arguments.
 """
 
 from __future__ import annotations
@@ -89,64 +97,133 @@ class Driver:
         risk has the closed form (1/gamma) ln E[e^{-gamma xi} | F_t]."""
         return self.family == "entropic" and not self.unscaled_jump_exponent
 
+    def __post_init__(self):
+        # what evaluate skips and the coefficient arrays it reads, fixed once
+        if self.family == "sublinear":
+            z_coefs = np.array([f.z_coef for f in self.forms], dtype=float)
+            jump_coefs = np.array([f.jump_coefs for f in self.forms], dtype=float)
+            plan = (z_coefs, jump_coefs, jump_coefs * np.asarray(self.intensities))
+        elif self.family in ("qexp", "entropic"):
+            b = np.asarray(self.linear.jump_coefs, dtype=float)
+            plan = (tuple(k for k in range(self.mark_count) if b[k] != 0.0), b)
+        else:
+            raise ValueError(f"unknown driver family {self.family!r}")
+        object.__setattr__(self, "_plan", plan)
+
     # drivers in these families do not depend on (t, y); the backward solver
     # therefore calls them with the controls only
-    def __call__(self, z, upsilon) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        u = _as_upsilon(upsilon, self.mark_count)
-        lam = np.asarray(self.intensities)
-        if self.family in ("qexp", "entropic"):
-            a = self.alpha
-            out = np.full(z.shape, self.linear.const, dtype=float)
-            out += self.linear.z_coef * z
-            out += 0.5 * a * z * z
-            if self.mark_count:
-                b = np.asarray(self.linear.jump_coefs)
-                out += (u * b * lam).sum(axis=-1)
-                if self.unscaled_jump_exponent:
-                    j = np.exp(u) - a * u - 1.0
-                else:
-                    j = np.exp(a * u) - 1.0 - a * u
-                out += (j * lam).sum(axis=-1) / a
-            return out
-        if self.family == "sublinear":
-            return self._scores(z, u, lam).max(axis=-1)
-        raise ValueError(f"unknown driver family {self.family!r}")
+    def evaluate(self, z: np.ndarray, u: np.ndarray, columns: int | None = None):
+        """g(z, u), dg/dz and the per-mark dg/du_k at the same controls.
 
-    def _scores(self, z, u, lam) -> np.ndarray:
-        a = np.array([f.z_coef for f in self.forms])
-        scores = z[..., None] * a
+        z is a float array of shape S and u one of shape S + (K,); neither is
+        checked. The partials are taken on z[..., :columns] and
+        u[..., :columns, :], on all of them when ``columns`` is None, and are
+        None when it is 0. The backward sweep calls this once per step.
+        """
+        if self.family == "sublinear":
+            return self._sublinear(z, u, columns)
+        return self._qexp(z, u, columns)
+
+    def _qexp(self, z, u, columns):
+        a, lin, lam = self.alpha, self.linear, self.intensities
+        linear_marks, b = self._plan
+        # ell(z, u) + (alpha/2) z^2, each zero linear term skipped: adding an
+        # exact zero to the quadratic term (never -0.0) changes no bit
+        out = 0.5 * a * z * z
+        if lin.z_coef:
+            head = lin.z_coef * z
+            if lin.const:
+                head += lin.const
+            out += head
+        elif lin.const:
+            out += lin.const
+        core = None
         if self.mark_count:
-            bw = np.array([f.jump_coefs for f in self.forms]) * lam  # (J, K)
-            scores = scores + u @ bw.T
-        return scores
+            au = a * u
+            if self.unscaled_jump_exponent:
+                core = np.exp(u)
+                jump = core - au
+                jump -= 1.0
+            else:
+                core = np.exp(au)
+                core -= 1.0  # e^{alpha u} - 1, also the density core of dg/du
+                jump = np.subtract(core, au, out=au)
+            if linear_marks:
+                out += _mark_sum(u[..., k] * b[k] * lam[k] for k in linear_marks)
+            j = _mark_sum(jump[..., k] * lam[k] for k in range(self.mark_count))
+            j /= a
+            out += j
+        if columns == 0:
+            return out, None, None
+        zc, uc = _column_slices(columns)
+        phi_z = a * z[zc]
+        phi_z += lin.z_coef
+        if core is None:
+            phi_u = np.zeros(np.shape(phi_z) + (0,))
+        else:
+            phi_u = core[uc]
+            if self.unscaled_jump_exponent:
+                phi_u = phi_u / a
+                phi_u -= 1.0
+            if linear_marks:
+                phi_u = phi_u + b
+        return out, phi_z, phi_u
+
+    def _sublinear(self, z, u, columns):
+        z_coefs, jump_coefs, weights = self._plan
+        # the score of form j: a_j z + sum_k b_{j,k} lambda_k u_k
+        scores = []
+        for j in range(len(self.forms)):
+            s = z * z_coefs[j]
+            if self.mark_count:
+                s += _mark_sum(u[..., k] * weights[j, k] for k in range(self.mark_count))
+            scores.append(s)
+        out = scores[0]
+        for s in scores[1:]:
+            out = np.maximum(out, s)
+        if self.mark_count:
+            # as a matmul's mark sum, which starts from +0.0, the maximum is
+            # never -0.0
+            out += 0.0
+        if columns == 0:
+            return out, None, None
+        # the active form is the first maximal score, a NaN counting as maximal
+        zc, _ = _column_slices(columns)
+        top = out[zc]
+        idx = np.zeros(np.shape(top), dtype=np.intp)
+        for j in range(len(scores) - 1, -1, -1):
+            s = scores[j][zc]
+            idx[(s == top) | np.isnan(s)] = j
+        return out, z_coefs[idx], jump_coefs[idx]
+
+    def __call__(self, z, upsilon) -> np.ndarray:
+        return self.evaluate(*self._controls(z, upsilon), 0)[0]
 
     def partial_z(self, z, upsilon) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        u = _as_upsilon(upsilon, self.mark_count)
-        if self.family in ("qexp", "entropic"):
-            return self.linear.z_coef + self.alpha * z
-        lam = np.asarray(self.intensities)
-        idx = self._scores(z, u, lam).argmax(axis=-1)  # ties: lowest index
-        return np.array([f.z_coef for f in self.forms])[idx]
+        return self.evaluate(*self._controls(z, upsilon))[1]
 
     def partial_upsilon(self, z, upsilon) -> np.ndarray:
         """Per-mark density derivative, shape S + (K,)."""
-        z = np.asarray(z, dtype=float)
-        u = _as_upsilon(upsilon, self.mark_count)
-        if self.mark_count == 0:
-            return np.zeros(z.shape + (0,))
-        if self.family in ("qexp", "entropic"):
-            a = self.alpha
-            b = np.asarray(self.linear.jump_coefs)
-            if self.unscaled_jump_exponent:
-                core = np.exp(u) / a - 1.0
-            else:
-                core = np.exp(a * u) - 1.0
-            return b + core
-        lam = np.asarray(self.intensities)
-        idx = self._scores(z, u, lam).argmax(axis=-1)
-        return np.array([f.jump_coefs for f in self.forms])[idx]
+        return self.evaluate(*self._controls(z, upsilon))[2]
+
+    def _controls(self, z, upsilon):
+        return np.asarray(z, dtype=float), _as_upsilon(upsilon, self.mark_count)
+
+
+def _column_slices(columns):
+    """Index tuples for z[..., :columns] and u[..., :columns, :] (all if None)."""
+    zc = (Ellipsis,) if columns is None else (Ellipsis, slice(columns))
+    return zc, zc + (slice(None),)
+
+
+def _mark_sum(terms):
+    """Sum of fresh per-mark arrays, accumulated into the first in mark order
+    as ndarray.sum over a short mark axis does, so the bits are the same."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def _check_intensities(intensities) -> tuple[float, ...]:

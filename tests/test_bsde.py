@@ -154,12 +154,14 @@ def test_solver_noise_shrinks_with_path_count(desk_grid, jump_model):
 
 def reference_sweep(bundle, driver, xi, cfg):
     """The backward recursion with one features_at_node and one
-    regress_condexp call per fit: y, z, upsilon and the Gram condition."""
+    regress_condexp call per fit: y, z, upsilon, the Gram condition and the
+    per-step counts of clamped z and upsilon values."""
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
     y, z, ups = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, k))
     condition = np.full(n, np.nan)
+    clamps = np.zeros((n, 2), dtype=int)
     y[:, n] = xi
     for i in range(n - 1, -1, -1):
         feats = features_at_node(bundle, i, cfg)
@@ -176,24 +178,35 @@ def reference_sweep(bundle, driver, xi, cfg):
         z_raw = fit(noise * bundle.dw[:, i]) / dt
         u_raw = np.column_stack([
             fit(noise * (bundle.dn[:, i, j] - lam_dt[j])) / lam_dt[j] for j in range(k)])
+        clamps[i] = (np.count_nonzero(np.abs(z_raw) > cfg.z_clip),
+                     np.count_nonzero(np.abs(u_raw) > cfg.upsilon_clip))
         z[:, i] = np.clip(z_raw, -cfg.z_clip, cfg.z_clip)
         ups[:, i] = np.clip(u_raw, -cfg.upsilon_clip, cfg.upsilon_clip)
         y[:, i] = y_fit + driver(z[:, i], ups[:, i]) * dt
-    return y, z, ups, condition
+    return y, z, ups, condition, clamps
 
 
-@pytest.mark.parametrize("ridge", [1e-8, 0.0])
-def test_sweep_matches_reference_recursion(two_mark_bundle, ridge):
+@pytest.mark.parametrize("ridge, clips", [
+    pytest.param(1e-8, {}, id="1e-08"),
+    pytest.param(0.0, {}, id="0.0"),
+    # some steps clamp z or upsilon and others do not
+    pytest.param(1e-8, {"z_clip": 0.3, "upsilon_clip": 0.4}, id="tight-clamp"),
+])
+def test_sweep_matches_reference_recursion(two_mark_bundle, ridge, clips):
     b = two_mark_bundle
     driver = block_driver(b)
-    cfg = br.RegressionConfig(ridge=ridge, jump_count_features=True)
+    cfg = br.RegressionConfig(ridge=ridge, jump_count_features=True, **clips)
     xi = -(b.terminal + 0.5 * b.terminal**2)
     sol = br.solve_bsde(b, driver, xi, cfg)
-    y, z, ups, condition = reference_sweep(b, driver, xi, cfg)
+    y, z, ups, condition, clamps = reference_sweep(b, driver, xi, cfg)
     np.testing.assert_allclose(sol.y, y, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(sol.z, z, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(sol.upsilon, ups, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(sol.condition, condition, rtol=1e-10, equal_nan=True)
+    assert (sol.clamped_z, sol.clamped_upsilon) == tuple(clamps.sum(axis=0))
+    if clips:
+        for kind in (0, 1):
+            assert 0 < np.count_nonzero(clamps[:, kind]) < b.grid.step_count
 
 
 def test_node_reads_equal_full_solution(jump_bundle):
@@ -286,6 +299,91 @@ def test_block_sweep_matches_single_solves(two_mark_bundle):
                              driver.partial_upsilon(single.z, single.upsilon))
         np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
                                    rtol=0.0, atol=1e-10)
+
+
+def test_block_with_one_clamping_column(two_mark_bundle):
+    # only the -4x column has controls beyond the clamps, and only at some steps
+    b = two_mark_bundle
+    driver = block_driver(b)
+    cfg = br.RegressionConfig(z_clip=1.0, upsilon_clip=2.0)
+    x = b.terminal
+    terminals = np.column_stack([-x, -4.0 * x, -(0.5 * x + 0.2)])
+    block = br.solve_bsde(b, driver, terminals, cfg, nodes=(0, 1), densities=3)
+    for j in range(3):
+        clamps = reference_sweep(b, driver, terminals[:, j], cfg)[4].sum(axis=0)
+        assert (block.clamped_z[j], block.clamped_upsilon[j]) == tuple(clamps), j
+    assert block.clamped_z[1] > 0 and block.clamped_upsilon[1] > 0
+    # a block of the same width whose middle column clamps nowhere
+    calm = terminals.copy()
+    calm[:, 1] = -0.4 * x
+    other = br.solve_bsde(b, driver, calm, cfg, nodes=(0, 1), densities=3)
+    assert not other.clamped_z.any() and not other.clamped_upsilon.any()
+    for node in (0, 1):
+        for j in (0, 2):
+            assert np.array_equal(block.y[node][:, j], other.y[node][:, j]), (node, j)
+            assert np.array_equal(block.density[node][:, j], other.density[node][:, j])
+    # the clamping column itself agrees with its own solve
+    single = br.solve_bsde(b, driver, terminals[:, 1], cfg)
+    np.testing.assert_allclose(block.y[1][:, 1], single.y[:, 1], rtol=0.0, atol=1e-10)
+    assert (block.clamped_z[1], block.clamped_upsilon[1]) == (single.clamped_z,
+                                                              single.clamped_upsilon)
+
+
+@pytest.mark.parametrize("driver", [
+    br.make_qexp_driver(1.0, br.LinearForm(0.1, (), 0.05)),
+    br.make_sublinear_driver((br.LinearForm(0.3, ()), br.LinearForm(-0.2, ()))),
+], ids=["qexp", "sublinear"])
+def test_brownian_block_densities_match_doleans_dade(brownian_bundle, driver):
+    b = brownian_bundle
+    x = b.terminal
+    terminals = np.column_stack([-x, -(x * x), -(0.5 * x + 0.2)])
+    block = br.solve_bsde(b, driver, terminals, nodes=(0,), densities=3)
+    for j in range(3):
+        single = br.solve_bsde(b, driver, terminals[:, j])
+        np.testing.assert_allclose(block.y[0][:, j], single.y[:, 0], rtol=0.0, atol=1e-10)
+        rn = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon))
+        np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
+                                   rtol=0.0, atol=1e-10)
+
+
+def reference_residual_replay(solution):
+    """Means and standard errors of the replayed identity, one driver call and
+    one compensated-jump slice per step."""
+    b = solution.bundle
+    n, dt = b.grid.step_count, b.grid.dt
+    dnc = b.compensated_dn()
+    means, ses = np.empty(n), np.empty(n)
+    for i in range(n):
+        g = solution.driver(solution.z[:, i], solution.upsilon[:, i, :])
+        step = solution.y[:, i + 1] - solution.y[:, i] + g * dt
+        resid = step - solution.z[:, i] * b.dw[:, i]
+        resid -= (solution.upsilon[:, i, :] * dnc[:, i, :]).sum(axis=1)
+        means[i] = resid.mean()
+        ses[i] = step.std() / np.sqrt(b.path_count)
+    return means, ses
+
+
+def test_residual_replay_equals_per_step_replay(two_mark_bundle):
+    b = two_mark_bundle
+    sol = br.solve_bsde(b, block_driver(b), -(b.terminal + 0.5 * b.terminal**2))
+    report = br.residual_replay(sol)
+    means, ses = reference_residual_replay(sol)
+    assert np.array_equal(report.means, means)
+    assert np.array_equal(report.std_errors, ses)
+
+
+def test_overflowing_driver_raises_at_first_non_finite_step(two_mark_bundle):
+    # e^{gamma u} overflows for gamma = 800 once some |u| passes about 0.9
+    b = two_mark_bundle
+    driver = br.make_entropic_driver(800.0, b.model.jump_intensities)
+    xi = -(b.terminal + 0.5 * b.terminal**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = reference_sweep(b, driver, xi, br.RegressionConfig())[0]
+    first = max(i for i in range(b.grid.step_count) if not np.all(np.isfinite(y[:, i])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverFailure, match=f"at step {first}$") as failure:
+            br.solve_bsde(b, driver, np.column_stack([xi, xi]), nodes=(0,))
+    assert failure.value.step == first
 
 
 def test_sweep_density_overflow_raises_like_doleans_dade(jump_bundle):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsderisk as br
 
@@ -171,3 +173,136 @@ def test_upsilon_shape_validation():
     d = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):
         d(0.0, np.zeros((4, 2)))
+
+
+# --------------------------------------------------------------------------
+# one driver pass: evaluate against the three separate passes it replaced
+
+
+def reference_scores(d, z, u):
+    a = np.array([f.z_coef for f in d.forms])
+    scores = z[..., None] * a
+    if d.mark_count:
+        bw = np.array([f.jump_coefs for f in d.forms]) * np.asarray(d.intensities)
+        scores = scores + u @ bw.T
+    return scores
+
+
+def reference_value(d, z, u):
+    lam = np.asarray(d.intensities)
+    if d.family == "sublinear":
+        return reference_scores(d, z, u).max(axis=-1)
+    a = d.alpha
+    out = np.full(z.shape, d.linear.const, dtype=float)
+    out += d.linear.z_coef * z
+    out += 0.5 * a * z * z
+    if d.mark_count:
+        b = np.asarray(d.linear.jump_coefs)
+        out += (u * b * lam).sum(axis=-1)
+        if d.unscaled_jump_exponent:
+            j = np.exp(u) - a * u - 1.0
+        else:
+            j = np.exp(a * u) - 1.0 - a * u
+        out += (j * lam).sum(axis=-1) / a
+    return out
+
+
+def reference_partial_z(d, z, u):
+    if d.family != "sublinear":
+        return d.linear.z_coef + d.alpha * z
+    idx = reference_scores(d, z, u).argmax(axis=-1)
+    return np.array([f.z_coef for f in d.forms])[idx]
+
+
+def reference_partial_upsilon(d, z, u):
+    if d.mark_count == 0:
+        return np.zeros(z.shape + (0,))
+    if d.family != "sublinear":
+        a, b = d.alpha, np.asarray(d.linear.jump_coefs)
+        core = np.exp(u) / a - 1.0 if d.unscaled_jump_exponent else np.exp(d.alpha * u) - 1.0
+        return b + core
+    idx = reference_scores(d, z, u).argmax(axis=-1)
+    return np.array([f.jump_coefs for f in d.forms])[idx]
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# simple values make exact zeros and exact score ties likely
+control = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0]), st.floats(-4.0, 4.0))
+coefficient = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
+
+
+@st.composite
+def drivers_and_controls(draw):
+    k = draw(st.integers(0, 2))
+    lam = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(["qexp", "entropic", "unscaled", "sublinear"]))
+    if kind == "qexp":
+        form = br.LinearForm(draw(coefficient), tuple(draw(coefficient) for _ in lam),
+                             draw(coefficient))
+        driver = br.make_qexp_driver(draw(st.floats(0.1, 3.0)), form, lam)
+    elif kind == "sublinear":
+        forms = [br.LinearForm(draw(coefficient), tuple(draw(coefficient) for _ in lam))
+                 for _ in range(draw(st.integers(1, 3)))]
+        driver = br.make_sublinear_driver(forms, lam)
+    else:
+        driver = br.make_entropic_driver(draw(st.floats(0.1, 3.0)), lam,
+                                         unscaled_jump_exponent=kind == "unscaled")
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    z = np.array(draw(st.lists(control, min_size=rows * cols, max_size=rows * cols)))
+    u = np.array(draw(st.lists(control, min_size=rows * cols * k, max_size=rows * cols * k)))
+    return driver, z.reshape(rows, cols), u.reshape(rows, cols, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=drivers_and_controls(), columns=st.integers(0, 4))
+def test_evaluate_matches_separate_passes(case, columns):
+    d, z, u = case
+    columns = min(columns, z.shape[1])
+    g, phi_z, phi_u = d.evaluate(z, u, columns)
+    ref_g = reference_value(d, z, u)
+    ref_z = reference_partial_z(d, z, u)[:, :columns]
+    ref_u = reference_partial_upsilon(d, z, u)[:, :columns]
+    if d.family == "sublinear" and d.mark_count == 2:
+        # the old scores summed the marks in a matmul, whose rounding may
+        # differ; compare the value relative to the size of its terms and the
+        # active form only where no other form comes within that tolerance
+        lam = np.asarray(d.intensities)
+        bw = np.abs(np.array([f.jump_coefs for f in d.forms]) * lam).max(axis=0)
+        scale = np.abs(z) * max(abs(f.z_coef) for f in d.forms) + np.abs(u) @ bw
+        tol = 1e-13 * scale + 1e-300
+        assert np.all(np.abs(g - ref_g) <= tol)
+        top2 = np.sort(reference_scores(d, z, u), axis=-1)[..., -2:]
+        clear = (top2[..., 1] - top2[..., 0] > 2 * tol) if len(d.forms) > 1 else tol > 0
+        clear = np.broadcast_to(clear, z.shape)[:, :columns]
+        if columns:
+            assert np.array_equal(phi_z[clear], ref_z[clear])
+            assert np.array_equal(phi_u[clear], ref_u[clear])
+        return
+    assert same_bits(g, ref_g)
+    if columns == 0:
+        assert phi_z is None and phi_u is None
+        return
+    assert same_bits(phi_z, ref_z)
+    assert same_bits(phi_u, ref_u)
+    # the public views are the same pass on all columns
+    assert same_bits(d(z, u), ref_g)
+    assert same_bits(d.partial_z(z, u), reference_partial_z(d, z, u))
+    assert same_bits(d.partial_upsilon(z, u), reference_partial_upsilon(d, z, u))
+
+
+def test_sublinear_nan_score_counts_as_maximal():
+    # an infinite control times a zero coefficient scores NaN; as argmax, the
+    # first NaN form is the active one and the value is NaN
+    forms = (br.LinearForm(1.0, (0.2,)), br.LinearForm(0.0, (0.5,)), br.LinearForm(0.0, (0.1,)))
+    d = br.make_sublinear_driver(forms, (1.5,))
+    z = np.array([[np.inf, 1.0], [np.nan, -np.inf]])
+    u = np.zeros((2, 2, 1))
+    with np.errstate(invalid="ignore"):
+        g, phi_z, phi_u = d.evaluate(z, u, 2)
+        assert same_bits(g, reference_value(d, z, u))
+        assert same_bits(phi_z, reference_partial_z(d, z, u))
+        assert same_bits(phi_u, reference_partial_upsilon(d, z, u))
