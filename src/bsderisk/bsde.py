@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Driver, _mark_sum
+from .drivers import Driver
 from .errors import EstimatorFailure, SignedDensityFailure, SolverFailure
 from .market import PathBundle
 
@@ -218,7 +218,12 @@ def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt) -> None:
     (M, D, K), dw (M,), dn (M, K)."""
     step = phi_z * dw[:, None] - 0.5 * phi_z * phi_z * dt
     if lam_dt.size:
-        step -= _mark_sum(phi_jump[..., k] * lam_dt[k] for k in range(lam_dt.size))
+        # the compensator sum_k phi_k lambda_k dt, added in mark order as
+        # ndarray.sum over the mark axis does
+        comp = phi_jump[..., 0] * lam_dt[0]
+        for k in range(1, lam_dt.size):
+            comp += phi_jump[..., k] * lam_dt[k]
+        step -= comp
     log_l += step
     # the per-jump factors 1 + phi_k enter only on paths where a mark fired
     jumped = np.flatnonzero(dn.any(axis=1))
@@ -387,11 +392,11 @@ def residual_replay(solution: BsdeSolution, k_sigma: float = 3.0) -> ResidualRep
     n = b.grid.step_count
     dt = b.grid.dt
     lam_dt = b.model.jump_intensities * dt
-    g = solution.driver(solution.z, solution.upsilon)
     means = np.empty(n)
     ses = np.empty(n)
     for i in range(n):
-        step = solution.y[:, i + 1] - solution.y[:, i] + g[:, i] * dt
+        g = solution.driver(solution.z[:, i], solution.upsilon[:, i, :])
+        step = solution.y[:, i + 1] - solution.y[:, i] + g * dt
         resid = step - solution.z[:, i] * b.dw[:, i]
         if b.mark_count:
             resid -= (solution.upsilon[:, i, :] * (b.dn[:, i] - lam_dt)).sum(axis=1)

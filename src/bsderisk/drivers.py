@@ -155,13 +155,16 @@ class Driver:
             out += j
         if columns == 0:
             return out, None, None
-        zc, uc = _column_slices(columns)
-        phi_z = a * z[zc]
+        if columns is not None:  # the leading columns only
+            z = z[..., :columns]
+            if core is not None:
+                core = core[..., :columns, :]
+        phi_z = a * z
         phi_z += lin.z_coef
         if core is None:
             phi_u = np.zeros(np.shape(phi_z) + (0,))
         else:
-            phi_u = core[uc]
+            phi_u = core
             if self.unscaled_jump_exponent:
                 phi_u = phi_u / a
                 phi_u -= 1.0
@@ -188,12 +191,12 @@ class Driver:
         if columns == 0:
             return out, None, None
         # the active form is the first maximal score, a NaN counting as maximal
-        zc, _ = _column_slices(columns)
-        top = out[zc]
+        top = out
+        if columns is not None:  # the leading columns only
+            top, scores = out[..., :columns], [s[..., :columns] for s in scores]
         idx = np.zeros(np.shape(top), dtype=np.intp)
         for j in range(len(scores) - 1, -1, -1):
-            s = scores[j][zc]
-            idx[(s == top) | np.isnan(s)] = j
+            idx[(scores[j] == top) | np.isnan(scores[j])] = j
         return out, z_coefs[idx], jump_coefs[idx]
 
     def __call__(self, z, upsilon) -> np.ndarray:
@@ -208,12 +211,6 @@ class Driver:
 
     def _controls(self, z, upsilon):
         return np.asarray(z, dtype=float), _as_upsilon(upsilon, self.mark_count)
-
-
-def _column_slices(columns):
-    """Index tuples for z[..., :columns] and u[..., :columns, :] (all if None)."""
-    zc = (Ellipsis,) if columns is None else (Ellipsis, slice(columns))
-    return zc, zc + (slice(None),)
 
 
 def _mark_sum(terms):

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Record a before/after benchmark of the working tree against a base commit.
 
-    python3 tools/bench_record.py --label NAME [--base REV] [--pairs 10]
-        [--seconds 30] [--workload W ...] [--desk] [--tests] [--scratch DIR]
+    python3 tools/bench_record.py --label NAME [--base REV]
 
 The base commit (default HEAD) is exported with ``git archive`` into a
-scratch directory; the working tree is run in place. For every workload,
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs on the
+temporary directory; the working tree is run in place. For every workload,
+``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` runs on the
 two sides in alternating order (base first on even pairs, change first on
-odd ones), one pair per seed 100, 101, ... Each side runs its own copy of
-``perfbench/``.
+odd ones), ten pairs, one per seed 100, 101, ... Each side runs its own copy
+of ``perfbench/``.
 
-``--desk`` also times the desk-scale allocation report: the
-``allocate-report`` scenario at 200000 paths, once with its entropic driver
-and once with the sublinear driver of acceptance criterion 05, one CLI
-process per side and driver (wall time and peak RSS). ``--tests`` times the
-Tier-1 suite and criterion 05 alone, one pytest process per side.
+It then times the desk-scale allocation report: the ``allocate-report``
+scenario at 200000 paths, once with its entropic driver and once with the
+sublinear driver of acceptance criterion 05, one CLI process per side and
+driver (wall time and peak RSS). Last it times the Tier-1 suite and
+criterion 05 alone, one pytest process per side.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
 (``nproc``, CPU, BLAS, numpy and Python versions), every result line of
@@ -44,6 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("allocate-report", "risk-desk", "verify-battery")
 METRICS = ("task_s", "wall_s", "setup_s", "peak_rss_mb")
 FIRST_SEED = 100
+PAIRS = 10
+SECONDS = 30.0
 # the two forms of acceptance criterion 05
 SUBLINEAR_DRIVER = {"family": "sublinear", "forms": [
     {"z_coef": 0.3, "jump_coefs": [0.2]}, {"z_coef": -0.25, "jump_coefs": [0.5]}]}
@@ -168,73 +169,65 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--desk", action="store_true")
-    parser.add_argument("--tests", action="store_true")
-    parser.add_argument("--scratch", type=Path)
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as scratch:
+        record(args.label, args.base, Path(scratch))
+    return 0
 
-    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_record_"))
+
+def record(label: str, base: str, scratch: Path) -> None:
     base_tree = scratch / "base"
-    if base_tree.exists():
-        raise SystemExit(f"{base_tree} exists; give an empty --scratch")
-    base_tree.mkdir(parents=True)
-    export(args.base, base_tree)
+    base_tree.mkdir()
+    export(base, base_tree)
     sides = {"base": base_tree, "change": ROOT}
     status = git("status", "--porcelain")
-    record = {
-        "label": args.label,
-        "base": git("rev-parse", args.base),
+    rec = {
+        "label": label,
+        "base": git("rev-parse", base),
         "change": git("rev-parse", "HEAD") + (" + uncommitted changes" if status else ""),
         "machine": machine(),
-        "perfbench": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, "
-                     f"seeds {FIRST_SEED}-{FIRST_SEED + args.pairs - 1}, alternating order",
+        "perfbench": f"perfbench/run.py --seconds {SECONDS:g} --trace 0, "
+                     f"seeds {FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, alternating order",
         "workloads": {},
     }
 
     def save():
-        out = ROOT / f"BENCH_{args.label}.json"
-        out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        out = ROOT / f"BENCH_{label}.json"
+        out.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
 
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         pairs = []
-        for p in range(args.pairs):
+        for p in range(PAIRS):
             seed = FIRST_SEED + p
             order = ("base", "change") if p % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = perfbench(sides[side], workload, seed, args.seconds)
+                pair[side] = perfbench(sides[side], workload, seed, SECONDS)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} task_s={pair[side].get('metrics', {}).get('task_s', {}).get('value')}"
                 for side in ("base", "change")), flush=True)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        rec["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
         save()
 
-    if args.desk:
-        desk = {}
-        for name, driver in (("entropic", None), ("sublinear_c05", SUBLINEAR_DRIVER)):
-            for side in ("base", "change"):
-                desk[f"{name}.{side}"] = desk_run(sides[side], driver, scratch / f"desk-{side}")
-                print(f"desk {name} {side}: {desk[f'{name}.{side}']}", flush=True)
-        record["desk_allocate_200000_paths"] = desk
-        save()
-
-    if args.tests:
-        tests = {}
-        suites = {"tier1": ["--continue-on-collection-errors"],
-                  "c05": ["tests/test_acceptance.py::test_c05_sublinear_homogeneity"]}
-        for name, extra in suites.items():
-            for side in ("base", "change"):
-                cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra]
-                tests[f"{name}.{side}"] = timed(cmd, sides[side], scratch / f"{name}-{side}.log")
-                print(f"{name} {side}: {tests[f'{name}.{side}']}", flush=True)
-        record["tests"] = tests
-        save()
+    desk = {}
+    for name, driver in (("entropic", None), ("sublinear_c05", SUBLINEAR_DRIVER)):
+        for side in ("base", "change"):
+            desk[f"{name}.{side}"] = desk_run(sides[side], driver, scratch / f"desk-{side}")
+            print(f"desk {name} {side}: {desk[f'{name}.{side}']}", flush=True)
+    rec["desk_allocate_200000_paths"] = desk
     save()
-    return 0
+
+    tests = {}
+    suites = {"tier1": ["--continue-on-collection-errors"],
+              "c05": ["tests/test_acceptance.py::test_c05_sublinear_homogeneity"]}
+    for name, extra in suites.items():
+        for side in ("base", "change"):
+            cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra]
+            tests[f"{name}.{side}"] = timed(cmd, sides[side], scratch / f"{name}-{side}.log")
+            print(f"{name} {side}: {tests[f'{name}.{side}']}", flush=True)
+    rec["tests"] = tests
+    save()
 
 
 if __name__ == "__main__":
