@@ -77,6 +77,9 @@ def regress_condexp(
     raises SolverFailure rather than silently picking a pseudoinverse
     solution. ``gram`` is the design's F^T F when the caller has already
     formed it (it is not modified); with ridge = 0 it is not used.
+
+    A 2-d fit is returned as the (M, q) transpose of a (q, M) array, so each
+    fitted column is contiguous.
     """
     f = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -95,13 +98,13 @@ def regress_condexp(
             raise SolverFailure(
                 f"design matrix rank {rank} < {p} columns with zero penalty"
             )
-        return f @ beta
+        return (beta.T @ f.T).T
     penalty = np.full(p, ridge)
     if np.all(f[:, 0] == f[0, 0]):
         penalty[0] = 0.0
     gram = (f.T @ f if gram is None else gram) + np.diag(penalty)
     beta = np.linalg.solve(gram, f.T @ y)
-    return f @ beta
+    return (beta.T @ f.T).T
 
 
 def _standardize(col: np.ndarray):
@@ -158,9 +161,12 @@ def condexp_at_node(
 
 def _project(feats: np.ndarray | None, targets: np.ndarray, ridge: float,
              gram=None) -> np.ndarray:
-    """Regression fit on the design; the plain cross-path mean without one."""
+    """Regression fit on the design; the plain cross-path mean without one,
+    in the targets' memory layout."""
     if feats is None:
-        return np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
+        fit = np.empty_like(targets)
+        fit[...] = targets.mean(axis=0)
+        return fit
     return regress_condexp(feats, targets, ridge, gram)
 
 
@@ -201,6 +207,9 @@ class BsdeColumns:
     density  {node: (M, D)} L(T)/L(t_node) for the first D columns, L the
              stochastic exponential of the driver's partials at the controls
     clamped_z, clamped_upsilon (B,) per column
+
+    y[node] and density[node] are transposed views of (B, M) and (D, M)
+    arrays, so every column y[node][:, j] or density[node][:, j] is contiguous.
     """
 
     y: dict
@@ -275,8 +284,13 @@ def solve_bsde(
     ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
     and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
     control targets in a second. A single terminal without ``nodes`` returns
-    the full BsdeSolution; otherwise only the (M, B) state is kept and
-    BsdeColumns holds ``nodes``.
+    the full BsdeSolution; otherwise only the value process of the current
+    step is kept and BsdeColumns holds ``nodes``.
+    The sweep stores each column as a contiguous row: the value process is
+    (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
+    (K, B, M), so every per-path operation runs its inner loop over paths;
+    the driver, the regression and ``_doleans_step`` see their transposes,
+    which have the shapes of their contracts.
     The first ``densities`` columns also run ``_doleans_step`` on the driver's
     partials at their controls and return L(T)/L(t_node), under its guards
     and the uniform Kazamaki bound: a dg/du_k below -1 + 1e-12 at any step
@@ -299,21 +313,23 @@ def solve_bsde(
 
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
-    cur = xi.reshape(m, -1)
+    # the (B, M) value process, copied once from the terminal
+    cur = xi.reshape(m, -1).T.copy()
     if full:
         y, z, ups = np.empty((n + 1, m)), np.zeros((n, m)), np.zeros((n, m, k))
         y[n] = xi
         r_squared, condition = np.full(n, np.nan), np.full(n, np.nan)
-    y_at = {n: cur.copy()} if n in reads else {}
-    log_l, jump_l = np.zeros((m, densities)), np.ones((m, densities))
+    y_at = {n: cur.T} if n in reads else {}
+    log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
-    clamped_z = clamped_u = np.zeros(cur.shape[1], dtype=np.int64)
+    clamped_z = clamped_u = np.zeros(cur.shape[0], dtype=np.int64)
+    increments = np.empty((1 + k, m))
     worst = np.inf
 
     for i in range(n - 1, -1, -1):
         feats = features_at_node(bundle, i, config)
         gram = None if feats is None else feats.T @ feats
-        y_fit = _project(feats, cur, config.ridge, gram)
+        y_fit = _project(feats, cur.T, config.ridge, gram).T
         if full and feats is not None:
             condition[i] = np.linalg.cond(gram)
             var = cur.var()
@@ -322,17 +338,20 @@ def solve_bsde(
         # martingale-increment control variate: the fitted mean is known at
         # t_i and the increments are conditionally centered, so subtracting
         # it leaves the estimand unchanged while the target variance drops
-        # from O(Y^2) to O(one-step variance); targets are (M, 1 + K, B)
-        increments = np.concatenate([bundle.dw[:, i, None], bundle.dn[:, i] - lam_dt], axis=1)
-        targets = (cur - y_fit)[:, None, :] * increments[:, :, None]
-        fitted = _project(feats, targets.reshape(m, -1), config.ridge,
-                          gram).reshape(targets.shape)
-        z_i = fitted[:, 0, :] / dt
-        u_i = np.moveaxis(fitted[:, 1:, :], 1, 2) / lam_dt
-        clamped_z = clamped_z + _clamp(z_i, config.z_clip, 0)
+        # from O(Y^2) to O(one-step variance); targets are (1 + K, B, M)
+        increments[0] = bundle.dw[:, i]
+        np.subtract(bundle.dn[:, i].T, lam_dt[:, None], out=increments[1:])
+        targets = (cur - y_fit)[None] * increments[:, None]
+        fitted = _project(feats, targets.reshape(-1, m).T, config.ridge,
+                          gram).T.reshape(targets.shape)
+        z_i, u_i = fitted[0], fitted[1:]
+        z_i /= dt
+        u_i /= lam_dt[:, None, None]
+        clamped_z = clamped_z + _clamp(z_i, config.z_clip, 1)
         if k:
             clamped_u = clamped_u + _clamp(u_i, config.upsilon_clip, (0, 2))
-        cur, phi_z, phi_jump = driver.evaluate(z_i, u_i, densities)
+        out, phi_z, phi_jump = driver.evaluate(z_i.T, u_i.T, densities)
+        cur = out.T
         cur *= dt
         cur += y_fit
         # a finite sum has finite terms; only a non-finite one needs the scan
@@ -341,17 +360,17 @@ def solve_bsde(
 
         if densities:
             worst = min(worst, float(phi_jump.min(initial=np.inf)))
-            _doleans_step(log_l, jump_l, phi_z, phi_jump, bundle.dw[:, i], bundle.dn[:, i],
-                          dt, lam_dt)
+            _doleans_step(log_l.T, jump_l.T, phi_z, phi_jump, bundle.dw[:, i],
+                          bundle.dn[:, i], dt, lam_dt)
         if full:
-            y[i], z[i], ups[i] = cur[:, 0], z_i[:, 0], u_i[:, 0, :]
+            y[i], z[i], ups[i] = cur[0], z_i[0], u_i[:, 0].T
         if i in reads:
-            y_at[i], state_at[i] = cur, (log_l.copy(), jump_l.copy())
+            y_at[i], state_at[i] = cur.T, (log_l.copy(), jump_l.copy())
 
     if full:
         return BsdeSolution(bundle, driver, config, y.T, z.T, ups.transpose(1, 0, 2),
                             r_squared, condition, int(clamped_z[0]), int(clamped_u[0]))
-    density = {node: _exponential(*state) for node, state in state_at.items()}
+    density = {node: _exponential(*state).T for node, state in state_at.items()}
     if worst < -1.0 + 1e-12:
         raise SignedDensityFailure(
             f"jump integrand reaches {1.0 + worst:.3e} above -1; "

@@ -194,7 +194,7 @@ class Driver:
         top = out
         if columns is not None:  # the leading columns only
             top, scores = out[..., :columns], [s[..., :columns] for s in scores]
-        idx = np.zeros(np.shape(top), dtype=np.intp)
+        idx = np.zeros_like(top, dtype=np.intp)
         for j in range(len(scores) - 1, -1, -1):
             idx[(scores[j] == top) | np.isnan(scores[j])] = j
         return out, z_coefs[idx], jump_coefs[idx]

@@ -13,6 +13,8 @@ finite sum over the K marks.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,7 +132,8 @@ class PathBundle:
 
     simulate_paths stores the arrays time-major, one contiguous row per date,
     and these fields are transposed views of that storage: the cross-section
-    dw[:, i] or state[:, i] that a backward step reads is contiguous.
+    dw[:, i] or state[:, i] that a backward step reads is contiguous. The
+    arrays are bit-identical for any number of simulation worker threads.
     """
 
     grid: TimeGrid
@@ -167,6 +170,16 @@ def _stream(seed: int, channel: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _worker_count(steps: int) -> int:
+    """Threads for a simulation of ``steps`` steps: the CPUs this process may
+    run on, at most one per step."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, steps)
+
+
 def simulate_paths(
     grid: TimeGrid, model: LevyModel, path_count: int, seed: int
 ) -> PathBundle:
@@ -176,9 +189,15 @@ def simulate_paths(
     the state recursion X_{i+1} = X_i + mu dt + sigma dW_i + sum_k zeta_k dN_{k,i}
     is itself exact for this model, so there is no discretization bias in X.
 
+    Each step draws from its own streams into its own rows of the bundle, in
+    place, and the steps are split over one thread per usable CPU (numpy's
+    generators and ufuncs release the interpreter lock); the increments are
+    then summed in place along time.
+
     Reproducibility contract: identical (grid, model, path_count, seed)
-    gives a bit-identical bundle; increasing path_count alone extends the
-    bundle, leaving existing paths bit-identical.
+    gives a bit-identical bundle, whatever the number of worker threads;
+    increasing path_count alone extends the bundle, leaving existing paths
+    bit-identical.
     """
     if path_count < 1:
         raise ValueError(f"path_count must be >= 1, got {path_count}")
@@ -188,22 +207,47 @@ def simulate_paths(
     m, n, k = path_count, grid.step_count, model.mark_count
     dt = grid.dt
     root_dt = math.sqrt(dt)
+    sizes = model.jump_sizes
+    rates = model.jump_intensities * dt
 
     # time-major storage: row i is the cross-section at step i
     dw = np.empty((n, m))
-    dn = np.zeros((n, m, k), dtype=np.int64)
-    for i in range(n):
-        dw[i] = _stream(seed, 0, i).standard_normal(m) * root_dt
-        for j in range(k):
-            lam = model.jumps[j].intensity
-            dn[i, :, j] = _stream(seed, 1 + j, i).poisson(lam * dt, m)
-
-    increments = model.mu * dt + model.sigma * dw
-    if k:
-        increments = increments + dn @ model.jump_sizes
+    dn = np.empty((n, m, k), dtype=np.int64)
     state = np.empty((n + 1, m))
     state[0] = model.x0
-    np.cumsum(increments, axis=0, out=state[1:])
+
+    def draw(i: int) -> None:
+        # state[i + 1] first holds the increment sigma dW + mu dt + dN @ zeta
+        _stream(seed, 0, i).standard_normal(out=dw[i])
+        dw[i] *= root_dt
+        for j in range(k):
+            dn[i, :, j] = _stream(seed, 1 + j, i).poisson(rates[j], m)
+        inc = np.multiply(dw[i], model.sigma, out=state[i + 1])
+        inc += model.mu * dt
+        if k:
+            inc += dn[i] @ sizes
+
+    errors = []
+
+    def run(steps: range) -> None:
+        try:
+            for i in steps:
+                draw(i)
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    workers = _worker_count(n)
+    threads = [threading.Thread(target=run, args=(range(w, n, workers),))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(range(0, n, workers))
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+    np.cumsum(state[1:], axis=0, out=state[1:])
     state[1:] += model.x0
 
     return PathBundle(grid, model, path_count, seed, dw.T, dn.transpose(1, 0, 2), state.T)

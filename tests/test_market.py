@@ -1,11 +1,19 @@
 """Grid, model, path simulation and the payoff family."""
 
+import math
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsderisk as br
+from bsderisk import market
+from bsderisk.market import _stream
 
 
 def test_grid_endpoints_exact():
@@ -73,6 +81,87 @@ def test_prefix_extension_property(small, extra, steps, marks, seed):
     assert np.array_equal(b.dw[:small], a.dw)
     assert np.array_equal(b.dn[:small], a.dn)
     assert np.array_equal(b.state[:small], a.state)
+
+
+def serial_reference(grid, model, path_count, seed):
+    """The serial simulation the threaded one replaced: whole-bundle
+    increments, then one cumulative sum."""
+    m, n, k = path_count, grid.step_count, model.mark_count
+    dt = grid.dt
+    dw = np.empty((n, m))
+    dn = np.zeros((n, m, k), dtype=np.int64)
+    for i in range(n):
+        dw[i] = _stream(seed, 0, i).standard_normal(m) * math.sqrt(dt)
+        for j in range(k):
+            dn[i, :, j] = _stream(seed, 1 + j, i).poisson(model.jumps[j].intensity * dt, m)
+    increments = model.mu * dt + model.sigma * dw
+    if k:
+        increments = increments + dn @ model.jump_sizes
+    state = np.empty((n + 1, m))
+    state[0] = model.x0
+    np.cumsum(increments, axis=0, out=state[1:])
+    state[1:] += model.x0
+    return dw.T, dn.transpose(1, 0, 2), state.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(paths=st.integers(1, 300), steps=st.integers(1, 12), marks=st.integers(0, 2),
+       seed=st.integers(0, 2**64 - 1))
+def test_simulation_matches_serial_reference(paths, steps, marks, seed):
+    jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
+    model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25, jumps=jumps)
+    grid = br.build_grid(1.0, steps)
+    expected = serial_reference(grid, model, paths, seed)
+    threads = threading.active_count()
+    bundles = [br.simulate_paths(grid, model, paths, seed)]
+    switch = sys.getswitchinterval()
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market, "_worker_count", lambda n, w=workers: min(w, n))
+            sys.setswitchinterval(1e-6)  # more thread switches
+            try:
+                bundles.append(br.simulate_paths(grid, model, paths, seed))
+            finally:
+                sys.setswitchinterval(switch)
+    assert threading.active_count() == threads
+    for bundle in bundles:
+        for got, want in zip((bundle.dw, bundle.dn, bundle.state), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_worker_failure_reaches_the_caller(monkeypatch):
+    def failing(seed, channel, step):
+        if step == 4:
+            raise MemoryError("step 4")
+        return _stream(seed, channel, step)
+
+    monkeypatch.setattr(market, "_stream", failing)
+    monkeypatch.setattr(market, "_worker_count", lambda n: min(3, n))
+    model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25, jumps=(br.JumpMark(-0.2, 1.5),))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="step 4"):
+        br.simulate_paths(br.build_grid(1.0, 9), model, 50, 3)
+    assert threading.active_count() == threads
+
+
+def test_simulation_memory_is_the_bundle():
+    # each step writes its own rows in place: no whole-bundle temporaries,
+    # only a few rows per worker thread
+    model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25,
+                         jumps=(br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7)))
+    grid = br.build_grid(1.0, 40)
+    m = 20_000
+    workers = min(os.cpu_count() or 1, grid.step_count)  # at least the thread count
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bundle = br.simulate_paths(grid, model, m, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = bundle.dw.nbytes + bundle.dn.nbytes + bundle.state.nbytes
+    assert peak <= nbytes + 8 * workers * m * 8
 
 
 def test_cross_sections_are_contiguous(desk_grid, jump_model):
