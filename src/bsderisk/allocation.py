@@ -21,7 +21,7 @@ plus the density representations of the risk number itself:
                            beta = 1 exponential suffices
 
 Every route builds a block of terminals (finite-difference legs, scaled
-claims), runs one backward sweep on the engine's bundle and reads columns;
+claims), runs one backward sweep on the bundle and reads columns;
 the allocation report is one sweep over 2 + 2D + Q columns for D
 directions and Q quadrature nodes. The measure routes read their densities
 off that sweep (solve_bsde's ``densities``), so every density passes the
@@ -39,7 +39,7 @@ from .bsde import BsdeColumns, RegressionConfig, solve_bsde
 from .drivers import Driver
 from .market import PathBundle, Payoff
 from .measure import weighted_condexp, weighted_mean_se
-from .risk import RiskEngine, _claim_values
+from .risk import _claim_values
 
 __all__ = [
     "Estimate",
@@ -116,18 +116,25 @@ def _fd_estimates(columns: BsdeColumns, first: int, count: int, h: float, node: 
     return estimates
 
 
-def gradient_fd(engine: RiskEngine, xi, eta, step: float | None = None, node: int = 0) -> Estimate:
+def gradient_fd(
+    bundle: PathBundle,
+    driver: Driver,
+    xi,
+    eta,
+    step: float | None = None,
+    node: int = 0,
+    config: RegressionConfig = RegressionConfig(),
+) -> Estimate:
     """Central difference [rho(xi + h eta) - rho(xi - h eta)] / 2h.
 
-    Both legs are columns of one sweep on the engine's bundle (common random
+    Both legs are columns of one sweep on the bundle (common random
     numbers), so the Monte Carlo noise largely cancels pathwise.
     """
-    xi_v = _claim_values(engine.bundle, xi)
-    eta_v = _claim_values(engine.bundle, eta)
+    xi_v = _claim_values(bundle, xi)
+    eta_v = _claim_values(bundle, eta)
     h = default_fd_step(xi_v) if step is None else float(step)
     legs = np.column_stack(_fd_legs([(xi_v, eta_v)], h))
-    columns = solve_bsde(engine.bundle, engine.driver, -legs, engine.config,
-                         nodes={node, max(node, 1)})
+    columns = solve_bsde(bundle, driver, -legs, config, nodes={node, max(node, 1)})
     return _fd_estimates(columns, 0, 1, h, node)[0]
 
 
@@ -165,11 +172,13 @@ def _shapley_multi(bundle: PathBundle, densities, directions, node: int, config)
 
 
 def aumann_shapley(
-    engine: RiskEngine,
+    bundle: PathBundle,
+    driver: Driver,
     xi,
     eta,
     node_count: int = 16,
     node: int = 0,
+    config: RegressionConfig = RegressionConfig(),
 ) -> Estimate:
     """Aumann-Shapley allocation along eta.
 
@@ -177,13 +186,12 @@ def aumann_shapley(
     over beta in (0, 1) with a Gauss-Legendre rule; the densities of all
     beta nodes are columns of one sweep on the same bundle.
     """
-    xi_v = _claim_values(engine.bundle, xi)
-    eta_v = _claim_values(engine.bundle, eta)
+    xi_v = _claim_values(bundle, xi)
+    eta_v = _claim_values(bundle, eta)
     betas, _ = _unit_legendre(node_count)
     scaled = np.column_stack([beta * xi_v for beta in betas])
-    columns = solve_bsde(engine.bundle, engine.driver, -scaled, engine.config,
-                         nodes=(0,), densities=node_count)
-    return _shapley_multi(engine.bundle, columns.density[0], [eta_v], node, engine.config)[0]
+    columns = solve_bsde(bundle, driver, -scaled, config, nodes=(0,), densities=node_count)
+    return _shapley_multi(bundle, columns.density[0], [eta_v], node, config)[0]
 
 
 def convex_representation(
@@ -286,12 +294,14 @@ class AllocationReport:
 
 
 def build_allocation_report(
-    engine: RiskEngine,
+    bundle: PathBundle,
+    driver: Driver,
     payoff: Payoff,
     step: float | None = None,
     node_count: int = 16,
     node: int = 0,
     tolerance: float = 1e-2,
+    config: RegressionConfig = RegressionConfig(),
 ) -> AllocationReport:
     """Run all three allocation routes across a claim's decomposition.
 
@@ -303,7 +313,6 @@ def build_allocation_report(
     """
     if payoff.components is None:
         raise ValueError("allocation needs a payoff with a decomposition")
-    bundle = engine.bundle
     xi_v = _claim_values(bundle, payoff)
     directions = [_claim_values(bundle, c) for c in payoff.components]
     h = default_fd_step(xi_v) if step is None else float(step)
@@ -312,7 +321,7 @@ def build_allocation_report(
     claims = ([xi_v] + [beta * xi_v for beta in betas] + [np.zeros_like(xi_v)]
               + _fd_legs([(xi_v, eta_v) for eta_v in directions], h))
     probe = max(node, 1)
-    columns = solve_bsde(bundle, engine.driver, -np.column_stack(claims), engine.config,
+    columns = solve_bsde(bundle, driver, -np.column_stack(claims), config,
                          nodes={0, node, probe}, densities=1 + node_count)
 
     def risk(j):
@@ -323,11 +332,11 @@ def build_allocation_report(
     rho, rho_zero = risk(0), risk(1 + node_count)
     density = columns.density[0]
     measure = tuple(
-        _weighted_estimate(bundle, density[:, 0], -eta_v, node, engine.config)
+        _weighted_estimate(bundle, density[:, 0], -eta_v, node, config)
         for eta_v in directions
     )
     fd = tuple(_fd_estimates(columns, 2 + node_count, len(directions), h, node))
-    shapley = tuple(_shapley_multi(bundle, density[:, 1:], directions, node, engine.config))
+    shapley = tuple(_shapley_multi(bundle, density[:, 1:], directions, node, config))
     gaps = tuple(abs(f.value - m.value) for f, m in zip(fd, measure))
     check = full_allocation_check(shapley, rho, tolerance, rho_zero)
     return AllocationReport(rho, rho_zero, fd, measure, shapley, gaps, check, h,

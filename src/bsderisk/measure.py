@@ -34,7 +34,6 @@ __all__ = [
     "martingale_diagnostic",
     "weighted_condexp",
     "weighted_mean_se",
-    "reweighted_expectation",
     "girsanov_shift_check",
 ]
 
@@ -146,6 +145,11 @@ def weighted_condexp(
     """Self-normalized weighted conditional mean fit(w * h) / fit(w) at a node,
     both fitted in one two-column regression.
 
+    With terminal density weights L(T) this is the expectation of h under the
+    reweighted measure given F_{t_node}: the F_t-measurable factor L(t)
+    cancels in the self-normalized ratio, so no division by the running
+    density is needed.
+
     Wherever the conditional estimate of the weights is not strictly
     positive the normalization is meaningless and EstimatorFailure is
     raised, listing the offending paths.
@@ -177,21 +181,6 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     mean = v @ payload
     se = np.sqrt((v * v) @ ((payload - mean) ** 2))
     return (float(mean), float(se)) if np.ndim(payload) == 1 else (mean, se)
-
-
-def reweighted_expectation(
-    rn: RNProcess,
-    payload: np.ndarray,
-    node: int = 0,
-    config: RegressionConfig = RegressionConfig(),
-) -> np.ndarray:
-    """E under the reweighted measure of a terminal payload, given F_{t_node}.
-
-    Uses terminal weights L(T); the F_t-measurable factor L(t) cancels in
-    the self-normalized ratio, so no division by the running density is
-    needed. Returns per-path values (constant across paths at node 0).
-    """
-    return weighted_condexp(rn.bundle, rn.terminal, payload, node, config)
 
 
 @dataclass(frozen=True)

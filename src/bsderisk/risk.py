@@ -4,8 +4,8 @@ The dynamic risk of a claim xi is rho_t(xi) = Y(t) where (Y, Z, Ups) solves
 the BSDE with terminal value -xi; with a y-free driver this makes rho
 translation-invariant (rho(xi + m) = rho(xi) - m) and normalizes
 rho_T(xi) = -xi exactly. The entropic driver admits the closed form
-rho_t(xi) = (1/gamma) ln E[ e^{-gamma xi} | F_t ], used both as an
-independent cross-check and as a cheap engine mode.
+rho_t(xi) = (1/gamma) ln E[ e^{-gamma xi} | F_t ], kept as an independent
+cross-check of the backward solve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import EstimatorFailure, RootFailure
 from .market import PathBundle, Payoff, terminal_values
 
 __all__ = [
-    "RiskEngine",
     "CoherentStaticResult",
     "AxiomRow",
     "AxiomReport",
@@ -30,32 +29,6 @@ __all__ = [
     "entropic_coherent_static",
     "axiom_suite",
 ]
-
-MODES = ("bsde", "entropic-closed-form")
-
-
-@dataclass(frozen=True)
-class RiskEngine:
-    """A bundle, a driver and an evaluation mode, packaged for reuse."""
-
-    bundle: PathBundle
-    driver: Driver
-    config: RegressionConfig = RegressionConfig()
-    mode: str = "bsde"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.driver.mark_count != self.bundle.mark_count:
-            raise ValueError(
-                f"driver has {self.driver.mark_count} marks, "
-                f"bundle has {self.bundle.mark_count}"
-            )
-        if self.mode == "entropic-closed-form":
-            if not self.driver.canonical_entropic:
-                raise ValueError(
-                    "entropic-closed-form mode requires a canonical entropic driver"
-                )
 
 
 def _claim_values(bundle: PathBundle, xi) -> np.ndarray:
@@ -69,24 +42,20 @@ def _claim_values(bundle: PathBundle, xi) -> np.ndarray:
     return values
 
 
-def dynamic_risk(engine: RiskEngine, xi, node: int = 0) -> np.ndarray:
+def dynamic_risk(
+    bundle: PathBundle,
+    driver: Driver,
+    xi,
+    node: int = 0,
+    config: RegressionConfig = RegressionConfig(),
+) -> np.ndarray:
     """Per-path rho_{t_node}(xi); constant across paths at node 0.
 
     ``xi`` may be a Payoff or a per-path value vector (so shifted and mixed
     claims can be priced without constructing payoff objects).
     """
-    values = _claim_values(engine.bundle, xi)
-    return _risk_block(engine, values[:, None], (node,))[node][:, 0]
-
-
-def _risk_block(engine: RiskEngine, claims: np.ndarray, nodes) -> dict:
-    """{node: (M, B)} risk of an (M, B) claim block: one backward sweep in
-    bsde mode, the entropic closed form column by column otherwise."""
-    if engine.mode == "entropic-closed-form":
-        return {node: np.column_stack([
-            entropic_closed_form(engine.driver.alpha, c, node, engine.bundle, engine.config)
-            for c in claims.T]) for node in nodes}
-    return solve_bsde(engine.bundle, engine.driver, -claims, engine.config, nodes=nodes).y
+    values = _claim_values(bundle, xi)
+    return solve_bsde(bundle, driver, -values[:, None], config, nodes=(node,)).y[node][:, 0]
 
 
 def entropic_closed_form(
@@ -128,10 +97,6 @@ class CoherentStaticResult:
     rho: float
     degenerate: bool
     entropy_gap: float
-
-    def __iter__(self):  # allow gamma_c, rho = entropic_coherent_static(...)
-        yield self.gamma
-        yield self.rho
 
 
 def _relative_entropy(gamma: float, xi: np.ndarray) -> float:
@@ -248,17 +213,19 @@ DEFAULT_AXIOM_TOLERANCES = {
 
 
 def axiom_suite(
-    engine: RiskEngine,
+    bundle: PathBundle,
+    driver: Driver,
     xi,
     increment=None,
     partner=None,
     shifts=(1.0,),
     scales=(2.0,),
     tolerances: dict | None = None,
+    config: RegressionConfig = RegressionConfig(),
 ) -> AxiomReport:
     """Empirical residuals of the risk-measure axioms on common paths.
 
-    All claims are columns of one block on the engine's bundle, so
+    All claims are columns of one block on the bundle, so
     comparisons are common random numbers throughout. Checked: monotonicity
     against xi plus a nonnegative increment, translation for each constant
     shift, the terminal identity rho_T(xi) = -xi, then positive homogeneity
@@ -268,24 +235,23 @@ def axiom_suite(
     """
     tol = dict(DEFAULT_AXIOM_TOLERANCES)
     tol.update(tolerances or {})
-    xi_v = _claim_values(engine.bundle, xi)
-    m = engine.bundle.path_count
+    xi_v = _claim_values(bundle, xi)
 
     if increment is None:
-        inc = np.full(m, 0.5)
+        inc = np.full(bundle.path_count, 0.5)
     else:
-        inc = _claim_values(engine.bundle, increment)
+        inc = _claim_values(bundle, increment)
     if np.any(inc < 0.0):
         raise ValueError("monotonicity increment must be nonnegative pathwise")
 
-    other = xi_v * 0.0 if partner is None else _claim_values(engine.bundle, partner)
+    other = xi_v * 0.0 if partner is None else _claim_values(bundle, partner)
     claims = [xi_v, xi_v + inc] + [xi_v + shift for shift in shifts]
-    if engine.driver.positively_homogeneous:
+    if driver.positively_homogeneous:
         claims += [k * xi_v for k in scales] + [other, xi_v + other]
     else:
         claims += [other, 0.5 * xi_v + 0.5 * other]
-    n = engine.bundle.grid.step_count
-    block = _risk_block(engine, np.column_stack(claims), (0, n))
+    n = bundle.grid.step_count
+    block = solve_bsde(bundle, driver, -np.column_stack(claims), config, nodes=(0, n)).y
     risks = iter(block[0][0])
     rho = next(risks)
     rows = [AxiomRow("monotonicity", "xi vs xi+increment",
@@ -297,10 +263,9 @@ def axiom_suite(
         )
 
     term_resid = float(np.abs(block[n][:, 0] + xi_v).max())
-    term_tol = tol["terminal"] if engine.mode == "bsde" else max(tol["terminal"], 1e-10)
-    rows.append(AxiomRow("terminal", "rho_T(xi) = -xi", term_resid, term_tol))
+    rows.append(AxiomRow("terminal", "rho_T(xi) = -xi", term_resid, tol["terminal"]))
 
-    if engine.driver.positively_homogeneous:
+    if driver.positively_homogeneous:
         for k in scales:
             rows.append(
                 AxiomRow("scaling", f"k={k:g}",

@@ -23,7 +23,7 @@ A scenario is a JSON document (UTF-8) with the blocks below; dotted paths
                   exact pathwise sum)
     method        {"degree": 3, "ridge": 1e-8, "jump_count_features": false,
                    "z_clip": 10.0, "upsilon_clip": 5.0, "fd_step": null,
-                   "quad_nodes": 16, "risk_mode": "bsde", "tolerances": {}}
+                   "quad_nodes": 16, "tolerances": {}}
     verify        {"checks": [...], "phi_z": 0.5, "phi_jumps": [...],
                    "level": 0.1, "beta": 1.0}
 
@@ -64,14 +64,7 @@ from .market import (
 )
 from .measure import doleans_dade, girsanov_shift_check, kazamaki_check, martingale_diagnostic
 from .reporting import Row, RunReport
-from .risk import (
-    AxiomReport,
-    RiskEngine,
-    axiom_suite,
-    dynamic_risk,
-    entropic_closed_form,
-    entropic_coherent_static,
-)
+from .risk import axiom_suite, entropic_closed_form, entropic_coherent_static
 
 __all__ = ["ScenarioConfig", "load_config", "apply_overrides", "build_scenario", "run_scenario"]
 
@@ -106,7 +99,6 @@ class MethodOptions:
     regression: RegressionConfig = field(default_factory=RegressionConfig)
     fd_step: float | None = None
     quad_nodes: int = 16
-    risk_mode: str = "bsde"
     tolerances: dict = field(default_factory=dict)
 
     def tolerance(self, name: str, fallback=None):
@@ -355,14 +347,11 @@ def _build_method(block: _Block | None) -> MethodOptions:
     upsilon_clip = block.take("upsilon_clip", float, required=False, default=5.0)
     fd_step = block.take("fd_step", float, required=False)
     quad_nodes = block.take("quad_nodes", int, required=False, default=16)
-    risk_mode = block.take("risk_mode", str, required=False, default="bsde")
     tolerances = block.take("tolerances", dict, required=False, default={})
     block.finish()
     for name in tolerances:
         if name not in DEFAULT_TOLERANCES:
             raise ConfigValidationError(f"{block.path}.tolerances.{name} is not a known tolerance")
-    if risk_mode not in ("bsde", "entropic-closed-form"):
-        raise ConfigValidationError(f"{block.path}.risk_mode must be bsde or entropic-closed-form")
     if quad_nodes < 1:
         raise ConfigValidationError(f"{block.path}.quad_nodes must be >= 1")
     if fd_step is not None and not fd_step > 0.0:
@@ -376,7 +365,7 @@ def _build_method(block: _Block | None) -> MethodOptions:
         raise ConfigValidationError(f"{block.path}: {exc}") from exc
     return MethodOptions(
         regression=regression, fd_step=fd_step, quad_nodes=quad_nodes,
-        risk_mode=risk_mode, tolerances=dict(tolerances),
+        tolerances=dict(tolerances),
     )
 
 
@@ -489,10 +478,6 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
     if effective_task == "allocate" and payoff is not None and payoff.components is None:
         raise ConfigValidationError("config.payoff.decomposition is required for the allocate task")
     if driver is not None and not driver.canonical_entropic:
-        if method.risk_mode == "entropic-closed-form":
-            raise ConfigValidationError(
-                "config.method.risk_mode entropic-closed-form requires an entropic driver"
-            )
         for check in ("closed_form", "entropic_identity"):
             if effective_task == "verify" and check in verify.checks:
                 raise ConfigValidationError(f"verify check {check} requires an entropic driver")
@@ -581,7 +566,7 @@ def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
 
 
 def _closed_form_rows(cfg: ScenarioConfig, bundle: PathBundle, xi, rho0: float) -> list[Row]:
-    """The entropic closed-form rho0 and its gap to the engine's rho0."""
+    """The entropic closed-form rho0 and its gap to the backward solve's rho0."""
     closed = float(entropic_closed_form(cfg.driver.alpha, xi, 0, bundle, cfg.method.regression)[0])
     tol = cfg.method.tolerance("closed_form", 5e-3 if cfg.model.mark_count == 0 else 1e-2)
     gap = abs(rho0 - closed)
@@ -592,24 +577,17 @@ def _closed_form_rows(cfg: ScenarioConfig, bundle: PathBundle, xi, rho0: float) 
 
 def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
-    engine = RiskEngine(bundle, cfg.driver, cfg.method.regression, mode=cfg.method.risk_mode)
     xi = terminal_values(bundle, cfg.payoff)
-    rows: list[Row] = []
-    if cfg.method.risk_mode == "bsde":
-        n = bundle.grid.step_count
-        columns = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n))
-        y = columns.y
-        rho0 = float(y[0][0, 0])
-        se = float(y[1][:, 0].std() / math.sqrt(cfg.paths))
-        rows.append(Row(sid, "rho0", rho0, se))
-        rows += _clamp_rows(sid, "rho0", columns.clamped_z[0], columns.clamped_upsilon[0])
-        terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
-        rows.append(Row(sid, "terminal_identity_gap", terminal_gap,
-                        check="terminal_identity_exact", passed=terminal_gap == 0.0))
-    else:
-        rho = dynamic_risk(engine, xi)
-        rho0 = float(rho[0])
-        rows.append(Row(sid, "rho0", rho0))
+    n = bundle.grid.step_count
+    columns = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n))
+    y = columns.y
+    rho0 = float(y[0][0, 0])
+    se = float(y[1][:, 0].std() / math.sqrt(cfg.paths))
+    rows = [Row(sid, "rho0", rho0, se)]
+    rows += _clamp_rows(sid, "rho0", columns.clamped_z[0], columns.clamped_upsilon[0])
+    terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
+    rows.append(Row(sid, "terminal_identity_gap", terminal_gap,
+                    check="terminal_identity_exact", passed=terminal_gap == 0.0))
     if cfg.driver.canonical_entropic:
         rows += _closed_form_rows(cfg, bundle, xi, rho0)
     return rows
@@ -617,13 +595,14 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
 
 def _task_allocate(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
-    engine = RiskEngine(bundle, cfg.driver, cfg.method.regression)
     report = build_allocation_report(
-        engine,
+        bundle,
+        cfg.driver,
         cfg.payoff,
         step=cfg.method.fd_step,
         node_count=cfg.method.quad_nodes,
         tolerance=cfg.method.tolerance("full_allocation"),
+        config=cfg.method.regression,
     )
     gap_tol = cfg.method.tolerance("fd_measure_gap")
     gap_sigmas = cfg.method.tolerance("fd_measure_sigmas")
@@ -734,17 +713,12 @@ def _verify_coherent_static(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row
     return rows
 
 
-def _axiom_report(cfg: ScenarioConfig, bundle: PathBundle) -> AxiomReport:
-    engine = RiskEngine(bundle, cfg.driver, cfg.method.regression, mode=cfg.method.risk_mode)
-    return axiom_suite(engine, cfg.payoff)
-
-
 def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
+    reg = cfg.method.regression
     rows: list[Row] = []
-    # in bsde mode the axiom block's first column is rho(xi), which the
-    # closed_form check then reads instead of solving xi again
-    share_rho = cfg.method.risk_mode == "bsde" and "axioms" in cfg.verify.checks
+    # the axiom block's first column is rho(xi), which the closed_form check
+    # then reads instead of solving xi again
     axioms = None
     for check in cfg.verify.checks:
         if check == "moments":
@@ -753,21 +727,21 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
             rows.extend(_verify_doleans(cfg, bundle))
         elif check == "closed_form":
             xi = terminal_values(bundle, cfg.payoff)
-            if share_rho:
-                axioms = axioms or _axiom_report(cfg, bundle)
+            if "axioms" in cfg.verify.checks:
+                axioms = axioms or axiom_suite(bundle, cfg.driver, cfg.payoff, config=reg)
                 rho0 = axioms.rho
             else:
-                y = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0,)).y
+                y = solve_bsde(bundle, cfg.driver, -xi, reg, nodes=(0,)).y
                 rho0 = float(y[0][0, 0])
             rows.append(_closed_form_rows(cfg, bundle, xi, rho0)[1])
         elif check == "clark_ocone":
-            co = clark_ocone(bundle, cfg.payoff, cfg.method.regression)
+            co = clark_ocone(bundle, cfg.payoff, reg)
             tol = cfg.method.tolerance("clark_ocone")
             rows.append(Row(sid, "clark_ocone_residual", co.residual,
                             check=f"clark_ocone_within_{tol:g}",
                             passed=co.residual <= tol))
         elif check == "axioms":
-            axioms = axioms or _axiom_report(cfg, bundle)
+            axioms = axioms or axiom_suite(bundle, cfg.driver, cfg.payoff, config=reg)
             for row in axioms.rows:
                 rows.append(Row(sid, f"axiom_{row.axiom}_{row.case}".replace(" ", "_"),
                                 row.residual, check=row.axiom, passed=row.passed))

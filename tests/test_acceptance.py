@@ -71,33 +71,32 @@ def desk_parts():
 
 
 @pytest.fixture(scope="module")
-def alloc_engine(jump_desk):
-    return br.RiskEngine(jump_desk, br.make_entropic_driver(1.0, (LAM,)))
+def alloc_driver():
+    return br.make_entropic_driver(1.0, (LAM,))
 
 
-def _alloc_report(engine, parts, nodes):
+def _alloc_report(bundle, driver, parts, nodes):
     return br.build_allocation_report(
-        engine, br.PortfolioPayoff(parts), node_count=nodes, tolerance=1e-2
+        bundle, driver, br.PortfolioPayoff(parts), node_count=nodes, tolerance=1e-2
     )
 
 
 @pytest.fixture(scope="module")
-def alloc_report_16(alloc_engine, desk_parts):
-    return _alloc_report(alloc_engine, desk_parts, 16)
+def alloc_report_16(jump_desk, alloc_driver, desk_parts):
+    return _alloc_report(jump_desk, alloc_driver, desk_parts, 16)
 
 
 @pytest.fixture(scope="module")
-def sublinear_engine(jump_desk):
-    driver = br.make_sublinear_driver(
+def sublinear_driver():
+    return br.make_sublinear_driver(
         (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (LAM,)
     )
-    return br.RiskEngine(jump_desk, driver)
 
 
 def test_c01_entropic_brownian_identity(brownian_desk):
     start(1)
-    engine = br.RiskEngine(brownian_desk, br.make_entropic_driver(GAMMA))
-    rho0 = br.dynamic_risk(engine, brownian_desk.terminal)[0]
+    driver = br.make_entropic_driver(GAMMA)
+    rho0 = br.dynamic_risk(brownian_desk, driver, brownian_desk.terminal)[0]
     gap = abs(rho0 - BROWNIAN_RHO)
     check(1, "entropic Brownian identity claim", gap <= 5e-3,
           f"rho0={rho0:.6f} ref={BROWNIAN_RHO:.6f} gap={gap:.2e} tol=5e-3")
@@ -105,8 +104,8 @@ def test_c01_entropic_brownian_identity(brownian_desk):
 
 def test_c02_entropic_jump_identity(jump_desk):
     start(2)
-    engine = br.RiskEngine(jump_desk, br.make_entropic_driver(GAMMA, (LAM,)))
-    rho0 = br.dynamic_risk(engine, jump_desk.terminal)[0]
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
+    rho0 = br.dynamic_risk(jump_desk, driver, jump_desk.terminal)[0]
     gap = abs(rho0 - JUMP_RHO)
     check(2, "entropic jump identity claim", gap <= 1e-2,
           f"rho0={rho0:.6f} ref={JUMP_RHO:.6f} gap={gap:.2e} tol=1e-2")
@@ -127,7 +126,7 @@ def test_c03_gradient_routes_agree(alloc_report_16):
     check(3, "finite-difference vs measure-change gradients", ok, "; ".join(details))
 
 
-def test_c04_aumann_shapley_sums_to_risk(alloc_engine, desk_parts, alloc_report_16):
+def test_c04_aumann_shapley_sums_to_risk(jump_desk, alloc_driver, desk_parts, alloc_report_16):
     start(4)
     report16 = alloc_report_16
     ok = report16.check.passed
@@ -138,7 +137,7 @@ def test_c04_aumann_shapley_sums_to_risk(alloc_engine, desk_parts, alloc_report_
     # refinement: the residual must not degrade beyond one pooled SE
     residuals, pooled = [], []
     for nodes in (4, 8):
-        rep = _alloc_report(alloc_engine, desk_parts, nodes)
+        rep = _alloc_report(jump_desk, alloc_driver, desk_parts, nodes)
         residuals.append(rep.check.residual)
         pooled.append(rep.check.pooled_se)
     residuals.append(report16.check.residual)
@@ -149,26 +148,26 @@ def test_c04_aumann_shapley_sums_to_risk(alloc_engine, desk_parts, alloc_report_
     check(4, "full allocation and quadrature refinement", ok and mono, detail)
 
 
-def test_c05_sublinear_homogeneity(sublinear_engine, jump_desk, desk_parts):
+def test_c05_sublinear_homogeneity(sublinear_driver, jump_desk, desk_parts):
     start(5)
-    engine = sublinear_engine
+    driver = sublinear_driver
     payoff = br.PortfolioPayoff(desk_parts)
     xi = br.terminal_values(jump_desk, payoff)
-    rho0 = br.dynamic_risk(engine, xi)[0]
+    rho0 = br.dynamic_risk(jump_desk, driver, xi)[0]
     scale_tol = 1e-2 * (1.0 + abs(rho0))
     details = [f"rho0={rho0:.6f}"]
     ok = True
     for beta in (0.25, 0.5, 2.0):
-        rho_b = br.dynamic_risk(engine, beta * xi)[0]
+        rho_b = br.dynamic_risk(jump_desk, driver, beta * xi)[0]
         gap = abs(rho_b - beta * rho0)
         ok &= gap <= scale_tol
         details.append(f"beta={beta:g}: gap={gap:.2e} tol={scale_tol:.2e}")
-    report = _alloc_report(engine, desk_parts, 16)
+    report = _alloc_report(jump_desk, driver, desk_parts, 16)
     for i, (shap, grad) in enumerate(zip(report.shapley, report.measure)):
         g_gap = abs(shap.value - grad.value)
         ok &= g_gap <= 1e-2
         details.append(f"AS vs gradient dir{i}: gap={g_gap:.2e} tol=1e-2")
-    coh = br.coherent_representation(jump_desk, engine.driver, xi)
+    coh = br.coherent_representation(jump_desk, driver, xi)
     c_gap = abs(coh.value - rho0)
     ok &= c_gap <= 2e-2
     details.append(f"coherent repr gap={c_gap:.2e} tol=2e-2")
@@ -182,9 +181,8 @@ def test_c06_convex_representation(brownian_desk, jump_desk):
     for name, bundle, lam in (("brownian", brownian_desk, ()),
                               ("jump", jump_desk, (LAM,))):
         driver = br.make_entropic_driver(GAMMA, lam)
-        engine = br.RiskEngine(bundle, driver)
         xi = bundle.terminal
-        rho0 = br.dynamic_risk(engine, xi)[0]
+        rho0 = br.dynamic_risk(bundle, driver, xi)[0]
         est = br.convex_representation(bundle, driver, xi, node_count=16)
         gap = abs(est.value - rho0)
         ok &= gap <= 2e-2
@@ -287,19 +285,19 @@ def test_c10_coherent_static(jump_desk):
           f"scaling to 1e-8: {scale_ok}")
 
 
-def test_c11_axiom_suite(jump_desk, sublinear_engine):
+def test_c11_axiom_suite(jump_desk, sublinear_driver):
     start(11)
-    entropic = br.RiskEngine(jump_desk, br.make_entropic_driver(GAMMA, (LAM,)))
+    entropic = br.make_entropic_driver(GAMMA, (LAM,))
     payoff = br.AffinePayoff(0.0, 1.0)
-    rep_e = br.axiom_suite(entropic, payoff)
-    rep_s = br.axiom_suite(sublinear_engine, payoff)
+    rep_e = br.axiom_suite(jump_desk, entropic, payoff)
+    rep_s = br.axiom_suite(jump_desk, sublinear_driver, payoff)
     axioms_e = {r.axiom for r in rep_e.rows}
     axioms_s = {r.axiom for r in rep_s.rows}
     covered = ({"monotonicity", "translation", "convexity"} <= axioms_e
                and {"scaling", "subadditivity"} <= axioms_s)
     ok = rep_e.passed and rep_s.passed and covered
     xi = br.terminal_values(jump_desk, payoff)
-    terminal = br.dynamic_risk(entropic, xi, node=STEPS)
+    terminal = br.dynamic_risk(jump_desk, entropic, xi, node=STEPS)
     exact = bool(np.array_equal(terminal, -xi))
     worst = max(rep_e.rows + rep_s.rows, key=lambda r: r.residual - r.tolerance)
     check(11, "axiom suite and terminal identity", ok and exact,

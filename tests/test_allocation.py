@@ -21,8 +21,8 @@ def parts():
 
 
 @pytest.fixture(scope="module")
-def engine(jump_bundle):
-    return br.RiskEngine(jump_bundle, br.make_entropic_driver(GAMMA, (1.5,)))
+def driver():
+    return br.make_entropic_driver(GAMMA, (1.5,))
 
 
 def entropic_tilt_gradient(bundle, xi, eta, gamma=GAMMA):
@@ -32,67 +32,67 @@ def entropic_tilt_gradient(bundle, xi, eta, gamma=GAMMA):
     return float(-(w @ eta) / w.sum())
 
 
-def test_gradient_measure_matches_analytic_tilt(engine, jump_bundle, parts):
+def test_gradient_measure_matches_analytic_tilt(driver, jump_bundle, parts):
     xi = br.terminal_values(jump_bundle, br.PortfolioPayoff(parts))
     for p in parts:
         eta = p(jump_bundle.terminal)
-        est = br.gradient_measure(jump_bundle, engine.driver, xi, eta)
+        est = br.gradient_measure(jump_bundle, driver, xi, eta)
         ana = entropic_tilt_gradient(jump_bundle.terminal * 0 + xi, xi, eta)
         assert abs(est.value - ana) < 5e-3, (est.value, ana)
 
 
-def test_gradient_fd_matches_analytic_tilt(engine, jump_bundle, parts):
+def test_gradient_fd_matches_analytic_tilt(driver, jump_bundle, parts):
     xi = br.terminal_values(jump_bundle, br.PortfolioPayoff(parts))
     for p in parts:
         eta = p(jump_bundle.terminal)
-        est = br.gradient_fd(engine, xi, eta)
+        est = br.gradient_fd(jump_bundle, driver, xi, eta)
         ana = entropic_tilt_gradient(xi, xi, eta)
         assert abs(est.value - ana) < 5e-3
 
 
-def test_cash_direction_gradient_is_minus_one(engine, jump_bundle):
+def test_cash_direction_gradient_is_minus_one(driver, jump_bundle):
     # translation property: adding cash reduces risk one for one
     xi = jump_bundle.terminal
     eta = np.ones_like(xi)
-    fd = br.gradient_fd(engine, xi, eta)
-    mv = br.gradient_measure(jump_bundle, engine.driver, xi, eta)
+    fd = br.gradient_fd(jump_bundle, driver, xi, eta)
+    mv = br.gradient_measure(jump_bundle, driver, xi, eta)
     assert fd.value == pytest.approx(-1.0, abs=1e-6)
     assert mv.value == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_fd_and_measure_agree(engine, jump_bundle, parts):
+def test_fd_and_measure_agree(driver, jump_bundle, parts):
     xi = br.terminal_values(jump_bundle, br.PortfolioPayoff(parts))
     for p in parts:
         eta = p(jump_bundle.terminal)
-        fd = br.gradient_fd(engine, xi, eta)
-        mv = br.gradient_measure(jump_bundle, engine.driver, xi, eta)
+        fd = br.gradient_fd(jump_bundle, driver, xi, eta)
+        mv = br.gradient_measure(jump_bundle, driver, xi, eta)
         pooled = math.sqrt(fd.se**2 + mv.se**2)
         assert abs(fd.value - mv.value) <= max(2e-2, 4 * pooled)
 
 
-def test_aumann_shapley_full_allocation(engine, jump_bundle, parts):
+def test_aumann_shapley_full_allocation(driver, jump_bundle, parts):
     payoff = br.PortfolioPayoff(parts)
     xi = br.terminal_values(jump_bundle, payoff)
-    rho0 = br.dynamic_risk(engine, xi)[0]
+    rho0 = br.dynamic_risk(jump_bundle, driver, xi)[0]
     allocs = [
-        br.aumann_shapley(engine, xi, p(jump_bundle.terminal), node_count=8)
+        br.aumann_shapley(jump_bundle, driver, xi, p(jump_bundle.terminal), node_count=8)
         for p in parts
     ]
     check = br.full_allocation_check(allocs, rho0)
     assert check.passed, check
 
 
-def test_aumann_shapley_refinement(engine, jump_bundle, parts):
+def test_aumann_shapley_refinement(driver, jump_bundle, parts):
     # quadrature refinement must not worsen the allocation residual beyond
     # one pooled standard error
     payoff = br.PortfolioPayoff(parts)
     xi = br.terminal_values(jump_bundle, payoff)
-    rho0 = br.dynamic_risk(engine, xi)[0]
+    rho0 = br.dynamic_risk(jump_bundle, driver, xi)[0]
     residuals = []
     pooled = []
     for nodes in (4, 8, 16):
         allocs = [
-            br.aumann_shapley(engine, xi, p(jump_bundle.terminal), node_count=nodes)
+            br.aumann_shapley(jump_bundle, driver, xi, p(jump_bundle.terminal), node_count=nodes)
             for p in parts
         ]
         check = br.full_allocation_check(allocs, rho0)
@@ -106,18 +106,17 @@ def test_aumann_shapley_equals_gradient_for_homogeneous(jump_bundle):
     sub = br.make_sublinear_driver(
         (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (1.5,)
     )
-    engine = br.RiskEngine(jump_bundle, sub)
     xi = jump_bundle.terminal
     eta = 0.5 * xi
     grad = br.gradient_measure(jump_bundle, sub, xi, eta)
-    shap = br.aumann_shapley(engine, xi, eta, node_count=8)
+    shap = br.aumann_shapley(jump_bundle, sub, xi, eta, node_count=8)
     assert abs(grad.value - shap.value) < 1e-2
 
 
-def test_convex_representation_recovers_risk(engine, jump_bundle):
+def test_convex_representation_recovers_risk(driver, jump_bundle):
     xi = jump_bundle.terminal
-    rho0 = br.dynamic_risk(engine, xi)[0]
-    est = br.convex_representation(jump_bundle, engine.driver, xi, node_count=16)
+    rho0 = br.dynamic_risk(jump_bundle, driver, xi)[0]
+    est = br.convex_representation(jump_bundle, driver, xi, node_count=16)
     assert abs(est.value - rho0) < 2e-2
 
 
@@ -125,28 +124,28 @@ def test_coherent_representation_recovers_risk(jump_bundle):
     sub = br.make_sublinear_driver(
         (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (1.5,)
     )
-    engine = br.RiskEngine(jump_bundle, sub)
     xi = jump_bundle.terminal
-    rho0 = br.dynamic_risk(engine, xi)[0]
+    rho0 = br.dynamic_risk(jump_bundle, sub, xi)[0]
     est = br.coherent_representation(jump_bundle, sub, xi)
     assert abs(est.value - rho0) < 2e-2
 
 
-def test_coherent_representation_rejects_convex_driver(engine, jump_bundle):
+def test_coherent_representation_rejects_convex_driver(driver, jump_bundle):
     with pytest.raises(ValueError):
-        br.coherent_representation(jump_bundle, engine.driver, jump_bundle.terminal)
+        br.coherent_representation(jump_bundle, driver, jump_bundle.terminal)
 
 
-def test_allocation_report_shares_seed_and_paths(engine, parts):
-    report = br.build_allocation_report(engine, br.PortfolioPayoff(parts), node_count=4)
-    assert report.seed == engine.bundle.seed
+def test_allocation_report_shares_seed_and_paths(driver, jump_bundle, parts):
+    report = br.build_allocation_report(jump_bundle, driver, br.PortfolioPayoff(parts),
+                                        node_count=4)
+    assert report.seed == jump_bundle.seed
     assert len(report.fd) == len(report.measure) == len(report.shapley) == 3
     assert report.check.passed
     for gap, fd, mv in zip(report.fd_measure_gaps, report.fd, report.measure):
         assert gap <= max(2e-2, 4 * math.sqrt(fd.se**2 + mv.se**2))
 
 
-def test_allocation_report_interior_node_matches_closed_forms(engine, jump_bundle, parts):
+def test_allocation_report_interior_node_matches_closed_forms(driver, jump_bundle, parts):
     # xi = a + b X_T and eta = a' + b' X_T under the entropic driver have
     # pathwise closed forms at t through the cumulant
     # kappa(th) = mu th + sigma^2 th^2 / 2 + lam (e^{th zeta} - 1) of X
@@ -155,7 +154,7 @@ def test_allocation_report_interior_node_matches_closed_forms(engine, jump_bundl
     (mark,) = model.jumps
     lam, zeta = mark.intensity, mark.size
     node = 25
-    report = br.build_allocation_report(engine, br.PortfolioPayoff(parts), node=node)
+    report = br.build_allocation_report(jump_bundle, driver, br.PortfolioPayoff(parts), node=node)
     tau = 1.0 - jump_bundle.grid.nodes[node]
     x_t = jump_bundle.state[:, node]
     a, b = sum(p.a for p in parts), sum(p.b for p in parts)
@@ -176,9 +175,9 @@ def test_allocation_report_interior_node_matches_closed_forms(engine, jump_bundl
     assert report.check.passed, report.check
 
 
-def test_allocation_report_requires_decomposition(engine):
+def test_allocation_report_requires_decomposition(driver, jump_bundle):
     with pytest.raises(ValueError):
-        br.build_allocation_report(engine, br.AffinePayoff(0.0, 1.0))
+        br.build_allocation_report(jump_bundle, driver, br.AffinePayoff(0.0, 1.0))
 
 
 def test_fd_step_default_scales_with_claim():
@@ -204,14 +203,14 @@ def test_signed_density_guard_shared_by_measure_routes(jump_bundle, jump_coef, m
     with pytest.raises(br.SignedDensityFailure, match=message):
         br.gradient_measure(jump_bundle, driver, xi, xi)
     with pytest.raises(br.SignedDensityFailure, match=message):
-        br.build_allocation_report(br.RiskEngine(jump_bundle, driver), payoff, node_count=4)
+        br.build_allocation_report(jump_bundle, driver, payoff, node_count=4)
 
 
 def test_full_allocation_subtracts_risk_of_zero_claim(jump_bundle, parts):
     # g(0, 0) = 0.3 makes rho(0) = 0.3 T; the allocations sum to rho(xi) - rho(0)
     driver = br.make_qexp_driver(1.0, br.LinearForm(0.0, (0.0,), 0.3), (1.5,))
     report = br.build_allocation_report(
-        br.RiskEngine(jump_bundle, driver), br.PortfolioPayoff(parts), node_count=8)
+        jump_bundle, driver, br.PortfolioPayoff(parts), node_count=8)
     assert report.rho_zero.value == pytest.approx(0.3, abs=1e-12)
     assert report.check.rho_zero == report.rho_zero.value
     assert report.check.passed, report.check

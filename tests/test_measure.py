@@ -90,14 +90,14 @@ def test_weighted_condexp_unit_weights_bit_identical(jump_bundle):
 def test_reweighted_constant_payload_is_exact(jump_bundle):
     rn = constant_rn(jump_bundle, 0.5, (0.4,))
     payload = np.full(jump_bundle.path_count, 3.5)
-    out = br.reweighted_expectation(rn, payload)
+    out = br.weighted_condexp(jump_bundle, rn.terminal, payload)
     np.testing.assert_allclose(out, 3.5, rtol=0.0, atol=1e-12)
 
 
 def test_reweighted_expectation_matches_direct_weighting(jump_bundle):
     rn = constant_rn(jump_bundle, 0.5, (0.4,))
     payload = jump_bundle.terminal
-    out = float(br.reweighted_expectation(rn, payload)[0])
+    out = float(br.weighted_condexp(jump_bundle, rn.terminal, payload)[0])
     w = rn.terminal / rn.terminal.sum()
     assert out == pytest.approx(float(w @ payload), abs=1e-12)
 

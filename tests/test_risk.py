@@ -28,38 +28,30 @@ def test_frozen_oracles():
 
 
 def test_terminal_risk_is_negated_claim(jump_bundle):
-    engine = br.RiskEngine(jump_bundle, br.make_entropic_driver(GAMMA, (LAM,)))
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
     xi = jump_bundle.terminal
-    rho_t = br.dynamic_risk(engine, xi, node=jump_bundle.grid.step_count)
+    rho_t = br.dynamic_risk(jump_bundle, driver, xi, node=jump_bundle.grid.step_count)
     assert np.array_equal(rho_t, -xi)
 
 
 def test_brownian_identity_claim(brownian_bundle):
-    engine = br.RiskEngine(brownian_bundle, br.make_entropic_driver(GAMMA))
-    rho0 = br.dynamic_risk(engine, brownian_bundle.terminal)[0]
+    driver = br.make_entropic_driver(GAMMA)
+    rho0 = br.dynamic_risk(brownian_bundle, driver, brownian_bundle.terminal)[0]
     assert abs(rho0 - BROWNIAN_RHO) < 5e-3
 
 
 def test_jump_identity_claim(jump_bundle):
-    engine = br.RiskEngine(jump_bundle, br.make_entropic_driver(GAMMA, (LAM,)))
-    rho0 = br.dynamic_risk(engine, jump_bundle.terminal)[0]
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
+    rho0 = br.dynamic_risk(jump_bundle, driver, jump_bundle.terminal)[0]
     assert abs(rho0 - JUMP_RHO) < 1e-2
 
 
-def test_closed_form_mode_matches_bsde(jump_bundle):
+def test_closed_form_matches_bsde(jump_bundle):
     driver = br.make_entropic_driver(GAMMA, (LAM,))
-    bsde = br.RiskEngine(jump_bundle, driver, mode="bsde")
-    closed = br.RiskEngine(jump_bundle, driver, mode="entropic-closed-form")
     xi = jump_bundle.terminal
-    a = br.dynamic_risk(bsde, xi)[0]
-    b = br.dynamic_risk(closed, xi)[0]
+    a = br.dynamic_risk(jump_bundle, driver, xi)[0]
+    b = br.entropic_closed_form(GAMMA, xi, 0, jump_bundle)[0]
     assert abs(a - b) < 1e-2
-
-
-def test_closed_form_mode_requires_entropic(jump_bundle):
-    sub = br.make_sublinear_driver((br.LinearForm(0.3, (0.2,)),), (LAM,))
-    with pytest.raises(ValueError):
-        br.RiskEngine(jump_bundle, sub, mode="entropic-closed-form")
 
 
 def test_entropic_closed_form_interior_node(jump_bundle):
@@ -91,10 +83,32 @@ def test_entropic_closed_form_positivity_guard(jump_bundle):
 
 
 def test_risk_accepts_payoff_or_vector(jump_bundle):
-    engine = br.RiskEngine(jump_bundle, br.make_entropic_driver(GAMMA, (LAM,)))
-    a = br.dynamic_risk(engine, br.AffinePayoff(0.0, 1.0))[0]
-    b = br.dynamic_risk(engine, jump_bundle.terminal)[0]
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
+    a = br.dynamic_risk(jump_bundle, driver, br.AffinePayoff(0.0, 1.0))[0]
+    b = br.dynamic_risk(jump_bundle, driver, jump_bundle.terminal)[0]
     assert a == b
+
+
+def test_risk_routes_use_the_given_config(desk_grid, jump_model):
+    bundle = br.simulate_paths(desk_grid, jump_model, 5_000, 7)
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
+    tuned = br.RegressionConfig(degree=2, jump_count_features=True)
+    xi = bundle.terminal
+    node = 25
+    rho_t = br.dynamic_risk(bundle, driver, xi, node=node, config=tuned)
+    alone = br.solve_bsde(bundle, driver, -xi[:, None], tuned, nodes=(node,)).y[node][:, 0]
+    assert np.array_equal(rho_t, alone)
+    assert not np.array_equal(rho_t, br.dynamic_risk(bundle, driver, xi, node=node))
+
+    # the default axiom block of a convex driver: xi, xi + 0.5, xi + 1, 0, xi / 2
+    report = br.axiom_suite(bundle, driver, xi, config=tuned)
+    claims = np.column_stack([xi, xi + 0.5, xi + 1.0, 0.0 * xi, 0.5 * xi])
+    rho = br.solve_bsde(bundle, driver, -claims, tuned, nodes=(0,)).y[0][0]
+    rows = {row.axiom: row.residual for row in report.rows}
+    assert report.rho == rho[0]
+    assert rows["translation"] == abs(rho[2] - (rho[0] - 1.0))
+    assert rows["convexity"] == max(0.0, rho[4] - 0.5 * rho[0] - 0.5 * rho[3])
+    assert report.rho != br.axiom_suite(bundle, driver, xi).rho
 
 
 def brute_force_coherent(level, xi, lo=1e-4, hi=50.0):
@@ -191,8 +205,8 @@ def test_relative_entropy_increasing():
 
 
 def test_axiom_suite_entropic(jump_bundle):
-    engine = br.RiskEngine(jump_bundle, br.make_entropic_driver(GAMMA, (LAM,)))
-    report = br.axiom_suite(engine, br.AffinePayoff(0.0, 1.0))
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
+    report = br.axiom_suite(jump_bundle, driver, br.AffinePayoff(0.0, 1.0))
     axioms = {row.axiom for row in report.rows}
     assert {"monotonicity", "translation", "terminal", "convexity"} <= axioms
     assert report.passed, report.worst()
@@ -202,9 +216,8 @@ def test_axiom_suite_sublinear_scaling(jump_bundle):
     sub = br.make_sublinear_driver(
         (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (LAM,)
     )
-    engine = br.RiskEngine(jump_bundle, sub)
     report = br.axiom_suite(
-        engine, br.AffinePayoff(0.0, 1.0), partner=br.ExpAffinePayoff(0.5, 1.0),
+        jump_bundle, sub, br.AffinePayoff(0.0, 1.0), partner=br.ExpAffinePayoff(0.5, 1.0),
         scales=(0.25, 0.5, 2.0),
     )
     axioms = {row.axiom for row in report.rows}
@@ -214,8 +227,8 @@ def test_axiom_suite_sublinear_scaling(jump_bundle):
 
 
 def test_translation_residual_tiny(jump_bundle):
-    engine = br.RiskEngine(jump_bundle, br.make_entropic_driver(GAMMA, (LAM,)))
-    report = br.axiom_suite(engine, br.AffinePayoff(0.0, 1.0), shifts=(1.0, -2.5))
+    driver = br.make_entropic_driver(GAMMA, (LAM,))
+    report = br.axiom_suite(jump_bundle, driver, br.AffinePayoff(0.0, 1.0), shifts=(1.0, -2.5))
     rows = [r for r in report.rows if r.axiom == "translation"]
     assert len(rows) == 2
     assert all(r.residual < 1e-10 for r in rows)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bsderisk as br
+from bsderisk.cli import main
 from bsderisk.scenario import apply_overrides, build_scenario, load_config, run_scenario
 
 
@@ -288,12 +289,17 @@ def test_unknown_tolerance_rejected():
         build_scenario(raw)
 
 
-def test_closed_form_mode_requires_entropic():
+def test_risk_mode_is_unknown_field(tmp_path, capsys):
+    # the risk task always runs the backward solve; the closed form is its cross-check
     raw = base_config()
-    raw["driver"] = {"family": "sublinear", "forms": [{"z_coef": 0.3}]}
     raw["method"] = {"risk_mode": "entropic-closed-form"}
-    with pytest.raises(br.ConfigValidationError, match="entropic"):
+    with pytest.raises(br.ConfigValidationError,
+                       match=r"^unknown field config\.method\.risk_mode$"):
         build_scenario(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["risk", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "unknown field config.method.risk_mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["closed_form", "entropic_identity"])
@@ -435,6 +441,35 @@ def test_run_allocate_rows():
                  "allocation_residual"):
         assert name in q, name
     assert report.all_passed
+
+
+def test_allocate_task_uses_method_regression():
+    raw = base_config(task="allocate")
+    raw["driver"] = {"family": "entropic", "gamma": 1.0}
+    raw["payoff"] = {
+        "decomposition": [
+            {"family": "affine", "a": 0.0, "b": 0.5},
+            {"family": "affine", "a": 0.2, "b": 0.5},
+        ]
+    }
+    raw["method"] = {"degree": 2, "jump_count_features": True}
+    cfg = build_scenario(raw)
+    rows = {r.quantity: (r.value, r.std_error) for r in run_scenario(cfg).rows}
+    bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
+
+    def report_rows(config):
+        report = br.build_allocation_report(bundle, cfg.driver, cfg.payoff, config=config)
+        out = {"rho0": (report.rho.value, report.rho.se)}
+        for i, (fd, mv, shap) in enumerate(zip(report.fd, report.measure, report.shapley)):
+            out.update({f"alloc_fd_{i}": (fd.value, fd.se),
+                        f"alloc_measure_{i}": (mv.value, mv.se),
+                        f"alloc_shapley_{i}": (shap.value, shap.se)})
+        return out
+
+    tuned = report_rows(br.RegressionConfig(degree=2, jump_count_features=True))
+    assert {name: rows[name] for name in tuned} == tuned
+    default = report_rows(br.RegressionConfig())
+    assert all(default[name] != tuned[name] for name in tuned)
 
 
 def test_run_verify_moments_and_doleans():
