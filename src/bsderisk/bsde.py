@@ -12,8 +12,12 @@ recursion per step i:
 At nodes whose features carry no information (t_0 always; every node when
 sigma = 0 and K = 0) the estimates collapse to plain cross-path means, which
 reduces the scheme to deterministic backward Euler. Driver inputs are
-clamped to configured guards against regression outliers; the stored
-controls are the clamped values the driver actually saw.
+clamped to configured guards against regression outliers.
+
+``solve_bsde`` runs this recursion once for a block of terminals and returns
+one result, ``BsdeColumns``: the value process (and optionally densities and
+the controls, the clamped values the driver actually saw) at the nodes the
+caller reads. ``residual_replay`` checks a one-column solve read at every node.
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure.doleans_dade`` share it and its guards.
 """
@@ -30,7 +34,6 @@ from .market import PathBundle
 
 __all__ = [
     "RegressionConfig",
-    "BsdeSolution",
     "BsdeColumns",
     "ResidualReport",
     "regress_condexp",
@@ -60,10 +63,11 @@ class RegressionConfig:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if self.ridge < 0.0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.z_clip <= 0.0 or self.upsilon_clip <= 0.0:
-            raise ValueError("clamps must be positive")
+        if not 0.0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be >= 0 and finite, got {self.ridge}")
+        for name in ("z_clip", "upsilon_clip"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def regress_condexp(
@@ -170,35 +174,6 @@ def _project(feats: np.ndarray | None, targets: np.ndarray, ridge: float,
     return regress_condexp(feats, targets, ridge, gram)
 
 
-@dataclass
-class BsdeSolution:
-    """Solution triple on the grid plus per-step regression diagnostics.
-
-    y        (M, N+1)  value process, y[:, N] is the terminal exactly
-    z        (M, N)    Brownian control on [t_i, t_{i+1})
-    upsilon  (M, N, K) jump controls, per mark
-
-    solve_bsde stores y, z and upsilon time-major, like the PathBundle arrays,
-    and these are transposed views: y[:, i] is a contiguous row.
-    """
-
-    bundle: PathBundle
-    driver: Driver
-    config: RegressionConfig
-    y: np.ndarray
-    z: np.ndarray
-    upsilon: np.ndarray
-    r_squared: np.ndarray
-    condition: np.ndarray
-    clamped_z: int
-    clamped_upsilon: int
-
-    @property
-    def y0(self) -> float:
-        """Time-0 value; identical across paths by construction."""
-        return float(self.y[0, 0])
-
-
 @dataclass(frozen=True)
 class BsdeColumns:
     """One backward sweep over B terminals, read at the requested nodes.
@@ -206,14 +181,20 @@ class BsdeColumns:
     y        {node: (M, B)} value process
     density  {node: (M, D)} L(T)/L(t_node) for the first D columns, L the
              stochastic exponential of the driver's partials at the controls
+    z        {node: (M, B)} Brownian control on [t_node, t_node+1), and
+    upsilon  {node: (M, B, K)} jump controls, per mark: the clamped values the
+             driver saw, at the read nodes below N; empty without ``controls``
     clamped_z, clamped_upsilon (B,) per column
 
-    y[node] and density[node] are transposed views of (B, M) and (D, M)
-    arrays, so every column y[node][:, j] or density[node][:, j] is contiguous.
+    Every array is a transposed view of the sweep's (B, M), (D, M) or
+    (K, B, M) rows, so every column y[node][:, j], density[node][:, j],
+    z[node][:, j] or upsilon[node][:, j, k] is contiguous.
     """
 
     y: dict
     density: dict
+    z: dict
+    upsilon: dict
     clamped_z: np.ndarray
     clamped_upsilon: np.ndarray
 
@@ -276,16 +257,18 @@ def solve_bsde(
     driver: Driver,
     terminal: np.ndarray,
     config: RegressionConfig = RegressionConfig(),
-    nodes=None,
+    *,
+    nodes,
     densities: int = 0,
-) -> BsdeSolution | BsdeColumns:
+    controls: bool = False,
+) -> BsdeColumns:
     """Run the backward regression scheme once for a block of terminals.
 
     ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
     and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
-    control targets in a second. A single terminal without ``nodes`` returns
-    the full BsdeSolution; otherwise only the value process of the current
-    step is kept and BsdeColumns holds ``nodes``.
+    control targets in a second. Only the value process of the current step
+    is kept; BsdeColumns holds it at ``nodes``, and with ``controls`` also
+    z and upsilon at the nodes below N.
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
@@ -304,10 +287,7 @@ def solve_bsde(
         raise ValueError("terminal values must be finite")
     if driver.mark_count != k:
         raise ValueError(f"driver has {driver.mark_count} marks, bundle has {k}")
-    full = nodes is None
-    if full and (xi.ndim != 1 or densities):
-        raise ValueError("a block of terminals or densities needs nodes to read")
-    reads = set() if full else {int(node) for node in nodes}
+    reads = {int(node) for node in nodes}
     if not reads <= set(range(n + 1)):
         raise ValueError(f"nodes must lie in 0..{n}, got {sorted(reads)}")
 
@@ -315,11 +295,8 @@ def solve_bsde(
     lam_dt = bundle.model.jump_intensities * dt
     # the (B, M) value process, copied once from the terminal
     cur = xi.reshape(m, -1).T.copy()
-    if full:
-        y, z, ups = np.empty((n + 1, m)), np.zeros((n, m)), np.zeros((n, m, k))
-        y[n] = xi
-        r_squared, condition = np.full(n, np.nan), np.full(n, np.nan)
     y_at = {n: cur.T} if n in reads else {}
+    z_at, u_at = {}, {}
     log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
     clamped_z = clamped_u = np.zeros(cur.shape[0], dtype=np.int64)
@@ -330,10 +307,6 @@ def solve_bsde(
         feats = features_at_node(bundle, i, config)
         gram = None if feats is None else feats.T @ feats
         y_fit = _project(feats, cur.T, config.ridge, gram).T
-        if full and feats is not None:
-            condition[i] = np.linalg.cond(gram)
-            var = cur.var()
-            r_squared[i] = 1.0 - np.mean((cur - y_fit) ** 2) / var if var > 0.0 else 1.0
 
         # martingale-increment control variate: the fitted mean is known at
         # t_i and the increments are conditionally centered, so subtracting
@@ -362,21 +335,18 @@ def solve_bsde(
             worst = min(worst, float(phi_jump.min(initial=np.inf)))
             _doleans_step(log_l.T, jump_l.T, phi_z, phi_jump, bundle.dw[:, i],
                           bundle.dn[:, i], dt, lam_dt)
-        if full:
-            y[i], z[i], ups[i] = cur[0], z_i[0], u_i[:, 0].T
         if i in reads:
             y_at[i], state_at[i] = cur.T, (log_l.copy(), jump_l.copy())
+            if controls:
+                z_at[i], u_at[i] = z_i.T, u_i.T
 
-    if full:
-        return BsdeSolution(bundle, driver, config, y.T, z.T, ups.transpose(1, 0, 2),
-                            r_squared, condition, int(clamped_z[0]), int(clamped_u[0]))
     density = {node: _exponential(*state).T for node, state in state_at.items()}
     if worst < -1.0 + 1e-12:
         raise SignedDensityFailure(
             f"jump integrand reaches {1.0 + worst:.3e} above -1; "
             "density is not a positive martingale"
         )
-    return BsdeColumns(y_at, density, clamped_z, clamped_u)
+    return BsdeColumns(y_at, density, z_at, u_at, clamped_z, clamped_u)
 
 
 @dataclass(frozen=True)
@@ -394,11 +364,14 @@ class ResidualReport:
             return np.flatnonzero(np.abs(self.means) > self.k_sigma * self.std_errors)
 
 
-def residual_replay(solution: BsdeSolution, k_sigma: float = 3.0) -> ResidualReport:
+def residual_replay(
+    bundle: PathBundle, driver: Driver, columns: BsdeColumns, k_sigma: float = 3.0
+) -> ResidualReport:
     """Replay the discrete identity
     Y_{i+1} - Y_i + g dt - Z_i dW_i - sum_k Ups_{k,i} (dN_{k,i} - lambda_k dt)
-    and report its cross-path mean per step. Near zero by construction for a
-    fresh solve; a corrupted Y at node i moves the means at steps i-1 and i
+    and report its cross-path mean per step. ``columns`` is a one-column
+    solve read at every node with ``controls``. Near zero by construction for
+    a fresh solve; a corrupted Y at node i moves the means at steps i-1 and i
     outside the noise band.
 
     The standard error is taken at the one-step increment scale
@@ -407,18 +380,23 @@ def residual_replay(solution: BsdeSolution, k_sigma: float = 3.0) -> ResidualRep
     integrands can have far smaller spread, but its leftover is estimation
     bias rather than sampling noise, so it would miscalibrate the flag.
     """
-    b = solution.bundle
-    n = b.grid.step_count
-    dt = b.grid.dt
-    lam_dt = b.model.jump_intensities * dt
+    n = bundle.grid.step_count
+    if columns.clamped_z.size != 1:
+        raise ValueError(f"residual_replay needs one column, got {columns.clamped_z.size}")
+    if len(columns.y) != n + 1 or len(columns.z) != n:
+        raise ValueError("residual_replay needs y at every node and the controls "
+                         "below N (solve_bsde with controls=True)")
+    dt = bundle.grid.dt
+    lam_dt = bundle.model.jump_intensities * dt
     means = np.empty(n)
     ses = np.empty(n)
     for i in range(n):
-        g = solution.driver(solution.z[:, i], solution.upsilon[:, i, :])
-        step = solution.y[:, i + 1] - solution.y[:, i] + g * dt
-        resid = step - solution.z[:, i] * b.dw[:, i]
-        if b.mark_count:
-            resid -= (solution.upsilon[:, i, :] * (b.dn[:, i] - lam_dt)).sum(axis=1)
+        z, ups = columns.z[i][:, 0], columns.upsilon[i][:, 0]
+        g = driver(z, ups)
+        step = columns.y[i + 1][:, 0] - columns.y[i][:, 0] + g * dt
+        resid = step - z * bundle.dw[:, i]
+        if bundle.mark_count:
+            resid -= (ups * (bundle.dn[:, i] - lam_dt)).sum(axis=1)
         means[i] = resid.mean()
-        ses[i] = step.std() / np.sqrt(b.path_count)
+        ses[i] = step.std() / np.sqrt(bundle.path_count)
     return ResidualReport(means=means, std_errors=ses, k_sigma=k_sigma)

@@ -10,8 +10,8 @@ validation error. ``--out`` falls back to the BSDERISK_OUT environment
 variable, then the working directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config
-parse error, 3 config validation error, 4 solver failure, 5 estimator
-failure. Error text goes to stderr prefixed with the failure kind;
+parse error, 3 config validation error or a payoff unsupported on the
+simulated paths, 4 solver failure, 5 estimator failure. Error text goes to stderr prefixed with the failure kind;
 stdout carries only the emitted file paths and the check tally, so
 repeated runs print identical bytes.
 """
@@ -28,6 +28,7 @@ from .errors import (
     ConfigValidationError,
     EstimatorFailure,
     SolverFailure,
+    UnsupportedPayoff,
 )
 from .reporting import FORMATS, emit_report, read_report
 from .scenario import TASKS, apply_overrides, build_scenario, load_config, run_scenario
@@ -107,6 +108,9 @@ def main(argv=None) -> int:
         return 2
     except ConfigValidationError as exc:
         print(f"config-validation-error: {exc}", file=sys.stderr)
+        return 3
+    except UnsupportedPayoff as exc:
+        print(f"unsupported-payoff: {exc}", file=sys.stderr)
         return 3
     except SolverFailure as exc:
         print(f"solver-failure: {exc}", file=sys.stderr)

@@ -93,6 +93,9 @@ class LevyModel:
     jumps: tuple[JumpMark, ...] = ()
 
     def __post_init__(self):
+        for name in ("x0", "mu", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         sizes = [j.size for j in self.jumps]
@@ -264,7 +267,6 @@ class Payoff:
     the a.e. slope f'(x) are available without symbolic machinery.
     """
 
-    bounded: bool = False
     components: tuple["Payoff", ...] | None = None
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -338,10 +340,6 @@ class ClippedPayoff(Payoff):
         if not self.lo < self.hi:
             raise ValueError(f"clip bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def bounded(self) -> bool:  # type: ignore[override]
-        return True
-
     def value(self, x):
         return np.clip(self.inner.value(x), self.lo, self.hi)
 
@@ -369,10 +367,6 @@ class PortfolioPayoff(Payoff):
     @property
     def components(self):  # type: ignore[override]
         return self.parts
-
-    @property
-    def bounded(self) -> bool:  # type: ignore[override]
-        return all(p.bounded for p in self.parts)
 
     def value(self, x):
         total = self.parts[0].value(x)

@@ -354,8 +354,8 @@ def _build_method(block: _Block | None) -> MethodOptions:
             raise ConfigValidationError(f"{block.path}.tolerances.{name} is not a known tolerance")
     if quad_nodes < 1:
         raise ConfigValidationError(f"{block.path}.quad_nodes must be >= 1")
-    if fd_step is not None and not fd_step > 0.0:
-        raise ConfigValidationError(f"{block.path}.fd_step must be positive")
+    if fd_step is not None and not 0.0 < fd_step < math.inf:
+        raise ConfigValidationError(f"{block.path}.fd_step must be positive and finite")
     try:
         regression = RegressionConfig(
             degree=degree, ridge=ridge, jump_count_features=jump_features,
@@ -388,8 +388,10 @@ def _build_verify(block: _Block | None, mark_count: int) -> VerifyOptions | None
         raise ConfigValidationError(
             f"{block.path}.phi_jumps must have one entry per jump mark ({mark_count})"
         )
-    if not level > 0.0:
-        raise ConfigValidationError(f"{block.path}.level must be positive")
+    if not 0.0 < level < math.inf:
+        raise ConfigValidationError(f"{block.path}.level must be positive and finite")
+    if not 0.0 <= beta < math.inf:
+        raise ConfigValidationError(f"{block.path}.beta must be >= 0 and finite")
     return VerifyOptions(
         checks=tuple(checks),
         phi_z=phi_z,
@@ -542,27 +544,24 @@ def _clamp_rows(sid: str, label: str, clamped_z, clamped_upsilon) -> list[Row]:
             Row(sid, f"{label}_clamped_upsilon", float(clamped_upsilon))]
 
 
-def _solution_rows(cfg: ScenarioConfig, solution, label: str) -> list[Row]:
+def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
-    m = cfg.paths
-    se = float(solution.y[:, 1].std() / math.sqrt(m)) if cfg.grid.step_count >= 1 else 0.0
-    replay = residual_replay(solution, k_sigma=cfg.method.tolerance("replay_sigmas"))
+    xi = terminal_values(bundle, cfg.payoff)
+    n = bundle.grid.step_count
+    columns = solve_bsde(bundle, cfg.driver, xi, cfg.method.regression,
+                         nodes=range(n + 1), controls=True)
+    se = float(columns.y[1][:, 0].std() / math.sqrt(cfg.paths)) if n >= 1 else 0.0
+    sigmas = cfg.method.tolerance("replay_sigmas")
+    replay = residual_replay(bundle, cfg.driver, columns, k_sigma=sigmas)
     with np.errstate(invalid="ignore", divide="ignore"):
         z_scores = np.abs(replay.means) / np.where(replay.std_errors > 0, replay.std_errors, np.inf)
     worst = float(z_scores.max()) if z_scores.size else 0.0
     return [
-        Row(sid, label, solution.y0, se),
-        *_clamp_rows(sid, label, solution.clamped_z, solution.clamped_upsilon),
-        Row(sid, f"{label}_replay_worst_z", worst,
-            check=f"replay_within_{cfg.method.tolerance('replay_sigmas'):g}_se",
-            passed=replay.flagged.size == 0),
+        Row(sid, "y0", float(columns.y[0][0, 0]), se),
+        *_clamp_rows(sid, "y0", columns.clamped_z[0], columns.clamped_upsilon[0]),
+        Row(sid, "y0_replay_worst_z", worst,
+            check=f"replay_within_{sigmas:g}_se", passed=replay.flagged.size == 0),
     ]
-
-
-def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
-    xi = terminal_values(bundle, cfg.payoff)
-    solution = solve_bsde(bundle, cfg.driver, xi, cfg.method.regression)
-    return _solution_rows(cfg, solution, "y0")
 
 
 def _closed_form_rows(cfg: ScenarioConfig, bundle: PathBundle, xi, rho0: float) -> list[Row]:
@@ -669,8 +668,12 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
 
     report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
     xi = terminal_values(bundle, cfg.payoff)
-    solution = solve_bsde(bundle, cfg.driver, -beta * xi, reg)
-    z_gap = float(np.sqrt(np.mean((solution.z - report.controls.z) ** 2)))
+    n = bundle.grid.step_count
+    columns = solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=range(n), controls=True)
+    # time-major stacks viewed as (M, N) and (M, N, K): the memory order in
+    # which the means below sum
+    z = np.stack([columns.z[i][:, 0] for i in range(n)]).T
+    z_gap = float(np.sqrt(np.mean((z - report.controls.z) ** 2)))
     rows = [
         Row(sid, "gamma_exponential_gap", report.max_gap,
             check=f"gamma_exponential_within_{gap_tol:g}", passed=report.max_gap <= gap_tol),
@@ -679,7 +682,8 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
     ]
     if cfg.model.mark_count:
         rows.append(Row(sid, "gamma_exponential_gap_linearized", report.max_gap_linearized))
-        u_gap = float(np.sqrt(np.mean((solution.upsilon - report.controls.upsilon) ** 2)))
+        ups = np.stack([columns.upsilon[i][:, 0] for i in range(n)]).transpose(1, 0, 2)
+        u_gap = float(np.sqrt(np.mean((ups - report.controls.upsilon) ** 2)))
         rows.append(Row(sid, "controls_upsilon_l2_gap", u_gap,
                         check=f"controls_upsilon_within_{ctl_tol:g}",
                         passed=u_gap <= ctl_tol))

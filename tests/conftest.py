@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,24 @@ def two_mark_bundle(desk_grid):
         jumps=(br.JumpMark(-0.15, 1.0), br.JumpMark(0.1, 0.5)),
     )
     return br.simulate_paths(desk_grid, model, 30_000, 77)
+
+
+def _solve_stacked(bundle, driver, terminal, config=br.RegressionConfig()):
+    """A one-column solve read at every node with controls, plus its columns
+    stacked into y (M, N+1), z (M, N) and upsilon (M, N, K) arrays and its
+    clamp counts as ints."""
+    n = bundle.grid.step_count
+    cols = br.solve_bsde(bundle, driver, terminal, config, nodes=range(n + 1), controls=True)
+    return SimpleNamespace(
+        columns=cols,
+        y=np.stack([cols.y[i][:, 0] for i in range(n + 1)], axis=1),
+        z=np.stack([cols.z[i][:, 0] for i in range(n)], axis=1),
+        upsilon=np.stack([cols.upsilon[i][:, 0] for i in range(n)], axis=1),
+        clamped_z=int(cols.clamped_z[0]),
+        clamped_upsilon=int(cols.clamped_upsilon[0]),
+    )
+
+
+@pytest.fixture(scope="session")
+def solve_stacked():
+    return _solve_stacked

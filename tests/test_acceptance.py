@@ -228,7 +228,7 @@ def test_c08_clark_ocone(jump_desk):
           f"clipped exp residual={clipped.residual:.2e} tol=2e-2")
 
 
-def test_c09_entropic_value_process(brownian_desk, jump_desk):
+def test_c09_entropic_value_process(brownian_desk, jump_desk, solve_stacked):
     start(9)
     # position size 0.5: at beta = 1 the desk claim's exponential spread
     # exceeds what a cubic fit of the normalizer keeps positive, which the
@@ -238,7 +238,7 @@ def test_c09_entropic_value_process(brownian_desk, jump_desk):
     rep_b = br.gamma_exponential_check(brownian_desk, payoff, gamma, beta)
     rep_j = br.gamma_exponential_check(jump_desk, payoff, gamma, beta)
     controls = br.entropic_controls(jump_desk, payoff, gamma, beta)
-    solution = br.solve_bsde(
+    solution = solve_stacked(
         jump_desk, br.make_entropic_driver(gamma, (LAM,)), -beta * jump_desk.terminal
     )
     z_gap = float(np.sqrt(np.mean((solution.z - controls.z) ** 2)))

@@ -115,26 +115,26 @@ def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
     assert "jump_counts" in vars(bundle)
 
 
-def test_zero_noise_reduces_to_backward_euler():
+def test_zero_noise_reduces_to_backward_euler(solve_stacked):
     # sigma = 0 and no jumps: Y' = -g(0, 0), solved exactly by the scheme
     grid = br.build_grid(1.0, 50)
     model = br.LevyModel(x0=0.0, mu=0.1)
     bundle = br.simulate_paths(grid, model, 64, 3)
     driver = br.make_qexp_driver(1.0, br.LinearForm(const=0.3))
-    sol = br.solve_bsde(bundle, driver, -bundle.terminal)
+    sol = solve_stacked(bundle, driver, -bundle.terminal)
     # terminal -X(T) = -0.1; plus integral of the constant driver 0.3
-    assert sol.y0 == pytest.approx(-0.1 + 0.3, abs=1e-10)
+    assert sol.y[0, 0] == pytest.approx(-0.1 + 0.3, abs=1e-10)
     np.testing.assert_allclose(sol.z, 0.0, atol=1e-12)
 
 
-def test_translation_invariance_of_solver(jump_bundle):
+def test_translation_invariance_of_solver(jump_bundle, solve_stacked):
     driver = br.make_entropic_driver(2.0, (1.5,))
     xi = jump_bundle.terminal
-    a = br.solve_bsde(jump_bundle, driver, -xi)
-    b = br.solve_bsde(jump_bundle, driver, -(xi + 1.0))
+    a = solve_stacked(jump_bundle, driver, -xi)
+    b = solve_stacked(jump_bundle, driver, -(xi + 1.0))
     # shifting the claim by a constant shifts Y by the same constant and
     # leaves the controls untouched (regression is affine in targets)
-    assert abs((a.y0 - 1.0) - b.y0) < 1e-10
+    assert abs((a.y[0, 0] - 1.0) - b.y[0, 0]) < 1e-10
     np.testing.assert_allclose(a.z, b.z, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(a.upsilon, b.upsilon, rtol=0.0, atol=1e-9)
 
@@ -142,9 +142,9 @@ def test_translation_invariance_of_solver(jump_bundle):
 def test_comparison_between_ordered_terminals(jump_bundle):
     driver = br.make_entropic_driver(2.0, (1.5,))
     xi = jump_bundle.terminal
-    lo = br.solve_bsde(jump_bundle, driver, -xi)
-    hi = br.solve_bsde(jump_bundle, driver, -(xi - 0.5))
-    assert hi.y0 >= lo.y0
+    lo = br.solve_bsde(jump_bundle, driver, -xi, nodes=(0,)).y[0]
+    hi = br.solve_bsde(jump_bundle, driver, -(xi - 0.5), nodes=(0,)).y[0]
+    assert hi[0, 0] >= lo[0, 0]
 
 
 def test_solver_noise_shrinks_with_path_count(desk_grid, jump_model):
@@ -155,20 +155,19 @@ def test_solver_noise_shrinks_with_path_count(desk_grid, jump_model):
     gaps = []
     for m in (25_000, 100_000):
         b = br.simulate_paths(desk_grid, jump_model, m, 31)
-        sol = br.solve_bsde(b, driver, -b.terminal)
-        gaps.append(abs(sol.y0 - limit))
+        y0 = br.solve_bsde(b, driver, -b.terminal, nodes=(0,)).y[0][0, 0]
+        gaps.append(abs(y0 - limit))
     assert gaps[1] < max(gaps[0], 5e-3)
 
 
 def reference_sweep(bundle, driver, xi, cfg):
     """The backward recursion with one features_at_node and one
-    regress_condexp call per fit: y, z, upsilon, the Gram condition and the
-    per-step counts of clamped z and upsilon values."""
+    regress_condexp call per fit: y, z, upsilon and the per-step counts of
+    clamped z and upsilon values."""
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
     y, z, ups = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, k))
-    condition = np.full(n, np.nan)
     clamps = np.zeros((n, 2), dtype=int)
     y[:, n] = xi
     for i in range(n - 1, -1, -1):
@@ -180,8 +179,6 @@ def reference_sweep(bundle, driver, xi, cfg):
             return regress_condexp(feats, targets, cfg.ridge)
 
         y_fit = fit(y[:, i + 1])
-        if feats is not None:
-            condition[i] = np.linalg.cond(feats.T @ feats)
         noise = y[:, i + 1] - y_fit
         z_raw = fit(noise * bundle.dw[:, i]) / dt
         u_raw = np.column_stack([
@@ -191,7 +188,7 @@ def reference_sweep(bundle, driver, xi, cfg):
         z[:, i] = np.clip(z_raw, -cfg.z_clip, cfg.z_clip)
         ups[:, i] = np.clip(u_raw, -cfg.upsilon_clip, cfg.upsilon_clip)
         y[:, i] = y_fit + driver(z[:, i], ups[:, i]) * dt
-    return y, z, ups, condition, clamps
+    return y, z, ups, clamps
 
 
 @pytest.mark.parametrize("ridge, clips", [
@@ -200,27 +197,57 @@ def reference_sweep(bundle, driver, xi, cfg):
     # some steps clamp z or upsilon and others do not
     pytest.param(1e-8, {"z_clip": 0.3, "upsilon_clip": 0.4}, id="tight-clamp"),
 ])
-def test_sweep_matches_reference_recursion(two_mark_bundle, ridge, clips):
+def test_sweep_matches_reference_recursion(two_mark_bundle, solve_stacked, ridge, clips):
     b = two_mark_bundle
     driver = block_driver(b)
     cfg = br.RegressionConfig(ridge=ridge, jump_count_features=True, **clips)
     xi = -(b.terminal + 0.5 * b.terminal**2)
-    sol = br.solve_bsde(b, driver, xi, cfg)
-    y, z, ups, condition, clamps = reference_sweep(b, driver, xi, cfg)
+    sol = solve_stacked(b, driver, xi, cfg)
+    y, z, ups, clamps = reference_sweep(b, driver, xi, cfg)
     np.testing.assert_allclose(sol.y, y, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(sol.z, z, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(sol.upsilon, ups, rtol=0.0, atol=1e-10)
-    np.testing.assert_allclose(sol.condition, condition, rtol=1e-10, equal_nan=True)
     assert (sol.clamped_z, sol.clamped_upsilon) == tuple(clamps.sum(axis=0))
     if clips:
         for kind in (0, 1):
             assert 0 < np.count_nonzero(clamps[:, kind]) < b.grid.step_count
 
 
-def test_node_reads_equal_full_solution(jump_bundle):
+def test_block_controls_match_reference_recursion(two_mark_bundle):
+    # a block's controls at every step are each column's own, clamps included
+    b = two_mark_bundle
+    driver = block_driver(b)
+    cfg = br.RegressionConfig(jump_count_features=True, z_clip=0.3, upsilon_clip=0.4)
+    x = b.terminal
+    terminals = np.column_stack([-(x + 0.5 * x * x), -x, -(0.5 * x + 0.2), np.zeros_like(x)])
+    n = b.grid.step_count
+    cols = br.solve_bsde(b, driver, terminals, cfg, nodes=range(n + 1), controls=True)
+    assert sorted(cols.z) == sorted(cols.upsilon) == list(range(n))
+    for j in range(terminals.shape[1]):
+        _, z, ups, clamps = reference_sweep(b, driver, terminals[:, j], cfg)
+        for i in range(n):
+            np.testing.assert_allclose(cols.z[i][:, j], z[:, i], rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(cols.upsilon[i][:, j], ups[:, i], rtol=0.0, atol=1e-10)
+        assert (cols.clamped_z[j], cols.clamped_upsilon[j]) == tuple(clamps.sum(axis=0))
+    assert cols.clamped_z[0] > 0 and cols.clamped_upsilon[0] > 0
+
+
+def test_controls_only_on_request(jump_bundle):
     driver = br.make_entropic_driver(2.0, (1.5,))
     xi = -jump_bundle.terminal
-    full = br.solve_bsde(jump_bundle, driver, xi)
+    plain = br.solve_bsde(jump_bundle, driver, xi, nodes=(0, 25, 50))
+    assert plain.z == {} and plain.upsilon == {}
+    # node N has no control step; the others are read as asked
+    read = br.solve_bsde(jump_bundle, driver, xi, nodes=(0, 25, 50), controls=True)
+    assert sorted(read.z) == sorted(read.upsilon) == [0, 25]
+    m = jump_bundle.path_count
+    assert read.z[25].shape == (m, 1) and read.upsilon[25].shape == (m, 1, 1)
+
+
+def test_node_reads_equal_full_solution(jump_bundle, solve_stacked):
+    driver = br.make_entropic_driver(2.0, (1.5,))
+    xi = -jump_bundle.terminal
+    full = solve_stacked(jump_bundle, driver, xi)
     nodes = (0, 1, 25, 50)
     cols = br.solve_bsde(jump_bundle, driver, xi, nodes=nodes)
     for i in nodes:
@@ -228,12 +255,13 @@ def test_node_reads_equal_full_solution(jump_bundle):
 
 
 def test_solution_rows_are_contiguous(jump_bundle):
-    sol = br.solve_bsde(jump_bundle, br.make_entropic_driver(2.0, (1.5,)), -jump_bundle.terminal)
+    cols = br.solve_bsde(jump_bundle, br.make_entropic_driver(2.0, (1.5,)),
+                         -jump_bundle.terminal, nodes=range(51), controls=True)
     for i in (0, 1, 49):
-        assert sol.y[:, i].flags.c_contiguous
-        assert sol.z[:, i].flags.c_contiguous
-        assert sol.upsilon[:, i].flags.c_contiguous
-    assert sol.y[:, 50].flags.c_contiguous
+        assert cols.y[i][:, 0].flags.c_contiguous
+        assert cols.z[i][:, 0].flags.c_contiguous
+        assert cols.upsilon[i][:, 0, 0].flags.c_contiguous
+    assert cols.y[50][:, 0].flags.c_contiguous
 
 
 def test_block_columns_are_contiguous(jump_bundle):
@@ -248,10 +276,10 @@ def test_block_columns_are_contiguous(jump_bundle):
         assert all(cols.density[node][:, j].flags.c_contiguous for j in range(2)), node
 
 
-def test_solution_shapes_and_terminal_row(jump_bundle):
+def test_solution_shapes_and_terminal_row(jump_bundle, solve_stacked):
     driver = br.make_entropic_driver(1.0, (1.5,))
     xi = jump_bundle.terminal
-    sol = br.solve_bsde(jump_bundle, driver, -xi)
+    sol = solve_stacked(jump_bundle, driver, -xi)
     m, n = jump_bundle.path_count, 50
     assert sol.y.shape == (m, n + 1)
     assert sol.z.shape == (m, n)
@@ -260,33 +288,49 @@ def test_solution_shapes_and_terminal_row(jump_bundle):
     assert np.all(np.ptp(sol.y[:, 0]) == 0.0)  # time-0 value is scalar
 
 
+def replay_columns(bundle, driver, terminal, **kwargs):
+    n = bundle.grid.step_count
+    return br.solve_bsde(bundle, driver, terminal, nodes=range(n + 1), **kwargs)
+
+
 def test_residual_replay_clean_solution(jump_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
-    sol = br.solve_bsde(jump_bundle, driver, -jump_bundle.terminal)
-    report = br.residual_replay(sol)
+    cols = replay_columns(jump_bundle, driver, -jump_bundle.terminal, controls=True)
+    report = br.residual_replay(jump_bundle, driver, cols)
     assert report.flagged.size == 0
 
 
 def test_residual_replay_flags_corruption(jump_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
-    sol = br.solve_bsde(jump_bundle, driver, -jump_bundle.terminal)
-    sol.y[:, 20] += 0.05  # corrupt one node; steps 19 and 20 both see it
-    report = br.residual_replay(sol)
+    cols = replay_columns(jump_bundle, driver, -jump_bundle.terminal, controls=True)
+    cols.y[20][:, 0] += 0.05  # corrupt one node; steps 19 and 20 both see it
+    report = br.residual_replay(jump_bundle, driver, cols)
     assert set(report.flagged) == {19, 20}
+
+
+def test_residual_replay_needs_one_column_with_controls(jump_bundle):
+    driver = br.make_entropic_driver(1.0, (1.5,))
+    x = jump_bundle.terminal
+    block = replay_columns(jump_bundle, driver, -np.column_stack([x, x]), controls=True)
+    with pytest.raises(ValueError, match="one column"):
+        br.residual_replay(jump_bundle, driver, block)
+    plain = replay_columns(jump_bundle, driver, -x)
+    with pytest.raises(ValueError, match="controls"):
+        br.residual_replay(jump_bundle, driver, plain)
 
 
 def test_terminal_shape_validation(jump_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):
-        br.solve_bsde(jump_bundle, driver, np.zeros(7))
+        br.solve_bsde(jump_bundle, driver, np.zeros(7), nodes=(0,))
     with pytest.raises(ValueError):
-        br.solve_bsde(jump_bundle, driver, np.full(jump_bundle.path_count, np.nan))
+        br.solve_bsde(jump_bundle, driver, np.full(jump_bundle.path_count, np.nan), nodes=(0,))
 
 
 def test_mark_count_mismatch_rejected(brownian_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):
-        br.solve_bsde(brownian_bundle, driver, -brownian_bundle.terminal)
+        br.solve_bsde(brownian_bundle, driver, -brownian_bundle.terminal, nodes=(0,))
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +342,7 @@ def block_driver(bundle):
         1.0, br.LinearForm(0.1, (0.2, -0.1), 0.05), bundle.model.jump_intensities)
 
 
-def test_block_sweep_matches_single_solves(two_mark_bundle):
+def test_block_sweep_matches_single_solves(two_mark_bundle, solve_stacked):
     b = two_mark_bundle
     driver = block_driver(b)
     # a tight z clamp makes the clamp counts nonzero
@@ -309,7 +353,7 @@ def test_block_sweep_matches_single_solves(two_mark_bundle):
     block = br.solve_bsde(b, driver, terminals, cfg, nodes=(0, 1), densities=5)
     assert sum(block.clamped_z) > 0
     for j in range(terminals.shape[1]):
-        single = br.solve_bsde(b, driver, terminals[:, j], cfg)
+        single = solve_stacked(b, driver, terminals[:, j], cfg)
         for node in (0, 1):
             np.testing.assert_allclose(block.y[node][:, j], single.y[:, node],
                                        rtol=0.0, atol=1e-10)
@@ -321,7 +365,7 @@ def test_block_sweep_matches_single_solves(two_mark_bundle):
                                    rtol=0.0, atol=1e-10)
 
 
-def test_block_with_one_clamping_column(two_mark_bundle):
+def test_block_with_one_clamping_column(two_mark_bundle, solve_stacked):
     # only the -4x column has controls beyond the clamps, and only at some steps
     b = two_mark_bundle
     driver = block_driver(b)
@@ -330,7 +374,7 @@ def test_block_with_one_clamping_column(two_mark_bundle):
     terminals = np.column_stack([-x, -4.0 * x, -(0.5 * x + 0.2)])
     block = br.solve_bsde(b, driver, terminals, cfg, nodes=(0, 1), densities=3)
     for j in range(3):
-        clamps = reference_sweep(b, driver, terminals[:, j], cfg)[4].sum(axis=0)
+        clamps = reference_sweep(b, driver, terminals[:, j], cfg)[3].sum(axis=0)
         assert (block.clamped_z[j], block.clamped_upsilon[j]) == tuple(clamps), j
     assert block.clamped_z[1] > 0 and block.clamped_upsilon[1] > 0
     # a block of the same width whose middle column clamps nowhere
@@ -343,7 +387,7 @@ def test_block_with_one_clamping_column(two_mark_bundle):
             assert np.array_equal(block.y[node][:, j], other.y[node][:, j]), (node, j)
             assert np.array_equal(block.density[node][:, j], other.density[node][:, j])
     # the clamping column itself agrees with its own solve
-    single = br.solve_bsde(b, driver, terminals[:, 1], cfg)
+    single = solve_stacked(b, driver, terminals[:, 1], cfg)
     np.testing.assert_allclose(block.y[1][:, 1], single.y[:, 1], rtol=0.0, atol=1e-10)
     assert (block.clamped_z[1], block.clamped_upsilon[1]) == (single.clamped_z,
                                                               single.clamped_upsilon)
@@ -353,28 +397,27 @@ def test_block_with_one_clamping_column(two_mark_bundle):
     br.make_qexp_driver(1.0, br.LinearForm(0.1, (), 0.05)),
     br.make_sublinear_driver((br.LinearForm(0.3, ()), br.LinearForm(-0.2, ()))),
 ], ids=["qexp", "sublinear"])
-def test_brownian_block_densities_match_doleans_dade(brownian_bundle, driver):
+def test_brownian_block_densities_match_doleans_dade(brownian_bundle, solve_stacked, driver):
     b = brownian_bundle
     x = b.terminal
     terminals = np.column_stack([-x, -(x * x), -(0.5 * x + 0.2)])
     block = br.solve_bsde(b, driver, terminals, nodes=(0,), densities=3)
     for j in range(3):
-        single = br.solve_bsde(b, driver, terminals[:, j])
+        single = solve_stacked(b, driver, terminals[:, j])
         np.testing.assert_allclose(block.y[0][:, j], single.y[:, 0], rtol=0.0, atol=1e-10)
         rn = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon))
         np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
                                    rtol=0.0, atol=1e-10)
 
 
-def reference_residual_replay(solution):
+def reference_residual_replay(b, driver, solution):
     """Means and standard errors of the replayed identity, one driver call and
     one compensated-jump slice per step."""
-    b = solution.bundle
     n, dt = b.grid.step_count, b.grid.dt
     dnc = b.compensated_dn()
     means, ses = np.empty(n), np.empty(n)
     for i in range(n):
-        g = solution.driver(solution.z[:, i], solution.upsilon[:, i, :])
+        g = driver(solution.z[:, i], solution.upsilon[:, i, :])
         step = solution.y[:, i + 1] - solution.y[:, i] + g * dt
         resid = step - solution.z[:, i] * b.dw[:, i]
         resid -= (solution.upsilon[:, i, :] * dnc[:, i, :]).sum(axis=1)
@@ -383,11 +426,12 @@ def reference_residual_replay(solution):
     return means, ses
 
 
-def test_residual_replay_equals_per_step_replay(two_mark_bundle):
+def test_residual_replay_equals_per_step_replay(two_mark_bundle, solve_stacked):
     b = two_mark_bundle
-    sol = br.solve_bsde(b, block_driver(b), -(b.terminal + 0.5 * b.terminal**2))
-    report = br.residual_replay(sol)
-    means, ses = reference_residual_replay(sol)
+    driver = block_driver(b)
+    sol = solve_stacked(b, driver, -(b.terminal + 0.5 * b.terminal**2))
+    report = br.residual_replay(b, driver, sol.columns)
+    means, ses = reference_residual_replay(b, driver, sol)
     assert np.array_equal(report.means, means)
     assert np.array_equal(report.std_errors, ses)
 

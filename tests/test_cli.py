@@ -176,6 +176,40 @@ def test_validation_error_exits_three(config_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config-validation-error:")
 
 
+VERIFY = ["--set", "task=verify",
+          "--set", 'verify={"checks": ["entropic_identity", "coherent_static"]}']
+
+
+@pytest.mark.parametrize("command, override", [
+    ("verify", "verify.beta=-1"),
+    ("verify", "verify.beta=Infinity"),
+    ("verify", "verify.level=Infinity"),
+    ("risk", "method.fd_step=Infinity"),
+    ("risk", "model.x0=Infinity"),
+    ("risk", "model.mu=NaN"),
+    ("risk", "model.sigma=NaN"),
+    ("risk", "method.ridge=NaN"),
+    ("risk", "method.z_clip=NaN"),
+    ("risk", "method.upsilon_clip=Infinity"),
+], ids=str)
+def test_non_finite_config_value_exits_three(config_path, tmp_path, capsys, command, override):
+    flags = VERIFY if command == "verify" else []
+    code = run_cli(command, "--config", config_path, "--out", tmp_path, *flags,
+                   "--set", override)
+    assert code == 3
+    err = capsys.readouterr().err
+    field = override.split("=")[0].split(".")[-1]
+    assert err.startswith("config-validation-error:") and field in err, err
+
+
+def test_unsupported_payoff_exits_three(config_path, tmp_path, capsys):
+    # exp(1000 x) overflows on the simulated paths
+    code = run_cli("risk", "--config", config_path, "--out", tmp_path, "--set",
+                   'payoff={"family": "exp_affine", "a": 1.0, "b": 1000.0}')
+    assert code == 3
+    assert capsys.readouterr().err.startswith("unsupported-payoff:")
+
+
 def test_task_mismatch_exits_three(config_path, tmp_path, capsys):
     code = run_cli("solve", "--config", config_path, "--out", tmp_path)
     assert code == 3

@@ -415,10 +415,10 @@ def test_run_risk_reports_clamp_counts():
     report = run_scenario(cfg)
     bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
     solution = br.solve_bsde(bundle, cfg.driver, -br.terminal_values(bundle, cfg.payoff),
-                             cfg.method.regression)
+                             cfg.method.regression, nodes=(0,))
     rows = {r.quantity: r for r in report.rows}
-    for name, count in (("rho0_clamped_z", solution.clamped_z),
-                        ("rho0_clamped_upsilon", solution.clamped_upsilon)):
+    for name, count in (("rho0_clamped_z", solution.clamped_z[0]),
+                        ("rho0_clamped_upsilon", solution.clamped_upsilon[0])):
         assert count > 0
         assert rows[name].value == float(count)
         assert rows[name].passed is None and rows[name].check == ""
@@ -510,10 +510,10 @@ def test_verify_solves_claim_once(monkeypatch, checks):
     report = run_scenario(cfg)
     assert len(calls) == 1
     gap = next(r for r in report.rows if r.quantity == "rho0_closed_form_gap")
-    # the gap against a standalone full solve of xi
+    # the gap against a standalone solve of xi
     bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
     xi = br.terminal_values(bundle, cfg.payoff)
-    alone = original(bundle, cfg.driver, -xi, cfg.method.regression).y0
+    alone = original(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0,)).y[0][0, 0]
     closed = float(br.entropic_closed_form(cfg.driver.alpha, xi, 0, bundle,
                                            cfg.method.regression)[0])
     assert gap.value == pytest.approx(abs(alone - closed), rel=0.0, abs=1e-10)

@@ -13,7 +13,9 @@ of ``perfbench/``.
 It then times the desk-scale allocation report: the ``allocate-report``
 scenario at 200000 paths, once with its entropic driver and once with the
 sublinear driver of acceptance criterion 05, one CLI process per side and
-driver (wall time and peak RSS). Last it times the Tier-1 suite and
+driver (wall time and peak RSS). Beside it, the desk-scale ``solve`` task
+(the ``risk-desk`` scenario at 200000 paths, which no perfbench workload
+runs), one CLI process per side. Last it times the Tier-1 suite and
 criterion 05 alone, one pytest process per side.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
@@ -116,12 +118,14 @@ def timed(cmd: list[str], tree: Path, log: Path) -> dict:
             "peak_rss_mb": usage.ru_maxrss / 1024.0, "last_line": lines[-1] if lines else ""}
 
 
-def desk_run(tree: Path, driver: dict | None, scratch: Path) -> dict:
-    """The allocate-report scenario at 200000 paths as one CLI process."""
+def desk_run(tree: Path, workload: str, task: str, driver: dict | None,
+             scratch: Path) -> dict:
+    """A perfbench workload's scenario at 200000 paths as one CLI ``task``
+    process."""
     sys.path.insert(0, str(tree / "perfbench"))
     try:
         import run as bench
-        config = json.loads(json.dumps(bench.WORKLOADS["allocate-report"]["config"]))
+        config = json.loads(json.dumps(bench.WORKLOADS[workload]["config"]))
     finally:
         sys.path.pop(0)
         for name in ("run", "reference", "tracing"):
@@ -132,7 +136,7 @@ def desk_run(tree: Path, driver: dict | None, scratch: Path) -> dict:
     scratch.mkdir(parents=True, exist_ok=True)
     cfg_file = scratch / "desk.json"
     cfg_file.write_text(json.dumps(config, indent=2))
-    cmd = [sys.executable, "-m", "bsderisk.cli", "allocate", "--config", str(cfg_file),
+    cmd = [sys.executable, "-m", "bsderisk.cli", task, "--config", str(cfg_file),
            "--out", str(scratch / "out")]
     return timed(cmd, tree, scratch / "desk.log")
 
@@ -213,9 +217,16 @@ def record(label: str, base: str, scratch: Path) -> None:
     desk = {}
     for name, driver in (("entropic", None), ("sublinear_c05", SUBLINEAR_DRIVER)):
         for side in ("base", "change"):
-            desk[f"{name}.{side}"] = desk_run(sides[side], driver, scratch / f"desk-{side}")
+            desk[f"{name}.{side}"] = desk_run(sides[side], "allocate-report", "allocate",
+                                              driver, scratch / f"desk-{side}")
             print(f"desk {name} {side}: {desk[f'{name}.{side}']}", flush=True)
     rec["desk_allocate_200000_paths"] = desk
+    solve = {}
+    for side in ("base", "change"):
+        solve[side] = desk_run(sides[side], "risk-desk", "solve", None,
+                               scratch / f"solve-{side}")
+        print(f"desk solve {side}: {solve[side]}", flush=True)
+    rec["desk_solve_200000_paths"] = solve
     save()
 
     tests = {}
