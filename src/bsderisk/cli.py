@@ -11,9 +11,10 @@ variable, then the working directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config
 parse error, 3 config validation error or a payoff unsupported on the
-simulated paths, 4 solver failure, 5 estimator failure. Error text goes to stderr prefixed with the failure kind;
-stdout carries only the emitted file paths and the check tally, so
-repeated runs print identical bytes.
+simulated paths (``unsupported-payoff:``), 4 solver failure, 5 estimator
+failure. Error text goes to stderr prefixed with the failure kind; stdout
+carries only the emitted file paths and the check tally, so repeated runs
+print identical bytes.
 """
 
 from __future__ import annotations

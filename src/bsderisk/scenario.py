@@ -337,6 +337,11 @@ def _build_payoff(block: _Block) -> Payoff:
     return PortfolioPayoff(parts=tuple(components))
 
 
+def _finite_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _build_method(block: _Block | None) -> MethodOptions:
     if block is None:
         return MethodOptions()
@@ -349,9 +354,11 @@ def _build_method(block: _Block | None) -> MethodOptions:
     quad_nodes = block.take("quad_nodes", int, required=False, default=16)
     tolerances = block.take("tolerances", dict, required=False, default={})
     block.finish()
-    for name in tolerances:
+    for name, value in tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigValidationError(f"{block.path}.tolerances.{name} is not a known tolerance")
+        if not (_finite_number(value) and value >= 0.0):
+            raise ConfigValidationError(f"{block.path}.tolerances.{name} must be a finite number >= 0")
     if quad_nodes < 1:
         raise ConfigValidationError(f"{block.path}.quad_nodes must be >= 1")
     if fd_step is not None and not 0.0 < fd_step < math.inf:
@@ -388,6 +395,8 @@ def _build_verify(block: _Block | None, mark_count: int) -> VerifyOptions | None
         raise ConfigValidationError(
             f"{block.path}.phi_jumps must have one entry per jump mark ({mark_count})"
         )
+    if not all(_finite_number(p) for p in (phi_z, *phi_jumps)):
+        raise ConfigValidationError(f"{block.path}.phi_z and phi_jumps must be finite numbers")
     if not 0.0 < level < math.inf:
         raise ConfigValidationError(f"{block.path}.level must be positive and finite")
     if not 0.0 <= beta < math.inf:

@@ -45,19 +45,21 @@ def two_mark_bundle(desk_grid):
 
 
 def _solve_stacked(bundle, driver, terminal, config=br.RegressionConfig()):
-    """A one-column solve read at every node with controls, plus its columns
-    stacked into y (M, N+1), z (M, N) and upsilon (M, N, K) arrays and its
-    clamp counts as ints."""
-    n = bundle.grid.step_count
+    """A one-column solve read at every node with controls, stacked into
+    y (M, N+1), z (M, N) and upsilon (M, N, K) arrays (time-major storage,
+    like the bundle's), with its clamp counts as ints. Each node is dropped
+    from the columns once copied, so stacking adds little to the solve's
+    memory."""
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     cols = br.solve_bsde(bundle, driver, terminal, config, nodes=range(n + 1), controls=True)
-    return SimpleNamespace(
-        columns=cols,
-        y=np.stack([cols.y[i][:, 0] for i in range(n + 1)], axis=1),
-        z=np.stack([cols.z[i][:, 0] for i in range(n)], axis=1),
-        upsilon=np.stack([cols.upsilon[i][:, 0] for i in range(n)], axis=1),
-        clamped_z=int(cols.clamped_z[0]),
-        clamped_upsilon=int(cols.clamped_upsilon[0]),
-    )
+    y, z, ups = np.empty((n + 1, m)), np.empty((n, m)), np.empty((n, m, k))
+    for i in range(n + 1):
+        y[i] = cols.y.pop(i)[:, 0]
+    for i in range(n):
+        z[i], ups[i] = cols.z.pop(i)[:, 0], cols.upsilon.pop(i)[:, 0]
+    return SimpleNamespace(y=y.T, z=z.T, upsilon=ups.transpose(1, 0, 2),
+                           clamped_z=int(cols.clamped_z[0]),
+                           clamped_upsilon=int(cols.clamped_upsilon[0]))
 
 
 @pytest.fixture(scope="session")

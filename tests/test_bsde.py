@@ -412,7 +412,7 @@ def test_brownian_block_densities_match_doleans_dade(brownian_bundle, solve_stac
 
 def reference_residual_replay(b, driver, solution):
     """Means and standard errors of the replayed identity, one driver call and
-    one compensated-jump slice per step."""
+    one compensated-jump slice per step, on the stacked solution."""
     n, dt = b.grid.step_count, b.grid.dt
     dnc = b.compensated_dn()
     means, ses = np.empty(n), np.empty(n)
@@ -429,9 +429,9 @@ def reference_residual_replay(b, driver, solution):
 def test_residual_replay_equals_per_step_replay(two_mark_bundle, solve_stacked):
     b = two_mark_bundle
     driver = block_driver(b)
-    sol = solve_stacked(b, driver, -(b.terminal + 0.5 * b.terminal**2))
-    report = br.residual_replay(b, driver, sol.columns)
-    means, ses = reference_residual_replay(b, driver, sol)
+    xi = -(b.terminal + 0.5 * b.terminal**2)
+    report = br.residual_replay(b, driver, replay_columns(b, driver, xi, controls=True))
+    means, ses = reference_residual_replay(b, driver, solve_stacked(b, driver, xi))
     assert np.array_equal(report.means, means)
     assert np.array_equal(report.std_errors, ses)
 

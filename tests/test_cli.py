@@ -184,6 +184,11 @@ VERIFY = ["--set", "task=verify",
     ("verify", "verify.beta=-1"),
     ("verify", "verify.beta=Infinity"),
     ("verify", "verify.level=Infinity"),
+    ("verify", "verify.phi_z=NaN"),
+    ("verify", "verify.phi_jumps=[NaN]"),
+    ("risk", "method.tolerances.closed_form=NaN"),
+    ("risk", "method.tolerances.closed_form=-1"),
+    ("risk", "method.tolerances.closed_form=abc"),
     ("risk", "method.fd_step=Infinity"),
     ("risk", "model.x0=Infinity"),
     ("risk", "model.mu=NaN"),
