@@ -83,6 +83,9 @@ class ClarkOconeResult:
     v               (M, N, K)  jump integrand per mark
     reconstruction  (M,)       mean(xi) + sum_i u_i dW_i + sum_{i,k} v_ki dN~_ki
     residual        relative L2 error of the reconstruction against xi
+
+    u and v are transposed views of time-major (N, M) and (N, M, K) storage,
+    like the bundle's, so the step-i integrand u[:, i] or v[:, i] is contiguous.
     """
 
     u: np.ndarray
@@ -108,13 +111,14 @@ def clark_ocone(
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     xi = terminal_values(bundle, payoff)
 
-    u = np.empty((m, n))
-    v = np.empty((m, n, k))
+    # time-major storage: row i holds the step-i integrands of every path
+    u = np.empty((n, m))
+    v = np.empty((n, m, k))
     recon = np.full(m, xi.mean())
     for i in range(n):
         u_i, v_i = field.project(i, config)
-        u[:, i] = u_i
-        v[:, i, :] = v_i
+        u[i] = u_i
+        v[i] = v_i
         dw_c = bundle.dw[:, i] - bundle.dw[:, i].mean()
         recon += u_i * dw_c
         for j in range(k):
@@ -124,7 +128,8 @@ def clark_ocone(
     scale = float(np.sqrt(np.mean(xi * xi)))
     err = float(np.sqrt(np.mean((recon - xi) ** 2)))
     residual = err / scale if scale > 0.0 else err
-    return ClarkOconeResult(u=u, v=v, reconstruction=recon, residual=residual)
+    return ClarkOconeResult(u=u.T, v=v.transpose(1, 0, 2), reconstruction=recon,
+                            residual=residual)
 
 
 # --------------------------------------------------------------------------
@@ -139,6 +144,10 @@ class EntropicControls:
     upsilon              (M, N, K) exact: (1/gamma) log of the conditional jump ratio
     upsilon_linearized   (M, N, K) first-order variant using the jump field directly
     normalizer           (M, N)    E[e^{-g b (xi - min xi)} | F_t], the shifted Gamma(t)
+
+    Each array is a transposed view of time-major (N, M) or (N, M, K)
+    storage, like the bundle's, so the step-i slice z[:, i] or upsilon[:, i]
+    is contiguous.
     """
 
     gamma: float
@@ -178,10 +187,10 @@ def entropic_controls(
     if beta == 0.0:
         return EntropicControls(
             gamma=gamma, beta=0.0,
-            z=np.zeros((m, n)),
-            upsilon=np.zeros((m, n, k)),
-            upsilon_linearized=np.zeros((m, n, k)),
-            normalizer=np.ones((m, n)),
+            z=np.zeros((n, m)).T,
+            upsilon=np.zeros((n, m, k)).transpose(1, 0, 2),
+            upsilon_linearized=np.zeros((n, m, k)).transpose(1, 0, 2),
+            normalizer=np.ones((n, m)).T,
         )
 
     field = malliavin_derivative(bundle, payoff)
@@ -202,20 +211,21 @@ def entropic_controls(
         + [w * field.jump[:, j] for j in range(k)]
     )
 
-    z = np.empty((m, n))
-    ups = np.empty((m, n, k))
-    ups_lin = np.empty((m, n, k))
-    normalizer = np.empty((m, n))
+    # time-major storage: row i holds the step-i controls of every path
+    z = np.empty((n, m))
+    ups = np.empty((n, m, k))
+    ups_lin = np.empty((n, m, k))
+    normalizer = np.empty((n, m))
     for i in range(n):
         fitted = condexp_at_node(bundle, i, targets, config)
-        den = normalizer[:, i] = fitted[:, 0]
+        den = normalizer[i] = fitted[:, 0]
         bad = np.flatnonzero(den <= 0.0)
         if bad.size:
             raise EstimatorFailure(
                 f"non-positive entropic normalizer at node {i} on {bad.size} paths",
                 paths=bad,
             )
-        z[:, i] = -beta * fitted[:, 1] / den
+        z[i] = -beta * fitted[:, 1] / den
         log_den = np.log(den)
         for j in range(k):
             num = fitted[:, 2 + j]
@@ -225,12 +235,13 @@ def entropic_controls(
                     f"non-positive shifted entropic numerator at node {i}, mark {j}",
                     paths=bad,
                 )
-            ups[:, i, j] = (
+            ups[i, :, j] = (
                 np.log(num) - log_den - gamma * beta * (shifts[j] - c0)
             ) / gamma
-            ups_lin[:, i, j] = -beta * fitted[:, 2 + k + j] / den
-    return EntropicControls(gamma=gamma, beta=beta, z=z, upsilon=ups, upsilon_linearized=ups_lin,
-                            normalizer=normalizer)
+            ups_lin[i, :, j] = -beta * fitted[:, 2 + k + j] / den
+    return EntropicControls(gamma=gamma, beta=beta, z=z.T, upsilon=ups.transpose(1, 0, 2),
+                            upsilon_linearized=ups_lin.transpose(1, 0, 2),
+                            normalizer=normalizer.T)
 
 
 @dataclass(frozen=True)
@@ -270,14 +281,17 @@ def gamma_exponential_check(
     n, k = bundle.grid.step_count, bundle.mark_count
 
     xi = terminal_values(bundle, payoff)
-    # Gamma(T) is the shifted exponential itself
-    gamma_hat = np.column_stack([controls.normalizer, np.exp(-gamma * beta * (xi - xi.min()))])
-    ratio = gamma_hat / gamma_hat[:, :1]
+    # Gamma-hat(t_i) / Gamma-hat(0), one row per node; Gamma(T) is the
+    # shifted exponential itself
+    ratio = np.empty((n + 1, bundle.path_count))
+    ratio[:n] = controls.normalizer.T
+    ratio[n] = np.exp(-gamma * beta * (xi - xi.min()))
+    ratio /= ratio[0].copy()
 
     def gaps_for(upsilon: np.ndarray) -> np.ndarray:
-        phi_jump = np.exp(gamma * upsilon) - 1.0 if k else np.zeros((bundle.path_count, n, 0))
+        phi_jump = np.exp(gamma * upsilon) - 1.0
         rn = doleans_dade(bundle, gamma * controls.z, phi_jump)
-        return np.abs(rn.lam - ratio).mean(axis=0)
+        return np.abs(rn.lam.T - ratio).mean(axis=1)
 
     gaps = gaps_for(controls.upsilon)
     if k:

@@ -45,6 +45,12 @@ class RNProcess:
     lam      (M, N+1) density path, lam[:, 0] == 1
     phi_z    (M, N)   Brownian integrand on [t_i, t_{i+1})
     phi_jump (M, N, K) per-mark jump integrands
+
+    Each field is time-major: lam, and any integrand given as a full array,
+    is the transposed view of (N+1, M), (N, M) or (N, M, K) storage, like the
+    bundle's, so the step-i slice lam[:, i], phi_z[:, i] or phi_jump[:, i] is
+    contiguous; an integrand given as a scalar or another broadcastable shape
+    is a broadcast view.
     """
 
     bundle: PathBundle
@@ -57,23 +63,34 @@ class RNProcess:
         return self.lam[:, -1]
 
 
+def _time_major(values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array of ``shape`` (M, N, ...) whose step-i slice
+    [:, i] is contiguous: a full array is the transposed view of (N, M, ...)
+    storage, copied once if it is stored otherwise; anything that broadcasts
+    to ``shape`` stays a broadcast view."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != shape:
+        return np.broadcast_to(a, shape)
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 def doleans_dade(
     bundle: PathBundle, phi_z: np.ndarray, phi_jump: np.ndarray | None = None
 ) -> RNProcess:
     """Build the stochastic exponential of int phi_z dW + sum_k int phi_k dN~_k.
 
     Integrands must be adapted: the value at step i is the one in force on
-    [t_i, t_{i+1}). A factor 1 + phi_k <= 0 at a realized jump makes the
-    density signed and raises SignedDensityFailure (naming the paths of the
-    first such step); an overflow raises EstimatorFailure.
+    [t_i, t_{i+1}). Full (M, N) and (M, N, K) integrands are read from
+    time-major storage (see RNProcess): a path-major array costs one
+    transposing copy, a transposed view of time-major rows none. A factor
+    1 + phi_k <= 0 at a realized jump makes the density signed and raises
+    SignedDensityFailure (naming the paths of the first such step); an
+    overflow raises EstimatorFailure.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     dt = bundle.grid.dt
-    pz = np.broadcast_to(np.asarray(phi_z, dtype=float), (m, n))
-    if phi_jump is None:
-        pj = np.zeros((m, n, k))
-    else:
-        pj = np.broadcast_to(np.asarray(phi_jump, dtype=float), (m, n, k))
+    pz = _time_major(phi_z, (m, n))
+    pj = _time_major(0.0 if phi_jump is None else phi_jump, (m, n, k))
     if not (np.all(np.isfinite(pz)) and np.all(np.isfinite(pj))):
         raise ValueError("integrands must be finite")
 

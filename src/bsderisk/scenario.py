@@ -380,12 +380,15 @@ def _build_verify(block: _Block | None, mark_count: int) -> VerifyOptions | None
     if block is None:
         return None
     checks = block.take("checks", list)
-    for c in checks:
+    for i, c in enumerate(checks):
         if c not in VERIFY_CHECKS:
             raise ConfigValidationError(
                 f"{block.path}.checks contains unknown check {c!r}; "
                 f"known: {', '.join(VERIFY_CHECKS)}"
             )
+        if c in checks[:i]:
+            # each check writes its rows once, under quantities no other check uses
+            raise ConfigValidationError(f"{block.path}.checks repeats check {c!r}")
     phi_z = block.take("phi_z", float, required=False, default=0.5)
     phi_jumps = block.take("phi_jumps", list, required=False, default=[0.5] * mark_count)
     level = block.take("level", float, required=False, default=0.1)
@@ -442,8 +445,9 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
     paths = mb.take("paths", int)
     cfg_seed = mb.take("seed", int)
     mb.finish()
-    if paths < 1:
-        raise ConfigValidationError("config.mc.paths must be >= 1")
+    if paths < 2:
+        # the terminal variance and every standard error need two paths
+        raise ConfigValidationError("config.mc.paths must be >= 2")
     effective_seed = cfg_seed if seed is None else seed
     if not 0 <= effective_seed < 2**64:
         raise ConfigValidationError("config.mc.seed must be a 64-bit unsigned integer")
@@ -635,20 +639,27 @@ def _verify_doleans(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     v = cfg.verify
     m, n, k = cfg.paths, cfg.grid.step_count, cfg.model.mark_count
-    phi_z = np.full((m, n), v.phi_z)
-    phi_j = np.broadcast_to(np.array(v.phi_jumps), (m, n, k)).copy()
-    rn = doleans_dade(bundle, phi_z, phi_j)
+    # full integrand arrays in the bundle's time-major (N, M) and (N, M, K)
+    # storage
+    phi_z = np.full((n, m), v.phi_z)
+    phi_j = np.full((n, m, k), v.phi_jumps)
+    rn = doleans_dade(bundle, phi_z.T, phi_j.transpose(1, 0, 2))
 
-    # closed form for constant integrands, evaluated at every node
-    t = bundle.grid.dt * np.arange(n + 1)
-    w = np.concatenate([np.zeros((m, 1)), np.cumsum(bundle.dw, axis=1)], axis=1)
-    log_ref = v.phi_z * w - 0.5 * v.phi_z**2 * t
-    for j in range(k):
-        counts = np.concatenate(
-            [np.zeros((m, 1)), np.cumsum(bundle.dn[:, :, j], axis=1)], axis=1)
-        lam = cfg.model.jumps[j].intensity
-        log_ref += counts * math.log1p(v.phi_jumps[j]) - v.phi_jumps[j] * lam * t
-    gap = float(np.abs(rn.lam - np.exp(log_ref)).max())
+    # closed form for constant integrands, node by node: W(t_i) and the
+    # per-mark counts N_k(t_i) are running sums of the bundle's rows
+    w, counts = np.zeros(m), np.zeros((k, m))
+    gaps = np.empty(n + 1)
+    for i in range(n + 1):
+        if i:
+            w += bundle.dw[:, i - 1]
+            counts += bundle.dn[:, i - 1].T
+        t = bundle.grid.dt * i
+        log_ref = v.phi_z * w - 0.5 * v.phi_z**2 * t
+        for j in range(k):
+            lam = cfg.model.jumps[j].intensity
+            log_ref += counts[j] * math.log1p(v.phi_jumps[j]) - v.phi_jumps[j] * lam * t
+        gaps[i] = np.abs(rn.lam[:, i] - np.exp(log_ref)).max()
+    gap = float(gaps.max())
     tol = cfg.method.tolerance("doleans_pathwise")
 
     kaz = kazamaki_check(rn)
@@ -679,8 +690,8 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
     xi = terminal_values(bundle, cfg.payoff)
     n = bundle.grid.step_count
     columns = solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=range(n), controls=True)
-    # time-major stacks viewed as (M, N) and (M, N, K): the memory order in
-    # which the means below sum
+    # time-major stacks viewed as (M, N) and (M, N, K), the storage of the
+    # closed-form controls they are compared with
     z = np.stack([columns.z[i][:, 0] for i in range(n)]).T
     z_gap = float(np.sqrt(np.mean((z - report.controls.z) ** 2)))
     rows = [

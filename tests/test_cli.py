@@ -207,6 +207,20 @@ def test_non_finite_config_value_exits_three(config_path, tmp_path, capsys, comm
     assert err.startswith("config-validation-error:") and field in err, err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--set", "task=simulate"]),
+    ("verify", ["--set", "task=verify", "--set", 'verify={"checks": ["moments"]}']),
+], ids=["simulate", "verify-moments"])
+def test_single_path_exits_three(config_path, tmp_path, capsys, command, flags):
+    # one path has no sample variance: the run is refused, not written as NaN
+    code = run_cli(command, "--config", config_path, "--out", tmp_path, *flags,
+                   "--set", "mc.paths=1")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config-validation-error:") and "config.mc.paths" in err, err
+    assert not (tmp_path / "cli-unit.csv").exists()
+
+
 def test_unsupported_payoff_exits_three(config_path, tmp_path, capsys):
     # exp(1000 x) overflows on the simulated paths
     code = run_cli("risk", "--config", config_path, "--out", tmp_path, "--set",

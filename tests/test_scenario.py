@@ -327,6 +327,14 @@ def test_verify_checks_must_be_known():
         build_scenario(raw)
 
 
+def test_verify_checks_must_not_repeat():
+    # a repeated check would write its rows twice under the same quantities
+    raw = base_config(task="verify")
+    raw["verify"] = {"checks": ["moments", "doleans", "moments"]}
+    with pytest.raises(br.ConfigValidationError, match="repeats check 'moments'"):
+        build_scenario(raw)
+
+
 def test_verify_phi_jumps_length_checked():
     raw = base_config(task="verify")
     raw["verify"] = {"checks": ["doleans"], "phi_jumps": [0.5, 0.5]}

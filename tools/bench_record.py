@@ -13,9 +13,10 @@ of ``perfbench/``.
 It then times the desk-scale allocation report: the ``allocate-report``
 scenario at 200000 paths, once with its entropic driver and once with the
 sublinear driver of acceptance criterion 05, one CLI process per side and
-driver (wall time and peak RSS). Beside it, the desk-scale ``solve`` task
-(the ``risk-desk`` scenario at 200000 paths, which no perfbench workload
-runs), one CLI process per side. Last it times the Tier-1 suite and
+driver (wall time and peak RSS). Beside it, two desk-scale tasks that no
+perfbench workload runs at that size, one CLI process per side: ``solve``
+on the ``risk-desk`` scenario and ``verify`` on the ``verify-battery``
+scenario, both at 200000 paths. Last it times the Tier-1 suite and
 criterion 05 alone, one pytest process per side.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
@@ -221,12 +222,13 @@ def record(label: str, base: str, scratch: Path) -> None:
                                               driver, scratch / f"desk-{side}")
             print(f"desk {name} {side}: {desk[f'{name}.{side}']}", flush=True)
     rec["desk_allocate_200000_paths"] = desk
-    solve = {}
-    for side in ("base", "change"):
-        solve[side] = desk_run(sides[side], "risk-desk", "solve", None,
-                               scratch / f"solve-{side}")
-        print(f"desk solve {side}: {solve[side]}", flush=True)
-    rec["desk_solve_200000_paths"] = solve
+    for workload, task in (("risk-desk", "solve"), ("verify-battery", "verify")):
+        runs = {}
+        for side in ("base", "change"):
+            runs[side] = desk_run(sides[side], workload, task, None,
+                                  scratch / f"{task}-{side}")
+            print(f"desk {task} {side}: {runs[side]}", flush=True)
+        rec[f"desk_{task}_200000_paths"] = runs
     save()
 
     tests = {}
