@@ -349,19 +349,36 @@ def solve_bsde(
     return BsdeColumns(y_at, density, z_at, u_at, clamped_z, clamped_u)
 
 
+# floor of the replay's standard error, in machine epsilons of a step's terms
+REPLAY_SE_FLOOR_ULPS = 64.0
+
+
 @dataclass(frozen=True)
 class ResidualReport:
-    """Cross-path mean of the one-step identity residual, per step."""
+    """Cross-path mean of the one-step identity residual and its SE, per step."""
 
     means: np.ndarray
     std_errors: np.ndarray
     k_sigma: float
 
     @property
+    def z_scores(self) -> np.ndarray:
+        """|mean| / SE per step, 0 where the mean is exactly 0."""
+        return np.divide(np.abs(self.means), self.std_errors,
+                         out=np.zeros_like(self.means), where=self.means != 0.0)
+
+    @property
     def flagged(self) -> np.ndarray:
-        """Step indices where |mean| exceeds k_sigma standard errors."""
-        with np.errstate(invalid="ignore"):
-            return np.flatnonzero(np.abs(self.means) > self.k_sigma * self.std_errors)
+        """Step indices whose z-score exceeds k_sigma or is NaN."""
+        return np.flatnonzero(~(self.z_scores <= self.k_sigma))
+
+    @property
+    def worst_z(self) -> float:
+        return float(self.z_scores.max(initial=0.0))
+
+    @property
+    def passed(self) -> bool:
+        return self.flagged.size == 0
 
 
 def residual_replay(
@@ -378,7 +395,10 @@ def residual_replay(
     std(dY + g dt)/sqrt(M), the noise level the scheme's conditional
     expectations operate at. The residual after subtracting the control
     integrands can have far smaller spread, but its leftover is estimation
-    bias rather than sampling noise, so it would miscalibrate the flag.
+    bias rather than sampling noise, so it would miscalibrate the flag. Its
+    floor, REPLAY_SE_FLOOR_ULPS epsilons of the mean absolute sum of the
+    step's terms, judges a noiseless run, whose means are a few ulps of
+    rounding, against that rounding.
     """
     n = bundle.grid.step_count
     if columns.clamped_z.size != 1:
@@ -388,15 +408,21 @@ def residual_replay(
                          "below N (solve_bsde with controls=True)")
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
+    floor = REPLAY_SE_FLOOR_ULPS * np.finfo(float).eps
     means = np.empty(n)
     ses = np.empty(n)
     for i in range(n):
         z, ups = columns.z[i][:, 0], columns.upsilon[i][:, 0]
-        g = driver(z, ups)
-        step = columns.y[i + 1][:, 0] - columns.y[i][:, 0] + g * dt
-        resid = step - z * bundle.dw[:, i]
+        y_next, y_now = columns.y[i + 1][:, 0], columns.y[i][:, 0]
+        g_dt = driver(z, ups) * dt
+        step = y_next - y_now + g_dt
+        z_dw = z * bundle.dw[:, i]
+        resid = step - z_dw
+        size = np.abs(y_next) + np.abs(y_now) + np.abs(g_dt) + np.abs(z_dw)
         if bundle.mark_count:
-            resid -= (ups * (bundle.dn[:, i] - lam_dt)).sum(axis=1)
+            jumps = ups * (bundle.dn[:, i] - lam_dt)
+            resid -= jumps.sum(axis=1)
+            size += np.abs(jumps).sum(axis=1)
         means[i] = resid.mean()
-        ses[i] = step.std() / np.sqrt(bundle.path_count)
+        ses[i] = max(step.std() / np.sqrt(bundle.path_count), floor * size.mean())
     return ResidualReport(means=means, std_errors=ses, k_sigma=k_sigma)

@@ -1,13 +1,14 @@
 """Driver (generator) families for the backward equations.
 
 All families are deterministic, y-free maps of the controls (z, upsilon),
-with upsilon in R^K holding the jump control at each mark. Two families are
-provided plus the entropic special case:
+with upsilon in R^K holding the jump control at each mark, in two families:
 
   quadratic-exponential   g(z, u) = ell(z, u) + (alpha/2) z^2
                                      + (1/alpha) sum_k (e^{alpha u_k} - 1 - alpha u_k) lambda_k
-  entropic                the qexp family at alpha = gamma, ell = 0
   sublinear               g(z, u) = max_j ( a_j z + sum_k b_{j,k} u_k lambda_k )
+
+The entropic driver is the qexp one at alpha = gamma with ell = 0: ``entropic``
+reads off the coefficients, ``positively_homogeneous`` off the family.
 
 Jump partial derivatives use the per-mark density convention: partial_upsilon
 returns the derivative of the integrand at mark k, not of the lambda_k-weighted
@@ -55,9 +56,6 @@ class LinearForm:
     const: float = 0.0
 
 
-ZERO_FORM = LinearForm()
-
-
 def _as_upsilon(upsilon, mark_count: int) -> np.ndarray:
     u = np.asarray(upsilon, dtype=float)
     if mark_count == 0:
@@ -82,20 +80,24 @@ class Driver:
     family: str
     intensities: tuple[float, ...]
     alpha: float | None = None
-    linear: LinearForm = ZERO_FORM
+    linear: LinearForm = LinearForm()
     forms: tuple[LinearForm, ...] = ()
-    positively_homogeneous: bool = False
-    unscaled_jump_exponent: bool = False
 
     @property
     def mark_count(self) -> int:
         return len(self.intensities)
 
     @property
-    def canonical_entropic(self) -> bool:
-        """The entropic family at its canonical jump exponent, the one whose
-        risk has the closed form (1/gamma) ln E[e^{-gamma xi} | F_t]."""
-        return self.family == "entropic" and not self.unscaled_jump_exponent
+    def entropic(self) -> bool:
+        """A qexp driver with no linear part: the entropic driver at gamma =
+        alpha, whose risk has the closed form (1/gamma) ln E[e^{-gamma xi} | F_t]."""
+        ell = self.linear
+        return self.family == "qexp" and not any((ell.const, ell.z_coef, *ell.jump_coefs))
+
+    @property
+    def positively_homogeneous(self) -> bool:
+        """g(c z, c u) = c g(z, u) for c > 0: the sublinear family."""
+        return self.family == "sublinear"
 
     def __post_init__(self):
         # what evaluate skips and the coefficient arrays it reads, fixed once
@@ -103,9 +105,9 @@ class Driver:
             z_coefs = np.array([f.z_coef for f in self.forms], dtype=float)
             jump_coefs = np.array([f.jump_coefs for f in self.forms], dtype=float)
             plan = (z_coefs, jump_coefs, jump_coefs * np.asarray(self.intensities))
-        elif self.family in ("qexp", "entropic"):
+        elif self.family == "qexp":
             b = np.asarray(self.linear.jump_coefs, dtype=float)
-            plan = (tuple(k for k in range(self.mark_count) if b[k] != 0.0), b)
+            plan = (tuple(k for k, c in enumerate(b) if c != 0.0), b)
         else:
             raise ValueError(f"unknown driver family {self.family!r}")
         object.__setattr__(self, "_plan", plan)
@@ -140,14 +142,9 @@ class Driver:
         core = None
         if self.mark_count:
             au = a * u
-            if self.unscaled_jump_exponent:
-                core = np.exp(u)
-                jump = core - au
-                jump -= 1.0
-            else:
-                core = np.exp(au)
-                core -= 1.0  # e^{alpha u} - 1, also the density core of dg/du
-                jump = np.subtract(core, au, out=au)
+            core = np.exp(au)
+            core -= 1.0  # e^{alpha u} - 1, also the density core of dg/du
+            jump = np.subtract(core, au, out=au)
             if linear_marks:
                 out += _mark_sum(u[..., k] * b[k] * lam[k] for k in linear_marks)
             j = _mark_sum(jump[..., k] * lam[k] for k in range(self.mark_count))
@@ -164,12 +161,7 @@ class Driver:
         if core is None:
             phi_u = np.zeros(np.shape(phi_z) + (0,))
         else:
-            phi_u = core
-            if self.unscaled_jump_exponent:
-                phi_u = phi_u / a
-                phi_u -= 1.0
-            if linear_marks:
-                phi_u = phi_u + b
+            phi_u = core + b if linear_marks else core
         return out, phi_z, phi_u
 
     def _sublinear(self, z, u, columns):
@@ -246,30 +238,15 @@ def make_qexp_driver(
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     lam = _check_intensities(intensities)
-    ell = _check_form(linear or ZERO_FORM, len(lam), "linear part")
+    ell = _check_form(linear or LinearForm(jump_coefs=(0.0,) * len(lam)), len(lam), "linear part")
     return Driver(family="qexp", intensities=lam, alpha=float(alpha), linear=ell)
 
 
-def make_entropic_driver(
-    gamma: float, intensities=(), unscaled_jump_exponent: bool = False
-) -> Driver:
-    """Entropic driver: the qexp family at alpha = gamma with no linear part.
-
-    ``unscaled_jump_exponent`` switches the jump term to the variant
-    (1/gamma) sum_k (e^{u_k} - gamma u_k - 1) lambda_k, which coincides with
-    the canonical form only at gamma = 1. It exists for side-by-side
-    comparison and is never the default.
-    """
+def make_entropic_driver(gamma: float, intensities=()) -> Driver:
+    """Entropic driver: the qexp driver at alpha = gamma with no linear part."""
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    lam = _check_intensities(intensities)
-    return Driver(
-        family="entropic",
-        intensities=lam,
-        alpha=float(gamma),
-        linear=LinearForm(0.0, (0.0,) * len(lam), 0.0),
-        unscaled_jump_exponent=bool(unscaled_jump_exponent),
-    )
+    return make_qexp_driver(gamma, None, intensities)
 
 
 def make_sublinear_driver(forms, intensities=()) -> Driver:
@@ -291,12 +268,7 @@ def make_sublinear_driver(forms, intensities=()) -> Driver:
         checked.append(f)
     if not checked:
         raise ValueError("sublinear driver needs at least one form")
-    return Driver(
-        family="sublinear",
-        intensities=lam,
-        forms=tuple(checked),
-        positively_homogeneous=True,
-    )
+    return Driver(family="sublinear", intensities=lam, forms=tuple(checked))
 
 
 # --------------------------------------------------------------------------

@@ -158,7 +158,10 @@ class PathBundle:
     @cached_property
     def jump_counts(self) -> np.ndarray:
         """Cumulative per-mark jump counts, shape (M, N, K): [:, i] counts steps 0..i."""
-        return np.cumsum(self.dn.transpose(1, 0, 2), axis=0).transpose(1, 0, 2)
+        counts = self.dn.transpose(1, 0, 2).copy()  # time-major rows
+        for i in range(1, counts.shape[0]):
+            counts[i] += counts[i - 1]
+        return counts.transpose(1, 0, 2)
 
     def compensated_dn(self) -> np.ndarray:
         """Jump increments minus their compensator: dN_k - lambda_k dt, shape (M, N, K)."""
@@ -250,7 +253,10 @@ def simulate_paths(
     if errors:
         raise errors[0]
 
-    np.cumsum(state[1:], axis=0, out=state[1:])
+    # the running sum over time as row adds, the order np.cumsum adds in but
+    # without its strided walk down each column
+    for i in range(2, n + 1):
+        state[i] += state[i - 1]
     state[1:] += model.x0
 
     return PathBundle(grid, model, path_count, seed, dw.T, dn.transpose(1, 0, 2), state.T)

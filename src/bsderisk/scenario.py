@@ -15,6 +15,8 @@ A scenario is a JSON document (UTF-8) with the blocks below; dotted paths
                      "jump_coefs": [...], "const": 0.0}
                   | {"family": "sublinear",
                      "forms": [{"z_coef": 0.3, "jump_coefs": [0.1]}, ...]}
+                  ("entropic" is shorthand for qexp at alpha = gamma with no
+                  linear terms; any such driver gets the entropic closed form)
     payoff        {"family": "affine", "a": 0.0, "b": 1.0}
                   | {"family": "exp_affine", "a": 1.0, "b": 1.0}
                   | {"family": "polynomial", "coeffs": [...]}
@@ -231,9 +233,8 @@ def _build_driver(block: _Block, intensities: tuple[float, ...]) -> Driver:
     try:
         if family == "entropic":
             gamma = block.take("gamma", float)
-            unscaled = block.take("unscaled_jump_exponent", bool, required=False, default=False)
             block.finish()
-            return make_entropic_driver(gamma, intensities, unscaled_jump_exponent=unscaled)
+            return make_entropic_driver(gamma, intensities)
         if family == "qexp":
             alpha = block.take("alpha", float)
             z_coef = block.take("z_coef", float, required=False, default=0.0)
@@ -492,7 +493,7 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
         raise ConfigValidationError(f"config.payoff is required for the {effective_task} task")
     if effective_task == "allocate" and payoff is not None and payoff.components is None:
         raise ConfigValidationError("config.payoff.decomposition is required for the allocate task")
-    if driver is not None and not driver.canonical_entropic:
+    if driver is not None and not driver.entropic:
         for check in ("closed_form", "entropic_identity"):
             if effective_task == "verify" and check in verify.checks:
                 raise ConfigValidationError(f"verify check {check} requires an entropic driver")
@@ -547,10 +548,6 @@ def _moment_rows(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     ]
 
 
-def _task_simulate(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
-    return _moment_rows(cfg, bundle)
-
-
 def _clamp_rows(sid: str, label: str, clamped_z, clamped_upsilon) -> list[Row]:
     """How many driver inputs the sweep clamped; information, not a check."""
     return [Row(sid, f"{label}_clamped_z", float(clamped_z)),
@@ -566,14 +563,11 @@ def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     se = float(columns.y[1][:, 0].std() / math.sqrt(cfg.paths)) if n >= 1 else 0.0
     sigmas = cfg.method.tolerance("replay_sigmas")
     replay = residual_replay(bundle, cfg.driver, columns, k_sigma=sigmas)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_scores = np.abs(replay.means) / np.where(replay.std_errors > 0, replay.std_errors, np.inf)
-    worst = float(z_scores.max()) if z_scores.size else 0.0
     return [
         Row(sid, "y0", float(columns.y[0][0, 0]), se),
         *_clamp_rows(sid, "y0", columns.clamped_z[0], columns.clamped_upsilon[0]),
-        Row(sid, "y0_replay_worst_z", worst,
-            check=f"replay_within_{sigmas:g}_se", passed=replay.flagged.size == 0),
+        Row(sid, "y0_replay_worst_z", replay.worst_z,
+            check=f"replay_within_{sigmas:g}_se", passed=replay.passed),
     ]
 
 
@@ -600,7 +594,7 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
     rows.append(Row(sid, "terminal_identity_gap", terminal_gap,
                     check="terminal_identity_exact", passed=terminal_gap == 0.0))
-    if cfg.driver.canonical_entropic:
+    if cfg.driver.entropic:
         rows += _closed_form_rows(cfg, bundle, xi, rho0)
     return rows
 
@@ -777,7 +771,7 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
 
 
 _TASK_RUNNERS = {
-    "simulate": _task_simulate,
+    "simulate": _moment_rows,
     "solve": _task_solve,
     "risk": _task_risk,
     "allocate": _task_allocate,

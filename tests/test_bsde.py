@@ -293,19 +293,36 @@ def replay_columns(bundle, driver, terminal, **kwargs):
     return br.solve_bsde(bundle, driver, terminal, nodes=range(n + 1), **kwargs)
 
 
+def deterministic_replay_case():
+    """No noise at all: sigma = 0, no jumps, so every path is the same and
+    each step's sampling error is exactly zero."""
+    bundle = br.simulate_paths(br.build_grid(1.0, 10), br.LevyModel(x0=0.0, mu=0.1, sigma=0.0),
+                               1000, 1)
+    return bundle, br.make_qexp_driver(1.0, br.LinearForm(const=0.3)), 0.1 + 3.0 * bundle.terminal
+
+
 def test_residual_replay_clean_solution(jump_bundle):
-    driver = br.make_entropic_driver(1.0, (1.5,))
-    cols = replay_columns(jump_bundle, driver, -jump_bundle.terminal, controls=True)
-    report = br.residual_replay(jump_bundle, driver, cols)
-    assert report.flagged.size == 0
+    # in the deterministic case the replay means are rounding and the sampling
+    # error is 0: the standard error floor keeps every step unflagged
+    cases = [(jump_bundle, br.make_entropic_driver(1.0, (1.5,)), -jump_bundle.terminal),
+             deterministic_replay_case()]
+    for bundle, driver, terminal in cases:
+        cols = replay_columns(bundle, driver, terminal, controls=True)
+        report = br.residual_replay(bundle, driver, cols)
+        assert report.flagged.size == 0
+        assert np.all(report.std_errors > 0.0)
+        assert report.passed and report.worst_z == float(report.z_scores.max())
 
 
 def test_residual_replay_flags_corruption(jump_bundle):
-    driver = br.make_entropic_driver(1.0, (1.5,))
-    cols = replay_columns(jump_bundle, driver, -jump_bundle.terminal, controls=True)
-    cols.y[20][:, 0] += 0.05  # corrupt one node; steps 19 and 20 both see it
-    report = br.residual_replay(jump_bundle, driver, cols)
-    assert set(report.flagged) == {19, 20}
+    cases = [(jump_bundle, br.make_entropic_driver(1.0, (1.5,)), -jump_bundle.terminal, 20),
+             (*deterministic_replay_case(), 5)]
+    for bundle, driver, terminal, node in cases:
+        cols = replay_columns(bundle, driver, terminal, controls=True)
+        cols.y[node][:, 0] += 0.05  # corrupt one node; steps node-1 and node both see it
+        report = br.residual_replay(bundle, driver, cols)
+        assert set(report.flagged) == {node - 1, node}
+        assert not report.passed
 
 
 def test_residual_replay_needs_one_column_with_controls(jump_bundle):

@@ -196,6 +196,7 @@ VERIFY = ["--set", "task=verify",
     ("risk", "method.ridge=NaN"),
     ("risk", "method.z_clip=NaN"),
     ("risk", "method.upsilon_clip=Infinity"),
+    ("risk", "driver.gamma=NaN"),
 ], ids=str)
 def test_non_finite_config_value_exits_three(config_path, tmp_path, capsys, command, override):
     flags = VERIFY if command == "verify" else []
@@ -205,6 +206,25 @@ def test_non_finite_config_value_exits_three(config_path, tmp_path, capsys, comm
     err = capsys.readouterr().err
     field = override.split("=")[0].split(".")[-1]
     assert err.startswith("config-validation-error:") and field in err, err
+
+
+def test_deterministic_solve_passes_its_replay(tmp_path):
+    # sigma = 0 and no jumps: the replay's sampling error is exactly 0 and its
+    # means are rounding, which the floored standard error lets pass
+    cfg = {
+        "scenario_id": "deterministic",
+        "grid": {"horizon": 1.0, "steps": 10},
+        "mc": {"paths": 1000, "seed": 1},
+        "model": {"x0": 0.0, "mu": 0.1, "sigma": 0.0},
+        "driver": {"family": "qexp", "alpha": 1.0, "const": 0.3},
+        "payoff": {"family": "affine", "a": 0.1, "b": 3.0},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("solve", "--config", path, "--out", tmp_path / "out") == 0
+    rows = read_report(tmp_path / "out" / "deterministic.csv").rows
+    replay = next(r for r in rows if r.quantity == "y0_replay_worst_z")
+    assert replay.passed and 0.0 < replay.value < 1.0
 
 
 @pytest.mark.parametrize("command, flags", [

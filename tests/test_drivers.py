@@ -1,5 +1,6 @@
 """Driver families: values, partials and the sampled assumption checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,31 +29,34 @@ def test_qexp_value_matches_reference():
 
 def test_entropic_is_qexp_special_case():
     gamma = 2.3
+    for lam in ((), (1.5,), (1.5, 0.5)):
+        ent = br.make_entropic_driver(gamma, lam)
+        # the default linear part has one zero jump coefficient per mark
+        assert ent == br.make_qexp_driver(gamma, None, lam)
+        assert ent.family == "qexp" and ent.entropic and not ent.positively_homogeneous
+        k = len(lam)
+        qexp = br.make_qexp_driver(gamma, br.LinearForm(0.0, (0.0,) * k, 0.0), lam)
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=100)
+        u = rng.normal(size=(100, k))
+        np.testing.assert_allclose(ent(z, u), qexp(z, u), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(ent.partial_z(z, u), qexp.partial_z(z, u), atol=1e-14)
+        np.testing.assert_allclose(
+            ent.partial_upsilon(z, u), qexp.partial_upsilon(z, u), atol=1e-14
+        )
+
+
+def test_entropic_and_homogeneous_read_off_the_coefficients():
     lam = (1.5,)
-    ent = br.make_entropic_driver(gamma, lam)
-    qexp = br.make_qexp_driver(gamma, br.LinearForm(0.0, (0.0,), 0.0), lam)
-    rng = np.random.default_rng(0)
-    z = rng.normal(size=100)
-    u = rng.normal(size=(100, 1))
-    np.testing.assert_allclose(ent(z, u), qexp(z, u), rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(ent.partial_z(z, u), qexp.partial_z(z, u), atol=1e-14)
-    np.testing.assert_allclose(
-        ent.partial_upsilon(z, u), qexp.partial_upsilon(z, u), atol=1e-14
-    )
-
-
-def test_unscaled_variant_matches_canonical_only_at_gamma_one():
-    lam = (1.2,)
-    z = np.array([0.5])
-    u = np.array([[0.7]])
-    for gamma in (1.0, 2.0):
-        canon = br.make_entropic_driver(gamma, lam)
-        alt = br.make_entropic_driver(gamma, lam, unscaled_jump_exponent=True)
-        gap = abs(float((canon(z, u) - alt(z, u))[0]))
-        if gamma == 1.0:
-            assert gap < 1e-14
-        else:
-            assert gap > 1e-3
+    for ell in (br.LinearForm(const=0.1, jump_coefs=(0.0,)),
+                br.LinearForm(z_coef=-0.2, jump_coefs=(0.0,)),
+                br.LinearForm(jump_coefs=(0.3,))):
+        assert not br.make_qexp_driver(2.0, ell, lam).entropic
+    assert br.make_qexp_driver(2.0, br.LinearForm(-0.0, (-0.0,), -0.0), lam).entropic
+    sub = br.make_sublinear_driver((br.LinearForm(0.0, (0.0,)),), lam)
+    assert sub.positively_homogeneous and not sub.entropic
+    assert [f.name for f in dataclasses.fields(br.Driver)] == [
+        "family", "intensities", "alpha", "linear", "forms"]
 
 
 def test_sublinear_value_and_tie_break():
@@ -70,7 +74,6 @@ def test_partials_match_finite_differences():
     drivers = [
         br.make_qexp_driver(1.7, br.LinearForm(0.4, (0.1, -0.3), 0.2), (1.5, 0.5)),
         br.make_entropic_driver(2.0, (1.5, 0.5)),
-        br.make_entropic_driver(2.0, (1.5, 0.5), unscaled_jump_exponent=True),
     ]
     rng = np.random.default_rng(1)
     for d in drivers:
@@ -199,10 +202,7 @@ def reference_value(d, z, u):
     if d.mark_count:
         b = np.asarray(d.linear.jump_coefs)
         out += (u * b * lam).sum(axis=-1)
-        if d.unscaled_jump_exponent:
-            j = np.exp(u) - a * u - 1.0
-        else:
-            j = np.exp(a * u) - 1.0 - a * u
+        j = np.exp(a * u) - 1.0 - a * u
         out += (j * lam).sum(axis=-1) / a
     return out
 
@@ -218,9 +218,8 @@ def reference_partial_upsilon(d, z, u):
     if d.mark_count == 0:
         return np.zeros(z.shape + (0,))
     if d.family != "sublinear":
-        a, b = d.alpha, np.asarray(d.linear.jump_coefs)
-        core = np.exp(u) / a - 1.0 if d.unscaled_jump_exponent else np.exp(d.alpha * u) - 1.0
-        return b + core
+        b = np.asarray(d.linear.jump_coefs)
+        return b + (np.exp(d.alpha * u) - 1.0)
     idx = reference_scores(d, z, u).argmax(axis=-1)
     return np.array([f.jump_coefs for f in d.forms])[idx]
 
@@ -239,7 +238,7 @@ coefficient = st.one_of(st.just(0.0), st.floats(-0.9, 2.0))
 def drivers_and_controls(draw):
     k = draw(st.integers(0, 2))
     lam = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)))
-    kind = draw(st.sampled_from(["qexp", "entropic", "unscaled", "sublinear"]))
+    kind = draw(st.sampled_from(["qexp", "entropic", "sublinear"]))
     if kind == "qexp":
         form = br.LinearForm(draw(coefficient), tuple(draw(coefficient) for _ in lam),
                              draw(coefficient))
@@ -249,8 +248,7 @@ def drivers_and_controls(draw):
                  for _ in range(draw(st.integers(1, 3)))]
         driver = br.make_sublinear_driver(forms, lam)
     else:
-        driver = br.make_entropic_driver(draw(st.floats(0.1, 3.0)), lam,
-                                         unscaled_jump_exponent=kind == "unscaled")
+        driver = br.make_entropic_driver(draw(st.floats(0.1, 3.0)), lam)
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     z = np.array(draw(st.lists(control, min_size=rows * cols, max_size=rows * cols)))
     u = np.array(draw(st.lists(control, min_size=rows * cols * k, max_size=rows * cols * k)))

@@ -147,7 +147,7 @@ def test_build_scenario_happy_path():
     cfg = build_scenario(base_config())
     assert cfg.scenario_id == "unit"
     assert cfg.task == "risk"
-    assert cfg.driver.family == "entropic"
+    assert cfg.driver.entropic and cfg.driver.alpha == 2.0
     assert cfg.seed == 11
     assert cfg.resolved["mc"]["seed"] == 11
 
@@ -302,6 +302,18 @@ def test_risk_mode_is_unknown_field(tmp_path, capsys):
     assert "unknown field config.method.risk_mode" in capsys.readouterr().err
 
 
+def test_unscaled_jump_exponent_is_unknown_field(tmp_path, capsys):
+    raw = base_config()
+    raw["driver"]["unscaled_jump_exponent"] = True
+    with pytest.raises(br.ConfigValidationError,
+                       match=r"^unknown field config\.driver\.unscaled_jump_exponent$"):
+        build_scenario(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["risk", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "unknown field config.driver.unscaled_jump_exponent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("check", ["closed_form", "entropic_identity"])
 def test_entropic_verify_checks_require_entropic_driver(check):
     # rejected before any path is simulated, not after the earlier checks ran
@@ -405,6 +417,21 @@ def test_run_risk_rows_include_closed_form_gap():
     assert report.all_passed
     gap_row = next(r for r in report.rows if r.quantity == "rho0_closed_form_gap")
     assert gap_row.check == "closed_form_within_0.05"
+
+
+def test_run_risk_closed_form_for_qexp_without_linear_part():
+    # a qexp driver with no linear terms is the entropic driver at gamma = alpha
+    raw = base_config(task="risk")
+    raw["method"] = {"tolerances": {"closed_form": 0.05}}
+    entropic = run_scenario(build_scenario(raw)).rows
+    raw["driver"] = {"family": "qexp", "alpha": 2.0}
+    report = run_scenario(build_scenario(raw))
+    gap_row = next(r for r in report.rows if r.quantity == "rho0_closed_form_gap")
+    assert gap_row.passed and gap_row.check == "closed_form_within_0.05"
+    assert report.rows == entropic
+    raw["task"] = "verify"
+    raw["verify"] = {"checks": ["closed_form", "entropic_identity"]}
+    assert build_scenario(raw).driver.entropic
 
 
 def test_run_risk_skips_closed_form_for_qexp():

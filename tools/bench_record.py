@@ -20,9 +20,10 @@ scenario, both at 200000 paths. Last it times the Tier-1 suite and
 criterion 05 alone, one pytest process per side.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
-(``nproc``, CPU, BLAS, numpy and Python versions), every result line of
-every run, and per workload and metric the median and quartiles of each
-side, the pairs the change won and the ratio of the medians.
+(``nproc``, CPU, BLAS, numpy and Python versions), the line count of
+``src/bsderisk/*.py`` on each side, every result line of every run, and per
+workload and metric the median and quartiles of each side, the pairs the
+change won and the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ def machine() -> dict:
         "numpy": np.__version__,
         "python": platform.python_version(),
     }
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/bsderisk/*.py`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "bsderisk").glob("*.py"))
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -191,6 +198,7 @@ def record(label: str, base: str, scratch: Path) -> None:
         "base": git("rev-parse", base),
         "change": git("rev-parse", "HEAD") + (" + uncommitted changes" if status else ""),
         "machine": machine(),
+        "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         "perfbench": f"perfbench/run.py --seconds {SECONDS:g} --trace 0, "
                      f"seeds {FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, alternating order",
         "workloads": {},
