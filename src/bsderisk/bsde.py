@@ -20,14 +20,24 @@ the controls, the clamped values the driver actually saw) at the nodes the
 caller reads. ``residual_replay`` checks a one-column solve read at every node.
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure.doleans_dade`` share it and its guards.
+
+Every fit, in the sweep or standalone (``regress_condexp``), finds its
+coefficients on the calling thread with F Y^T summed over path chunks in path
+order, and forms its fitted values chunk by chunk; no BLAS call is large
+enough to wake OpenBLAS's threads. The sweep runs its per-path work over
+contiguous path ranges, one thread per usable CPU for large blocks, and its
+results do not depend on the number of ranges.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import market
 from .drivers import Driver
 from .errors import EstimatorFailure, SignedDensityFailure, SolverFailure
 from .market import PathBundle
@@ -70,17 +80,93 @@ class RegressionConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
-def regress_condexp(
-    features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8, gram=None
-):
+# the multiply-adds of one BLAS call of a fit, q target rows by p basis rows
+# over a chunk of paths, stay at or below 2^17: OpenBLAS (0.3.31) may run a
+# product on its own threads above 2^18 (65536 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4), and those threads then spin-wait between
+# calls on CPUs the sweep's path ranges need
+_BLAS_BLOCK = 2**17
+_MAX_CHUNK = 16384
+
+
+def _chunk_length(q: int, p: int) -> int:
+    """Paths per BLAS call of a fit of q target rows on p basis rows: the
+    largest power of two with q p chunk <= 2^17, at most 16384 and at least
+    2 (see ``_fit_range``)."""
+    chunk = _MAX_CHUNK
+    while chunk > 2 and q * p * chunk > _BLAS_BLOCK:
+        chunk //= 2
+    return chunk
+
+
+def _coefficients(design, rows: np.ndarray, ridge: float, gram=None) -> np.ndarray:
+    """What the fits of ``rows`` (q, M) on ``design`` (p, M) need on any path
+    range: the (p, q) ridge coefficients, or the q cross-path means when
+    ``design`` is None.
+
+    The penalty is not applied to a constant first basis row. F Y^T is
+    summed over path chunks in path order (see ``_chunk_length``), so the
+    coefficients do not depend on how the fitted values are split. ``gram``
+    is design design^T when the caller has already formed it. With ridge = 0
+    a rank-deficient design raises SolverFailure rather than silently
+    picking a pseudoinverse solution.
+    """
+    if design is None:
+        return rows.T.mean(axis=0)
+    p, m = design.shape
+    if ridge == 0.0:
+        beta, _, rank, _ = np.linalg.lstsq(design.T, rows.T, rcond=None)
+        if rank < p:
+            raise SolverFailure(
+                f"design matrix rank {rank} < {p} columns with zero penalty"
+            )
+        return beta
+    penalty = np.full(p, ridge)
+    if np.all(design[0] == design[0, 0]):
+        penalty[0] = 0.0
+    chunk = _chunk_length(rows.shape[0], p)
+    moments = design[:, :chunk] @ rows[:, :chunk].T
+    for lo in range(chunk, m, chunk):
+        moments += design[:, lo:lo + chunk] @ rows[:, lo:lo + chunk].T
+    gram = (design @ design.T if gram is None else gram) + np.diag(penalty)
+    return np.linalg.solve(gram, moments)
+
+
+def _fit_range(coef: np.ndarray, design, out: np.ndarray, lo: int, hi: int) -> None:
+    """Write the fitted values of ``_coefficients`` on paths lo..hi-1 into
+    out[:, lo:hi] (out is (q, M)): coef^T design in path chunks, or the
+    means. The bits of a fitted value do not depend on the range or chunk
+    that holds it. Matrix products give that for any piece of two or more
+    paths, so a trailing single path joins the chunk before it; a single
+    row is a sum of scaled basis rows instead, as a matrix-vector kernel
+    rounds differently at different offsets."""
+    if design is None:
+        out[:, lo:hi] = coef[:, None]
+        return
+    q, p = out.shape[0], design.shape[0]
+    chunk = _chunk_length(q, p)
+    start = lo
+    while start < hi:
+        stop = hi if hi - start <= chunk + 1 else start + chunk
+        if q == 1:
+            row = np.multiply(design[0, start:stop], coef[0, 0], out=out[0, start:stop])
+            for j in range(1, p):
+                row += design[j, start:stop] * coef[j, 0]
+        else:
+            np.matmul(coef.T, design[:, start:stop], out=out[:, start:stop])
+        start = stop
+
+
+def regress_condexp(features, targets, ridge: float = 1e-8):
     """Fitted values of a (ridge) least-squares regression.
 
     ``features`` is (M, p); ``targets`` is (M,) or (M, q) for q regressions
     sharing one design matrix. The penalty is not applied to an intercept
     (constant) column in position 0. With ridge = 0 a rank-deficient design
     raises SolverFailure rather than silently picking a pseudoinverse
-    solution. ``gram`` is the design's F^T F when the caller has already
-    formed it (it is not modified); with ridge = 0 it is not used.
+    solution. The backward sweep fits with the same two steps
+    (``_coefficients``, then ``_fit_range``), so its fits and this one agree
+    bit for bit.
 
     A 2-d fit is returned as the (M, q) transpose of a (q, M) array, so each
     fitted column is contiguous.
@@ -95,20 +181,10 @@ def regress_condexp(
         )
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    p = f.shape[1]
-    if ridge == 0.0:
-        beta, _, rank, _ = np.linalg.lstsq(f, y, rcond=None)
-        if rank < p:
-            raise SolverFailure(
-                f"design matrix rank {rank} < {p} columns with zero penalty"
-            )
-        return (beta.T @ f.T).T
-    penalty = np.full(p, ridge)
-    if np.all(f[:, 0] == f[0, 0]):
-        penalty[0] = 0.0
-    gram = (f.T @ f if gram is None else gram) + np.diag(penalty)
-    beta = np.linalg.solve(gram, f.T @ y)
-    return (beta.T @ f.T).T
+    rows = y.reshape(y.shape[0], -1).T
+    fit = np.empty(rows.shape)
+    _fit_range(_coefficients(f.T, rows, ridge), f.T, fit, 0, f.shape[0])
+    return fit.T if y.ndim == 2 else fit[0]
 
 
 def _standardize(col: np.ndarray):
@@ -153,25 +229,20 @@ def condexp_at_node(
     """Estimate E[targets | F_{t_node}] pathwise.
 
     Node N (the horizon) returns the targets unchanged; nodes with
-    degenerate features return the plain cross-path mean.
+    degenerate features return the plain cross-path mean, in the targets'
+    memory layout.
     """
     y = np.asarray(targets, dtype=float)
     if node < 0 or node > bundle.grid.step_count:
         raise ValueError(f"node {node} outside grid 0..{bundle.grid.step_count}")
     if node == bundle.grid.step_count:
         return y
-    return _project(features_at_node(bundle, node, config), y, config.ridge)
-
-
-def _project(feats: np.ndarray | None, targets: np.ndarray, ridge: float,
-             gram=None) -> np.ndarray:
-    """Regression fit on the design; the plain cross-path mean without one,
-    in the targets' memory layout."""
+    feats = features_at_node(bundle, node, config)
     if feats is None:
-        fit = np.empty_like(targets)
-        fit[...] = targets.mean(axis=0)
+        fit = np.empty_like(y)
+        fit[...] = y.mean(axis=0)
         return fit
-    return regress_condexp(feats, targets, ridge, gram)
+    return regress_condexp(feats, y, config.ridge)
 
 
 @dataclass(frozen=True)
@@ -199,35 +270,50 @@ class BsdeColumns:
     clamped_upsilon: np.ndarray
 
 
-def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt) -> None:
+def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt, work) -> np.ndarray:
     """One step of D stochastic exponentials of int phi_z dW + sum_k int
     phi_k dN~_k, in place: log_l (M, D) adds phi_z dW - phi_z^2 dt / 2 -
     sum_k phi_k lambda_k dt and jump_l (M, D) multiplies in prod_k
     (1 + phi_k)^{dN_k}, a product so that an overflow stays non-finite (a sum
     of logs would exponentiate to a finite zero). phi_z (M, D), phi_jump
-    (M, D, K), dw (M,), dn (M, K)."""
-    step = phi_z * dw[:, None] - 0.5 * phi_z * phi_z * dt
+    (M, D, K), dw (M,), dn (M, K); ``work`` is two scratch arrays of log_l's
+    shape.
+
+    Returns the rows (paths) where a per-jump factor 1 + phi_k is
+    non-positive at a realized jump, in order; jump_l is then left as it
+    was. An empty array when there are none."""
+    step, drift = work
+    np.multiply(phi_z, dw[:, None], out=step)
+    # phi_z^2 dt / 2, multiplied in the order of 0.5 * phi_z * phi_z * dt
+    np.multiply(phi_z, 0.5, out=drift)
+    drift *= phi_z
+    drift *= dt
+    step -= drift
     if lam_dt.size:
         # the compensator sum_k phi_k lambda_k dt, added in mark order as
         # ndarray.sum over the mark axis does
-        comp = phi_jump[..., 0] * lam_dt[0]
+        np.multiply(phi_jump[..., 0], lam_dt[0], out=drift)
         for k in range(1, lam_dt.size):
-            comp += phi_jump[..., k] * lam_dt[k]
-        step -= comp
+            drift += phi_jump[..., k] * lam_dt[k]
+        step -= drift
     log_l += step
     # the per-jump factors 1 + phi_k enter only on paths where a mark fired
     jumped = np.flatnonzero(dn.any(axis=1))
     factors, jumps = 1.0 + phi_jump[jumped], dn[jumped, None, :]
-    bad = ((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))
-    if np.any(bad):
-        paths = jumped[bad]
-        raise SignedDensityFailure(
-            f"non-positive per-jump factor at a realized jump on "
-            f"{paths.size} paths (first: {paths[:5]})",
-            paths=paths,
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        jump_l[jumped] *= (factors ** jumps).prod(axis=2)
+    bad = jumped[((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))]
+    if not bad.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            jump_l[jumped] *= (factors ** jumps).prod(axis=2)
+    return bad
+
+
+def _signed_density(paths: np.ndarray) -> SignedDensityFailure:
+    """The failure for the paths ``_doleans_step`` returned."""
+    return SignedDensityFailure(
+        f"non-positive per-jump factor at a realized jump on "
+        f"{paths.size} paths (first: {paths[:5]})",
+        paths=paths,
+    )
 
 
 def _exponential(log_l, jump_l) -> np.ndarray:
@@ -252,6 +338,84 @@ def _clamp(values: np.ndarray, bound: float, axis):
     return counts
 
 
+# a sweep splits its per-path work over threads from this many values per
+# (B, M) block; below it thread hand-offs cost more than they save
+_SPLIT_FLOOR = 2**17
+
+
+def _attempt(phase, *args):
+    """(True, result) or (False, the exception raised)."""
+    try:
+        return True, phase(*args)
+    except Exception as exc:  # raised again in the calling thread
+        return False, exc
+
+
+class _PathRanges:
+    """The contiguous path ranges of a sweep's per-path phases: one per usable
+    CPU for a block of at least ``_SPLIT_FLOOR`` values, else one. Each range
+    after the first has a thread of its own while the object is open
+    (``with``); numpy releases the interpreter lock in its loops."""
+
+    def __init__(self, paths: int, columns: int):
+        # at least two paths a range, see _fit_range
+        split = columns * paths >= _SPLIT_FLOOR and paths >= 2
+        workers = market._worker_count(paths // 2) if split else 1
+        edges = [paths * w // workers for w in range(workers + 1)]
+        self.ranges = list(zip(edges[:-1], edges[1:]))
+        self._job = None
+        self._outcomes = [None] * workers
+        # per thread: the lock it waits on for a phase, and the one it
+        # releases when done
+        self._locks = [(threading.Lock(), threading.Lock()) for _ in range(1, workers)]
+        for go, done in self._locks:
+            go.acquire()
+            done.acquire()
+        self._threads = [threading.Thread(target=self._serve, args=(w,), daemon=True)
+                         for w in range(1, workers)]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self, w: int) -> None:
+        go, done = self._locks[w - 1]
+        while True:
+            go.acquire()
+            if self._job is None:
+                return
+            phase, contexts = self._job
+            self._outcomes[w] = _attempt(contexts[w - 1].run, phase, *self.ranges[w])
+            done.release()
+
+    def run(self, phase) -> list:
+        """phase(lo, hi) on every range, the first on the calling thread, the
+        others under a copy of the caller's context (numpy's error state is
+        per thread). Returns the results in range order once all ranges have
+        finished; an exception is raised again in the calling thread, the
+        first in range order."""
+        self._job = (phase, [contextvars.copy_context() for _ in self._threads])
+        for go, _ in self._locks:
+            go.release()
+        try:
+            self._outcomes[0] = _attempt(phase, *self.ranges[0])
+        finally:
+            for _, done in self._locks:
+                done.acquire()
+        for ok, value in self._outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in self._outcomes]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._job = None
+        for go, _ in self._locks:
+            go.release()
+        for thread in self._threads:
+            thread.join()
+
+
 def solve_bsde(
     bundle: PathBundle,
     driver: Driver,
@@ -272,8 +436,15 @@ def solve_bsde(
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
-    the driver, the regression and ``_doleans_step`` see their transposes,
-    which have the shapes of their contracts.
+    the driver and ``_doleans_step`` see their transposes, which have the
+    shapes of their contracts. These arrays are allocated once per sweep
+    and written in place, except where a read node keeps one.
+    Each step finds the regression coefficients on the calling thread and
+    runs the rest in two per-path phases over contiguous path ranges, one
+    thread per usable CPU for blocks of at least ``_SPLIT_FLOOR`` values:
+    (A) the fit of Y_{i+1} and the control targets, (B) the fitted controls,
+    the clamps, the driver, the value update and the Doleans-Dade step. The
+    results do not depend on the number of ranges.
     The first ``densities`` columns also run ``_doleans_step`` on the driver's
     partials at their controls and return L(T)/L(t_node), under its guards
     and the uniform Kazamaki bound: a dg/du_k below -1 + 1e-12 at any step
@@ -295,50 +466,111 @@ def solve_bsde(
     lam_dt = bundle.model.jump_intensities * dt
     # the (B, M) value process, copied once from the terminal
     cur = xi.reshape(m, -1).T.copy()
+    cols = cur.shape[0]
     y_at = {n: cur.T} if n in reads else {}
     z_at, u_at = {}, {}
     log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
-    clamped_z = clamped_u = np.zeros(cur.shape[0], dtype=np.int64)
-    increments = np.empty((1 + k, m))
+    clamped_z = clamped_u = np.zeros(cols, dtype=np.int64)
     worst = np.inf
 
-    for i in range(n - 1, -1, -1):
-        feats = features_at_node(bundle, i, config)
-        gram = None if feats is None else feats.T @ feats
-        y_fit = _project(feats, cur.T, config.ridge, gram).T
+    # the step workspace, allocated in the first step after its design: that
+    # design may build the bundle's cached jump counts, and a long-lived
+    # array allocated above the workspace would keep the heap from reusing
+    # its memory once the sweep frees it. ``fits``, the fit of the control
+    # targets, and ``loose``, rows for a value that no read node keeps, are
+    # allocated when a step first needs them
+    y_fit = fits = loose = None
+    with _PathRanges(m, cols) as ranges:
+        for i in range(n - 1, -1, -1):
+            design = features_at_node(bundle, i, config)
+            if design is not None:
+                design = design.T  # the (p, M) basis rows
+            gram = None if design is None else design @ design.T
+            y_coef = _coefficients(design, cur, config.ridge, gram)
+            dw, dn = bundle.dw[:, i], bundle.dn[:, i]
+            if y_fit is None:
+                # the fit of Y_{i+1}, the control targets (1 + K, B, M), the
+                # compensated jumps, the driver's partials and the
+                # Doleans-Dade step's scratch
+                y_fit = np.empty((cols, m))
+                targets = np.empty((1 + k, cols, m))
+                comp_dn = np.empty((k, m))
+                phi_z, phi_u = np.empty((densities, m)), np.empty((k, densities, m))
+                work = (np.empty((densities, m)), np.empty((densities, m)))
 
-        # martingale-increment control variate: the fitted mean is known at
-        # t_i and the increments are conditionally centered, so subtracting
-        # it leaves the estimand unchanged while the target variance drops
-        # from O(Y^2) to O(one-step variance); targets are (1 + K, B, M)
-        increments[0] = bundle.dw[:, i]
-        np.subtract(bundle.dn[:, i].T, lam_dt[:, None], out=increments[1:])
-        targets = (cur - y_fit)[None] * increments[:, None]
-        fitted = _project(feats, targets.reshape(-1, m).T, config.ridge,
-                          gram).T.reshape(targets.shape)
-        z_i, u_i = fitted[0], fitted[1:]
-        z_i /= dt
-        u_i /= lam_dt[:, None, None]
-        clamped_z = clamped_z + _clamp(z_i, config.z_clip, 1)
-        if k:
-            clamped_u = clamped_u + _clamp(u_i, config.upsilon_clip, (0, 2))
-        out, phi_z, phi_jump = driver.evaluate(z_i.T, u_i.T, densities)
-        cur = out.T
-        cur *= dt
-        cur += y_fit
-        # a finite sum has finite terms; only a non-finite one needs the scan
-        if not np.isfinite(cur.sum()) and not np.all(np.isfinite(cur)):
-            raise SolverFailure(f"non-finite value process at step {i}", step=i)
+            def phase_a(lo, hi):
+                # martingale-increment control variate: the fitted mean is
+                # known at t_i and the increments are conditionally centered,
+                # so subtracting it leaves the estimand unchanged while the
+                # target variance drops from O(Y^2) to O(one-step variance)
+                _fit_range(y_coef, design, y_fit, lo, hi)
+                noise = np.subtract(cur[:, lo:hi], y_fit[:, lo:hi], out=targets[0, :, lo:hi])
+                np.subtract(dn[lo:hi].T, lam_dt[:, None], out=comp_dn[:, lo:hi])
+                for j in range(k):
+                    np.multiply(noise, comp_dn[j, lo:hi], out=targets[1 + j, :, lo:hi])
+                noise *= dw[lo:hi]
 
-        if densities:
-            worst = min(worst, float(phi_jump.min(initial=np.inf)))
-            _doleans_step(log_l.T, jump_l.T, phi_z, phi_jump, bundle.dw[:, i],
-                          bundle.dn[:, i], dt, lam_dt)
-        if i in reads:
-            y_at[i], state_at[i] = cur.T, (log_l.copy(), jump_l.copy())
-            if controls:
-                z_at[i], u_at[i] = z_i.T, u_i.T
+            ranges.run(phase_a)
+            c_coef = _coefficients(design, targets.reshape(-1, m), config.ridge, gram)
+            # rows of its own for what a read node keeps; the driver's value,
+            # then Y_i, goes into the rows of Y_{i+1} when no read node keeps
+            # those
+            if controls and i in reads:
+                fitted = np.empty_like(targets)
+            else:
+                fits = np.empty_like(targets) if fits is None else fits
+                fitted = fits
+            if i in reads:
+                g = np.empty_like(cur)
+            elif (i + 1) in reads:
+                loose = np.empty_like(cur) if loose is None else loose
+                g = loose
+            else:
+                g = cur
+
+            def phase_b(lo, hi):
+                _fit_range(c_coef, design, fitted.reshape(-1, m), lo, hi)
+                z_i, u_i = fitted[0, :, lo:hi], fitted[1:, :, lo:hi]
+                z_i /= dt
+                u_i /= lam_dt[:, None, None]
+                counts = (_clamp(z_i, config.z_clip, 1),
+                          _clamp(u_i, config.upsilon_clip, (0, 2)) if k else 0)
+                # the control targets, fitted already, are the driver's scratch
+                buffers = (g[:, lo:hi].T, phi_z[:, lo:hi].T, phi_u[:, :, lo:hi].T)
+                value = driver.evaluate(z_i.T, u_i.T, densities, out=buffers,
+                                        work=targets[:, :, lo:hi].transpose(0, 2, 1))[0].T
+                value *= dt
+                value += y_fit[:, lo:hi]
+                # a finite sum has finite terms; only a non-finite one needs
+                # the scan
+                if not np.isfinite(value.sum()) and not np.all(np.isfinite(value)):
+                    return counts, False, np.inf, None
+                if not densities:
+                    return counts, True, np.inf, None
+                low = float(phi_u[:, :, lo:hi].min(initial=np.inf))
+                bad = _doleans_step(
+                    log_l[:, lo:hi].T, jump_l[:, lo:hi].T, buffers[1], buffers[2],
+                    dw[lo:hi], dn[lo:hi], dt, lam_dt,
+                    (work[0][:, lo:hi].T, work[1][:, lo:hi].T))
+                return counts, True, low, bad + lo
+
+            results = ranges.run(phase_b)
+            for (cz, cu), _, _, _ in results:
+                clamped_z = clamped_z + cz
+                clamped_u = clamped_u + cu
+            if not all(finite for _, finite, _, _ in results):
+                raise SolverFailure(f"non-finite value process at step {i}", step=i)
+            if densities:
+                worst = min(worst, *(low for _, _, low, _ in results))
+                bad = np.concatenate([paths for *_, paths in results])
+                if bad.size:
+                    raise _signed_density(bad)
+            cur = g
+            if i in reads:
+                y_at[i], state_at[i] = cur.T, (log_l.copy(), jump_l.copy())
+                if controls:
+                    z_at[i], u_at[i] = fitted[0].T, fitted[1:].T
 
     density = {node: _exponential(*state).T for node, state in state_at.items()}
     if worst < -1.0 + 1e-12:

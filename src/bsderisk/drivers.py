@@ -15,9 +15,9 @@ returns the derivative of the integrand at mark k, not of the lambda_k-weighted
 sum, which is what the measure-change integrands downstream require
 (e.g. e^{alpha u_k} - 1 for the qexp family).
 
-``Driver.evaluate`` is the one pass: it returns g, dg/dz and the per-mark
-dg/du_k at the same controls, the partials only on the leading columns asked
-for. The qexp family computes e^{alpha u} once for the value and the jump
+``Driver.evaluate`` is the one pass: it writes g, dg/dz and the per-mark
+dg/du_k at the same controls into the caller's buffers (or fresh ones), the
+partials only on the leading columns asked for. The qexp family computes e^{alpha u} once for the value and the jump
 partial and skips the zero terms of its linear part; the sublinear family
 scores each form once and reads the value and both partials off the first
 maximal score. ``__call__``, ``partial_z`` and ``partial_upsilon`` are views of
@@ -114,57 +114,90 @@ class Driver:
 
     # drivers in these families do not depend on (t, y); the backward solver
     # therefore calls them with the controls only
-    def evaluate(self, z: np.ndarray, u: np.ndarray, columns: int | None = None):
+    def evaluate(self, z: np.ndarray, u: np.ndarray, columns: int | None = None,
+                 out=None, work=None):
         """g(z, u), dg/dz and the per-mark dg/du_k at the same controls.
 
         z is a float array of shape S and u one of shape S + (K,); neither is
         checked. The partials are taken on z[..., :columns] and
         u[..., :columns, :], on all of them when ``columns`` is None, and are
-        None when it is 0. The backward sweep calls this once per step.
+        None when it is 0. ``out`` is three arrays of the result shapes that
+        g and the two partials are written into (the last two unused when
+        ``columns`` is 0), and ``work`` 1 + K scratch arrays of shape S that
+        the qexp family computes in; fresh ones when they are None. The
+        backward sweep calls this once per step and path range, with its
+        workspace as ``out`` and ``work``.
         """
+        if out is None and columns == 0:
+            out = (np.empty_like(z), None, None)
+        elif out is None and columns is None:
+            out = (np.empty_like(z), np.empty_like(z), np.empty_like(u))
+        elif out is None:
+            out = (np.empty_like(z), np.empty_like(z[..., :columns]),
+                   np.empty_like(u[..., :columns, :]))
         if self.family == "sublinear":
-            return self._sublinear(z, u, columns)
-        return self._qexp(z, u, columns)
+            return self._sublinear(z, u, columns, out)
+        if work is None:
+            work = [np.empty_like(z) for _ in range(1 + self.mark_count)]
+        return self._qexp(z, u, columns, out, work)
 
-    def _qexp(self, z, u, columns):
+    def _qexp(self, z, u, columns, out, work):
+        value, phi_z, phi_u = out
         a, lin, lam = self.alpha, self.linear, self.intensities
         linear_marks, b = self._plan
         # ell(z, u) + (alpha/2) z^2, each zero linear term skipped: adding an
         # exact zero to the quadratic term (never -0.0) changes no bit
-        out = 0.5 * a * z * z
+        np.multiply(z, 0.5 * a, out=value)
+        value *= z
         if lin.z_coef:
-            head = lin.z_coef * z
+            head = np.multiply(z, lin.z_coef, out=work[0])
             if lin.const:
                 head += lin.const
-            out += head
+            value += head
         elif lin.const:
-            out += lin.const
-        core = None
+            value += lin.const
+        # each sum over marks accumulates in mark order, as ndarray.sum over a
+        # short mark axis does, so the bits are the same
+        if linear_marks:
+            total, term = work[0], work[-1]
+            for n, k in enumerate(linear_marks):
+                dest = term if n else total
+                np.multiply(u[..., k], b[k], out=dest)
+                dest *= lam[k]
+                if n:
+                    total += term
+            value += total
         if self.mark_count:
-            au = a * u
-            core = np.exp(au)
-            core -= 1.0  # e^{alpha u} - 1, also the density core of dg/du
-            jump = np.subtract(core, au, out=au)
-            if linear_marks:
-                out += _mark_sum(u[..., k] * b[k] * lam[k] for k in linear_marks)
-            j = _mark_sum(jump[..., k] * lam[k] for k in range(self.mark_count))
-            j /= a
-            out += j
+            # one mark at a time in two scratch rows; a third row holds the
+            # sum over marks when there are two or more
+            au, core = work[0], work[1]
+            total = work[2] if self.mark_count > 1 else au
+            for k in range(self.mark_count):
+                np.multiply(u[..., k], a, out=au)
+                np.exp(au, out=core)
+                core -= 1.0  # e^{alpha u} - 1, also the density core of dg/du
+                if columns != 0:
+                    head = core if columns is None else core[..., :columns]
+                    if linear_marks:
+                        np.add(head, b[k], out=phi_u[..., k])
+                    else:
+                        phi_u[..., k] = head
+                jump = np.subtract(core, au, out=au)
+                if k == 0:
+                    np.multiply(jump, lam[0], out=total)
+                else:
+                    jump *= lam[k]
+                    total += jump
+            total /= a
+            value += total
         if columns == 0:
-            return out, None, None
-        if columns is not None:  # the leading columns only
-            z = z[..., :columns]
-            if core is not None:
-                core = core[..., :columns, :]
-        phi_z = a * z
+            return value, None, None
+        np.multiply(z if columns is None else z[..., :columns], a, out=phi_z)
         phi_z += lin.z_coef
-        if core is None:
-            phi_u = np.zeros(np.shape(phi_z) + (0,))
-        else:
-            phi_u = core + b if linear_marks else core
-        return out, phi_z, phi_u
+        return value, phi_z, phi_u
 
-    def _sublinear(self, z, u, columns):
+    def _sublinear(self, z, u, columns, out):
+        value, phi_z, phi_u = out
         z_coefs, jump_coefs, weights = self._plan
         # the score of form j: a_j z + sum_k b_{j,k} lambda_k u_k
         scores = []
@@ -173,23 +206,25 @@ class Driver:
             if self.mark_count:
                 s += _mark_sum(u[..., k] * weights[j, k] for k in range(self.mark_count))
             scores.append(s)
-        out = scores[0]
+        np.copyto(value, scores[0])
         for s in scores[1:]:
-            out = np.maximum(out, s)
+            np.maximum(value, s, out=value)
         if self.mark_count:
             # as a matmul's mark sum, which starts from +0.0, the maximum is
             # never -0.0
-            out += 0.0
+            value += 0.0
         if columns == 0:
-            return out, None, None
+            return value, None, None
         # the active form is the first maximal score, a NaN counting as maximal
-        top = out
+        top = value
         if columns is not None:  # the leading columns only
-            top, scores = out[..., :columns], [s[..., :columns] for s in scores]
+            top, scores = value[..., :columns], [s[..., :columns] for s in scores]
         idx = np.zeros_like(top, dtype=np.intp)
         for j in range(len(scores) - 1, -1, -1):
             idx[(scores[j] == top) | np.isnan(scores[j])] = j
-        return out, z_coefs[idx], jump_coefs[idx]
+        np.take(z_coefs, idx, out=phi_z, mode="clip")
+        np.take(jump_coefs, idx, axis=0, out=phi_u, mode="clip")
+        return value, phi_z, phi_u
 
     def __call__(self, z, upsilon) -> np.ndarray:
         return self.evaluate(*self._controls(z, upsilon), 0)[0]

@@ -176,14 +176,15 @@ def _stream(seed: int, channel: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _worker_count(steps: int) -> int:
-    """Threads for a simulation of ``steps`` steps: the CPUs this process may
-    run on, at most one per step."""
+def _worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent pieces of work (the steps of a
+    simulation, the paths of a backward sweep): the CPUs this process may
+    run on, at most one per piece."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, steps)
+    return min(cpus, tasks)
 
 
 def simulate_paths(

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import RegressionConfig, _doleans_step, _exponential, condexp_at_node
+from .bsde import (RegressionConfig, _doleans_step, _exponential, _signed_density,
+                   condexp_at_node)
 from .errors import EstimatorFailure
 from .market import PathBundle
 
@@ -98,9 +99,12 @@ def doleans_dade(
     lam = np.empty((n + 1, m))
     lam[0] = 1.0
     log_l, jump_l = np.zeros((m, 1)), np.ones((m, 1))
+    work = (np.empty((m, 1)), np.empty((m, 1)))
     for i in range(n):
-        _doleans_step(log_l, jump_l, pz[:, i, None], pj[:, i, None, :], bundle.dw[:, i],
-                      bundle.dn[:, i], dt, lam_dt)
+        bad = _doleans_step(log_l, jump_l, pz[:, i, None], pj[:, i, None, :], bundle.dw[:, i],
+                            bundle.dn[:, i], dt, lam_dt, work)
+        if bad.size:
+            raise _signed_density(bad)
         lam[i + 1] = _exponential(log_l, jump_l)[:, 0]
     return RNProcess(bundle=bundle, lam=lam.T, phi_z=pz, phi_jump=pj)
 

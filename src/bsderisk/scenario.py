@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import build_allocation_report
-from .bsde import RegressionConfig, residual_replay, solve_bsde
+from .bsde import REPLAY_SE_FLOOR_ULPS, RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
 from .errors import ConfigParseError, ConfigValidationError
 from .malliavin import clark_ocone, gamma_exponential_check
@@ -524,13 +524,18 @@ def _moment_rows(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     x = bundle.terminal
     m = bundle.path_count
+    # both standard errors are floored at REPLAY_SE_FLOOR_ULPS epsilons of
+    # the quantity's own scale, the mean absolute value for the mean and the
+    # mean square for the variance: a noiseless market's gaps are rounding
+    # against a sampling error of 0, as in the residual replay
+    floor = REPLAY_SE_FLOOR_ULPS * np.finfo(float).eps
     mean = float(x.mean())
-    se_mean = float(x.std() / math.sqrt(m))
+    se_mean = max(float(x.std() / math.sqrt(m)), floor * float(np.abs(x).mean()))
     mean_ref = cfg.model.terminal_mean(cfg.grid.horizon)
     var = float(x.var(ddof=1))
     centered = x - mean
     m4 = float(np.mean(centered**4))
-    se_var = float(math.sqrt(max(m4 - var**2, 0.0) / m))
+    se_var = max(math.sqrt(max(m4 - var**2, 0.0) / m), floor * float(np.mean(x * x)))
     var_ref = cfg.model.terminal_variance(cfg.grid.horizon)
     k_mean = cfg.method.tolerance("mean_sigmas")
     k_var = cfg.method.tolerance("variance_sigmas")

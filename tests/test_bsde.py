@@ -1,6 +1,8 @@
 """Regression machinery and the backward solver."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsderisk as br
+from bsderisk import bsde, market
 from bsderisk.bsde import _standardize, condexp_at_node, features_at_node, regress_condexp
-from bsderisk.errors import EstimatorFailure, SolverFailure
+from bsderisk.errors import EstimatorFailure, SignedDensityFailure, SolverFailure
 
 
 def test_regression_recovers_linear_function_exactly():
@@ -46,6 +49,34 @@ def test_multi_column_targets_match_separate_fits():
     for j in range(4):
         single = regress_condexp(feats, targets[:, j], ridge=1e-8)
         np.testing.assert_allclose(joint[:, j], single, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 3, 24, 48])
+def test_fit_split_by_path_range_is_bitwise_equal(q):
+    # the bits of a fitted value do not depend on the range of paths (of two
+    # or more, as the sweep's ranges are) that holds it, nor on where that
+    # range's chunks end: 2049 and 4097 paths leave one path over a whole
+    # number of chunks for q = 24 and 48
+    rng = np.random.default_rng(q)
+    m = 40_003
+    feats = np.hstack([np.ones((m, 1)), rng.normal(size=(m, 3))])
+    targets = rng.normal(size=(m, q))
+    whole = regress_condexp(feats, targets, ridge=1e-8)
+    coef = bsde._coefficients(feats.T, targets.T, 1e-8)
+    for cuts in ([0, m], [0, 2, 2051, 6148, m], [0, 777, 20_001, 33_333, m]):
+        split = np.empty((q, m))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            bsde._fit_range(coef, feats.T, split, lo, hi)
+        assert np.array_equal(split, whole.T), cuts
+
+
+def test_chunk_length_keeps_each_blas_call_small():
+    for q in range(1, 65):
+        for p in range(1, 9):
+            chunk = bsde._chunk_length(q, p)
+            assert chunk & (chunk - 1) == 0 and chunk <= 16384
+            assert q * p * chunk <= 2**17
+            assert chunk == 16384 or q * p * 2 * chunk > 2**17
 
 
 @pytest.mark.parametrize("ridge", [1e-8, 0.0])
@@ -529,3 +560,134 @@ def test_column_independent_of_block_partners(small_bundle, target, others, posi
         np.testing.assert_allclose(shared_log, alone_log, rtol=1e-10, atol=1e-12)
     assert shared.clamped_z[j] == alone.clamped_z[0]
     assert shared.clamped_upsilon[j] == alone.clamped_upsilon[0]
+
+
+# --------------------------------------------------------------------------
+# the sweep's path ranges
+
+
+def sweep_on(workers, *args, **kwargs):
+    """solve_bsde with ``workers`` path ranges whenever there are that many
+    paths, the split floor lowered so that small bundles split too, and many
+    thread switches."""
+    switch = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_worker_count", lambda n, w=workers: min(w, n))
+        patch.setattr(bsde, "_SPLIT_FLOOR", 1)
+        sys.setswitchinterval(1e-6)
+        try:
+            return br.solve_bsde(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(switch)
+
+
+def range_bundle(marks):
+    jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
+    model = br.LevyModel(x0=0.0, mu=0.1, sigma=0.3, jumps=jumps)
+    return br.simulate_paths(br.build_grid(1.0, 8), model, 1203, 13)
+
+
+RANGE_DRIVERS = {
+    "entropic": lambda lam: br.make_entropic_driver(1.5, lam),
+    "qexp-linear": lambda lam: br.make_qexp_driver(
+        1.0, br.LinearForm(0.1, tuple(0.2 - 0.3 * j for j in range(len(lam))), 0.05), lam),
+    "sublinear": lambda lam: br.make_sublinear_driver(
+        (br.LinearForm(0.3, (0.2,) * len(lam)), br.LinearForm(-0.25, (0.5,) * len(lam))), lam),
+}
+
+
+@pytest.mark.parametrize("marks", [0, 1, 2])
+@pytest.mark.parametrize("family", sorted(RANGE_DRIVERS))
+def test_sweep_is_the_same_on_any_number_of_threads(family, marks):
+    b = range_bundle(marks)
+    driver = RANGE_DRIVERS[family](b.model.jump_intensities)
+    x = b.terminal
+    # one column (its fits are single rows) and a block
+    blocks = (-2.0 * x, np.column_stack([-x, -(x * x), -(0.5 * x + 0.2), -2.0 * x]))
+    # tight clamps, so that some controls are clamped
+    cfg = br.RegressionConfig(jump_count_features=True, z_clip=0.4, upsilon_clip=0.3)
+    n = b.grid.step_count
+    threads = threading.active_count()
+    for terminals in blocks:
+        densities = 1 if terminals.ndim == 1 else 3
+        runs = [sweep_on(w, b, driver, terminals, cfg, nodes=range(n + 1),
+                         densities=densities, controls=True) for w in (1, 2, 3)]
+        ref = runs[0]
+        assert ref.clamped_z.any() and (marks == 0 or ref.clamped_upsilon.any())
+        for run in runs[1:]:
+            for name in ("y", "density", "z", "upsilon"):
+                want, got = getattr(ref, name), getattr(run, name)
+                assert sorted(want) == sorted(got), name
+                for node in want:
+                    assert np.array_equal(want[node], got[node]), (name, node)
+            assert np.array_equal(run.clamped_z, ref.clamped_z)
+            assert np.array_equal(run.clamped_upsilon, ref.clamped_upsilon)
+    assert threading.active_count() == threads
+
+
+def test_signed_density_names_the_same_paths_on_any_number_of_threads():
+    # 1 + dg/du = e^{u} - 1.5 < 0 for every clamped u: every path with a jump
+    # at the last step fails there, named by its index in the whole bundle
+    b = range_bundle(1)
+    driver = br.make_qexp_driver(1.0, br.LinearForm(0.0, (-1.5,)), b.model.jump_intensities)
+    cfg = br.RegressionConfig(upsilon_clip=0.3)
+    n = b.grid.step_count
+    failures = []
+    for workers in (1, 2, 3):
+        with pytest.raises(SignedDensityFailure) as failure:
+            sweep_on(workers, b, driver, -b.terminal, cfg, nodes=(0,), densities=1)
+        failures.append(failure.value)
+    expected = np.flatnonzero(b.dn[:, n - 1].any(axis=1))
+    assert 0 < expected.size
+    for failure in failures:
+        assert np.array_equal(failure.paths, expected)
+        assert str(failure) == str(failures[0])
+
+
+def test_solver_failure_names_the_same_step_on_any_number_of_threads(two_mark_bundle):
+    b = two_mark_bundle
+    driver = br.make_entropic_driver(800.0, b.model.jump_intensities)
+    xi = -(b.terminal + 0.5 * b.terminal**2)
+    steps = []
+    for workers in (1, 2, 3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverFailure) as failure:
+                sweep_on(workers, b, driver, np.column_stack([xi, xi]), nodes=(0,))
+        steps.append(failure.value.step)
+    assert steps[0] is not None and steps == [steps[0]] * 3
+
+
+def test_path_range_failure_reaches_the_caller(jump_bundle, monkeypatch):
+    # an exception in a range run on another thread is raised again in the
+    # calling thread, and the sweep's threads end
+    driver = br.make_entropic_driver(2.0, (1.5,))
+    evaluate = type(driver).evaluate
+
+    def failing(self, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("range")
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(driver), "evaluate", failing)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="range"):
+        sweep_on(3, jump_bundle, driver, -jump_bundle.terminal, nodes=(0,))
+    assert threading.active_count() == threads
+
+
+def test_path_ranges_run_under_the_callers_error_state(jump_bundle, monkeypatch):
+    # numpy's error state is per thread; every range sees the caller's
+    driver = br.make_entropic_driver(2.0, (1.5,))
+    evaluate = type(driver).evaluate
+    seen = []
+
+    def recording(self, *args, **kwargs):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(driver), "evaluate", recording)
+    with np.errstate(over="ignore"):
+        sweep_on(3, jump_bundle, driver, -jump_bundle.terminal, nodes=(0,))
+    assert len(seen) == 3 * jump_bundle.grid.step_count
+    assert len({ident for ident, _ in seen}) == 3
+    assert {state for _, state in seen} == {"ignore"}

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import bsderisk as br
 from bsderisk.cli import main
-from bsderisk.scenario import apply_overrides, build_scenario, load_config, run_scenario
+from bsderisk.scenario import (_moment_rows, apply_overrides, build_scenario, load_config,
+                               run_scenario)
 
 
 def base_config(task="risk"):
@@ -395,6 +396,39 @@ def test_run_simulate_rows():
     assert report.all_passed
     assert report.provenance["seed"] == 11
     assert report.provenance["config"]["mc"]["paths"] == 2000
+
+
+def noiseless_simulate_config():
+    # sigma = 0 and no jumps: every path is x0 + mu T up to rounding
+    raw = base_config(task="simulate")
+    del raw["driver"]
+    del raw["payoff"]
+    raw["model"] = {"x0": 0.0, "mu": 0.1, "sigma": 0.0, "jumps": []}
+    raw["mc"] = {"paths": 1000, "seed": 1}
+    return raw
+
+
+def test_noiseless_market_passes_moment_checks(tmp_path):
+    # the gaps are rounding against a sampling error of 0; the standard
+    # errors' rounding floor lets them pass
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(noiseless_simulate_config()))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = {r.quantity: r for r in run_scenario(build_scenario(noiseless_simulate_config())).rows}
+    for name in ("terminal_mean_gap", "terminal_variance_gap"):
+        assert rows[name].passed and rows[name].std_error > 0.0, name
+
+
+def test_shifted_reference_mean_fails_moment_check():
+    # paths of a market whose drift is 0.1 (about 11 standard errors) above
+    # the configured one
+    cfg = build_scenario(base_config(task="simulate"))
+    shifted = br.LevyModel(x0=cfg.model.x0, mu=cfg.model.mu + 0.1, sigma=cfg.model.sigma,
+                           jumps=cfg.model.jumps)
+    rows = {r.quantity: r for r in _moment_rows(
+        cfg, br.simulate_paths(cfg.grid, shifted, cfg.paths, cfg.seed))}
+    assert not rows["terminal_mean_gap"].passed
+    assert rows["terminal_variance_gap"].passed
 
 
 def test_run_solve_rows():

@@ -13,11 +13,12 @@ of ``perfbench/``.
 It then times the desk-scale allocation report: the ``allocate-report``
 scenario at 200000 paths, once with its entropic driver and once with the
 sublinear driver of acceptance criterion 05, one CLI process per side and
-driver (wall time and peak RSS). Beside it, two desk-scale tasks that no
-perfbench workload runs at that size, one CLI process per side: ``solve``
-on the ``risk-desk`` scenario and ``verify`` on the ``verify-battery``
-scenario, both at 200000 paths. Last it times the Tier-1 suite and
-criterion 05 alone, one pytest process per side.
+driver. Beside it, two desk-scale tasks that no perfbench workload runs at
+that size, one CLI process per side: ``solve`` on the ``risk-desk``
+scenario and ``verify`` on the ``verify-battery`` scenario, both at 200000
+paths. Last it times the Tier-1 suite and criterion 05 alone, one pytest
+process per side. Each of these processes records its wall time, user and
+system CPU time and peak RSS.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
 (``nproc``, CPU, BLAS, numpy and Python versions), the line count of
@@ -112,8 +113,10 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def timed(cmd: list[str], tree: Path, log: Path) -> dict:
-    """Wall time, peak RSS, exit code and last output line of one process
-    run in ``tree``; its output goes to ``log``."""
+    """Wall time, user and system CPU time, peak RSS, exit code and last
+    output line of one process run in ``tree``; its output goes to ``log``.
+    The CPU times count every thread of the process, BLAS threads that
+    spin-wait between calls included."""
     log.parent.mkdir(parents=True, exist_ok=True)
     with open(log, "wb") as out:
         start = time.monotonic()
@@ -122,7 +125,8 @@ def timed(cmd: list[str], tree: Path, log: Path) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.monotonic() - start
     lines = log.read_text(errors="replace").strip().splitlines()
-    return {"wall_s": wall, "exit_code": os.waitstatus_to_exitcode(status),
+    return {"wall_s": wall, "user_s": usage.ru_utime, "sys_s": usage.ru_stime,
+            "exit_code": os.waitstatus_to_exitcode(status),
             "peak_rss_mb": usage.ru_maxrss / 1024.0, "last_line": lines[-1] if lines else ""}
 
 
