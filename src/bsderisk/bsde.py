@@ -31,7 +31,9 @@ results do not depend on the number of ranges.
 
 from __future__ import annotations
 
+import collections
 import contextvars
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -352,66 +354,76 @@ def _attempt(phase, *args):
 
 
 class _PathRanges:
-    """The contiguous path ranges of a sweep's per-path phases: one per usable
-    CPU for a block of at least ``_SPLIT_FLOOR`` values, else one. Each range
-    after the first has a thread of its own while the object is open
-    (``with``); numpy releases the interpreter lock in its loops."""
+    """The contiguous path ranges of a sweep's per-path phases, and the
+    threads that run them: for a block of at least ``_SPLIT_FLOOR`` values,
+    one range of two or more paths per usable CPU and one thread per CPU
+    after the first, alive while the object is open (``with``); else one
+    range on the calling thread. numpy releases the interpreter lock in its
+    loops. Smaller ranges would balance better but cost more than they
+    save: each numpy call of a range hands the lock between threads."""
 
     def __init__(self, paths: int, columns: int):
         # at least two paths a range, see _fit_range
-        split = columns * paths >= _SPLIT_FLOOR and paths >= 2
-        workers = market._worker_count(paths // 2) if split else 1
-        edges = [paths * w // workers for w in range(workers + 1)]
+        count = max(1, market._worker_count(paths // 2)) if columns * paths >= _SPLIT_FLOOR else 1
+        edges = [paths * r // count for r in range(count + 1)]
         self.ranges = list(zip(edges[:-1], edges[1:]))
-        self._job = None
-        self._outcomes = [None] * workers
-        # per thread: the lock it waits on for a phase, and the one it
-        # releases when done
-        self._locks = [(threading.Lock(), threading.Lock()) for _ in range(1, workers)]
-        for go, done in self._locks:
-            go.acquire()
-            done.acquire()
-        self._threads = [threading.Thread(target=self._serve, args=(w,), daemon=True)
-                         for w in range(1, workers)]
+        self._jobs = collections.deque()
+        self._ready = threading.Semaphore(0)
+        self._threads = [threading.Thread(target=self._serve, daemon=True)
+                         for _ in range(count - 1)]
         for thread in self._threads:
             thread.start()
 
-    def _serve(self, w: int) -> None:
-        go, done = self._locks[w - 1]
+    def _serve(self) -> None:
         while True:
-            go.acquire()
-            if self._job is None:
+            self._ready.acquire()
+            job = self._jobs.popleft()
+            if job is None:
                 return
-            phase, contexts = self._job
-            self._outcomes[w] = _attempt(contexts[w - 1].run, phase, *self.ranges[w])
-            done.release()
+            job()
 
     def run(self, phase) -> list:
-        """phase(lo, hi) on every range, the first on the calling thread, the
-        others under a copy of the caller's context (numpy's error state is
-        per thread). Returns the results in range order once all ranges have
-        finished; an exception is raised again in the calling thread, the
-        first in range order."""
-        self._job = (phase, [contextvars.copy_context() for _ in self._threads])
-        for go, _ in self._locks:
-            go.release()
-        try:
-            self._outcomes[0] = _attempt(phase, *self.ranges[0])
-        finally:
-            for _, done in self._locks:
-                done.acquire()
-        for ok, value in self._outcomes:
+        """phase(lo, hi) on every range. The calling thread and the others
+        claim ranges in order until none is left, so a thread that starts late
+        (its CPU busy or preempted) leaves its range to one that is free; the
+        others run under a copy of the caller's context (numpy's error state
+        is per thread). Returns the results in range order once all ranges
+        have finished; an exception is raised again in the calling thread,
+        the first in range order."""
+        ranges, outcomes = self.ranges, [None] * len(self.ranges)
+        lock, finished = threading.Lock(), threading.Event()
+        claimed, done = [0], [0]
+
+        def work():
+            while True:
+                with lock:
+                    r = claimed[0]
+                    claimed[0] += 1
+                if r >= len(ranges):
+                    return
+                outcomes[r] = _attempt(phase, *ranges[r])
+                with lock:
+                    done[0] += 1
+                    if done[0] == len(ranges):
+                        finished.set()
+
+        for _ in self._threads:
+            self._jobs.append(functools.partial(contextvars.copy_context().run, work))
+            self._ready.release()
+        work()
+        finished.wait()
+        for ok, value in outcomes:
             if not ok:
                 raise value
-        return [value for _, value in self._outcomes]
+        return [value for _, value in outcomes]
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        self._job = None
-        for go, _ in self._locks:
-            go.release()
+        for _ in self._threads:
+            self._jobs.append(None)
+            self._ready.release()
         for thread in self._threads:
             thread.join()
 

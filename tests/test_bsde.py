@@ -658,15 +658,15 @@ def test_solver_failure_names_the_same_step_on_any_number_of_threads(two_mark_bu
 
 
 def test_path_range_failure_reaches_the_caller(jump_bundle, monkeypatch):
-    # an exception in a range run on another thread is raised again in the
-    # calling thread, and the sweep's threads end
+    # an exception in a range is raised again in the calling thread, and the
+    # sweep's threads end
     driver = br.make_entropic_driver(2.0, (1.5,))
     evaluate = type(driver).evaluate
 
-    def failing(self, *args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
+    def failing(self, z, *args, **kwargs):
+        if z.shape[0] < jump_bundle.path_count:
             raise MemoryError("range")
-        return evaluate(self, *args, **kwargs)
+        return evaluate(self, z, *args, **kwargs)
 
     monkeypatch.setattr(type(driver), "evaluate", failing)
     threads = threading.active_count()
@@ -675,19 +675,39 @@ def test_path_range_failure_reaches_the_caller(jump_bundle, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_path_ranges_run_under_the_callers_error_state(jump_bundle, monkeypatch):
-    # numpy's error state is per thread; every range sees the caller's
-    driver = br.make_entropic_driver(2.0, (1.5,))
-    evaluate = type(driver).evaluate
+def test_path_ranges_run_on_other_threads_in_the_callers_context(monkeypatch):
+    # the calling thread waits in its first range until another thread has
+    # run one; every range sees the caller's numpy error state, which is per
+    # thread, and a failure on another thread reaches the caller
+    monkeypatch.setattr(market, "_worker_count", lambda n: min(3, n))
+    threads = threading.active_count()
+    other = threading.Event()
     seen = []
 
-    def recording(self, *args, **kwargs):
+    def phase(lo, hi):
         seen.append((threading.get_ident(), np.geterr()["over"]))
-        return evaluate(self, *args, **kwargs)
+        if threading.current_thread() is threading.main_thread():
+            other.wait(timeout=30)
+        else:
+            other.set()
+        return lo
 
-    monkeypatch.setattr(type(driver), "evaluate", recording)
     with np.errstate(over="ignore"):
-        sweep_on(3, jump_bundle, driver, -jump_bundle.terminal, nodes=(0,))
-    assert len(seen) == 3 * jump_bundle.grid.step_count
-    assert len({ident for ident, _ in seen}) == 3
+        with bsde._PathRanges(1000, 1000) as ranges:
+            assert len(ranges.ranges) == 3
+            assert ranges.run(phase) == [lo for lo, _ in ranges.ranges]
+
+            def failing(lo, hi):
+                if threading.current_thread() is not threading.main_thread():
+                    other.set()
+                    raise MemoryError(f"range {lo}")
+                other.wait(timeout=30)
+                return lo
+
+            other.clear()
+            with pytest.raises(MemoryError, match="range"):
+                ranges.run(failing)
+    assert threading.active_count() == threads
+    assert other.is_set()
     assert {state for _, state in seen} == {"ignore"}
+    assert len({ident for ident, _ in seen}) > 1
