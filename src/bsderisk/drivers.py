@@ -17,11 +17,12 @@ sum, which is what the measure-change integrands downstream require
 
 ``Driver.evaluate`` is the one pass: it writes g, dg/dz and the per-mark
 dg/du_k at the same controls into the caller's buffers (or fresh ones), the
-partials only on the leading columns asked for. The qexp family computes e^{alpha u} once for the value and the jump
-partial and skips the zero terms of its linear part; the sublinear family
-scores each form once and reads the value and both partials off the first
-maximal score. ``__call__``, ``partial_z`` and ``partial_upsilon`` are views of
-that pass that also check their arguments.
+partials only on the leading columns asked for. The qexp family computes
+e^{alpha u} once for the value and the jump partial and skips the zero
+terms of its linear part; the sublinear family scores each form once and
+reads the value and both partials off the first maximal score. ``__call__``,
+``partial_z`` and ``partial_upsilon`` are views of that pass that also check
+their arguments.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ class Driver:
         u[..., :columns, :], on all of them when ``columns`` is None, and are
         None when it is 0. ``out`` is three arrays of the result shapes that
         g and the two partials are written into (the last two unused when
-        ``columns`` is 0), and ``work`` 1 + K scratch arrays of shape S that
-        the qexp family computes in; fresh ones when they are None. The
-        backward sweep calls this once per step and path range, with its
-        workspace as ``out`` and ``work``.
+        ``columns`` is 0), and ``work`` 1 + K scratch arrays of shape S (the
+        qexp family computes in them, the sublinear family keeps a form's
+        score in each); fresh ones when they are None. The backward sweep
+        calls this once per step and path range, with its workspace as
+        ``out`` and ``work``.
         """
         if out is None and columns == 0:
             out = (np.empty_like(z), None, None)
@@ -136,7 +138,7 @@ class Driver:
             out = (np.empty_like(z), np.empty_like(z[..., :columns]),
                    np.empty_like(u[..., :columns, :]))
         if self.family == "sublinear":
-            return self._sublinear(z, u, columns, out)
+            return self._sublinear(z, u, columns, out, () if work is None else work)
         if work is None:
             work = [np.empty_like(z) for _ in range(1 + self.mark_count)]
         return self._qexp(z, u, columns, out, work)
@@ -196,13 +198,14 @@ class Driver:
         phi_z += lin.z_coef
         return value, phi_z, phi_u
 
-    def _sublinear(self, z, u, columns, out):
+    def _sublinear(self, z, u, columns, out, work):
         value, phi_z, phi_u = out
         z_coefs, jump_coefs, weights = self._plan
-        # the score of form j: a_j z + sum_k b_{j,k} lambda_k u_k
+        # the score of form j, a_j z + sum_k b_{j,k} lambda_k u_k, in a
+        # scratch row while there is one
         scores = []
         for j in range(len(self.forms)):
-            s = z * z_coefs[j]
+            s = np.multiply(z, z_coefs[j], out=work[j] if j < len(work) else None)
             if self.mark_count:
                 s += _mark_sum(u[..., k] * weights[j, k] for k in range(self.mark_count))
             scores.append(s)
@@ -215,15 +218,18 @@ class Driver:
             value += 0.0
         if columns == 0:
             return value, None, None
-        # the active form is the first maximal score, a NaN counting as maximal
+        # the partials of the active form, the first maximal score (a NaN
+        # counting as maximal): each form's coefficients are written where
+        # it is maximal, from the last form to the first
         top = value
         if columns is not None:  # the leading columns only
             top, scores = value[..., :columns], [s[..., :columns] for s in scores]
-        idx = np.zeros_like(top, dtype=np.intp)
+        phi_z[...] = z_coefs[0]
+        phi_u[...] = jump_coefs[0]
         for j in range(len(scores) - 1, -1, -1):
-            idx[(scores[j] == top) | np.isnan(scores[j])] = j
-        np.take(z_coefs, idx, out=phi_z, mode="clip")
-        np.take(jump_coefs, idx, axis=0, out=phi_u, mode="clip")
+            active = (scores[j] == top) | np.isnan(scores[j])
+            np.copyto(phi_z, z_coefs[j], where=active)
+            np.copyto(phi_u, jump_coefs[j], where=active[..., None])
         return value, phi_z, phi_u
 
     def __call__(self, z, upsilon) -> np.ndarray:
