@@ -25,16 +25,17 @@ Every fit, in the sweep or standalone (``regress_condexp``), finds its
 coefficients on the calling thread with F Y^T summed over path chunks in path
 order, and forms its fitted values chunk by chunk; no BLAS call is large
 enough to wake OpenBLAS's threads. The sweep runs its per-path work over
-contiguous path ranges, one thread per usable CPU for large blocks, and its
-results do not depend on the number of ranges.
+contiguous path ranges: for large blocks one range per usable CPU, on a
+``concurrent.futures.ThreadPoolExecutor`` that lives for the sweep, else
+one range on the calling thread. Its results do not depend on the number
+of ranges.
 """
 
 from __future__ import annotations
 
-import collections
+import concurrent.futures
+import contextlib
 import contextvars
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,87 +346,30 @@ def _clamp(values: np.ndarray, bound: float, axis):
 _SPLIT_FLOOR = 2**17
 
 
-def _attempt(phase, *args):
-    """(True, result) or (False, the exception raised)."""
-    try:
-        return True, phase(*args)
-    except Exception as exc:  # raised again in the calling thread
-        return False, exc
+def _path_ranges(paths: int, columns: int) -> list:
+    """The contiguous path ranges of a sweep's per-path phases: for a block
+    of at least ``_SPLIT_FLOOR`` values, one range of two or more paths (see
+    ``_fit_range``) per usable CPU; else one range. Smaller ranges would
+    balance better but cost more than they save: each numpy call of a range
+    hands the interpreter lock between threads."""
+    count = max(1, market._worker_count(paths // 2)) if columns * paths >= _SPLIT_FLOOR else 1
+    edges = [paths * r // count for r in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
-class _PathRanges:
-    """The contiguous path ranges of a sweep's per-path phases, and the
-    threads that run them: for a block of at least ``_SPLIT_FLOOR`` values,
-    one range of two or more paths per usable CPU and one thread per CPU
-    after the first, alive while the object is open (``with``); else one
-    range on the calling thread. numpy releases the interpreter lock in its
-    loops. Smaller ranges would balance better but cost more than they
-    save: each numpy call of a range hands the lock between threads."""
-
-    def __init__(self, paths: int, columns: int):
-        # at least two paths a range, see _fit_range
-        count = max(1, market._worker_count(paths // 2)) if columns * paths >= _SPLIT_FLOOR else 1
-        edges = [paths * r // count for r in range(count + 1)]
-        self.ranges = list(zip(edges[:-1], edges[1:]))
-        self._jobs = collections.deque()
-        self._ready = threading.Semaphore(0)
-        self._threads = [threading.Thread(target=self._serve, daemon=True)
-                         for _ in range(count - 1)]
-        for thread in self._threads:
-            thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            job()
-
-    def run(self, phase) -> list:
-        """phase(lo, hi) on every range. The calling thread and the others
-        claim ranges in order until none is left, so a thread that starts late
-        (its CPU busy or preempted) leaves its range to one that is free; the
-        others run under a copy of the caller's context (numpy's error state
-        is per thread). Returns the results in range order once all ranges
-        have finished; an exception is raised again in the calling thread,
-        the first in range order."""
-        ranges, outcomes = self.ranges, [None] * len(self.ranges)
-        lock, finished = threading.Lock(), threading.Event()
-        claimed, done = [0], [0]
-
-        def work():
-            while True:
-                with lock:
-                    r = claimed[0]
-                    claimed[0] += 1
-                if r >= len(ranges):
-                    return
-                outcomes[r] = _attempt(phase, *ranges[r])
-                with lock:
-                    done[0] += 1
-                    if done[0] == len(ranges):
-                        finished.set()
-
-        for _ in self._threads:
-            self._jobs.append(functools.partial(contextvars.copy_context().run, work))
-            self._ready.release()
-        work()
-        finished.wait()
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-        return [value for _, value in outcomes]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for _ in self._threads:
-            self._jobs.append(None)
-            self._ready.release()
-        for thread in self._threads:
-            thread.join()
+def _run_ranges(pool, phase, ranges) -> list:
+    """phase(lo, hi) on every range: on the calling thread when ``pool`` is
+    None, else on the pool's threads, which take the ranges in order as they
+    come free, each range under a copy of the caller's context (numpy's error
+    state is per thread). Returns the results in range order once every range
+    has finished, so no range still writes when an exception is raised again
+    here, the first in range order."""
+    if pool is None:
+        return [phase(lo, hi) for lo, hi in ranges]
+    futures = [pool.submit(contextvars.copy_context().run, phase, lo, hi)
+               for lo, hi in ranges]
+    concurrent.futures.wait(futures)
+    return [future.result() for future in futures]
 
 
 def solve_bsde(
@@ -493,7 +437,10 @@ def solve_bsde(
     # targets, and ``loose``, rows for a value that no read node keeps, are
     # allocated when a step first needs them
     y_fit = fits = loose = None
-    with _PathRanges(m, cols) as ranges:
+    ranges = _path_ranges(m, cols)
+    # one thread per range, alive for the sweep; one range needs none
+    with (concurrent.futures.ThreadPoolExecutor(len(ranges)) if len(ranges) > 1
+          else contextlib.nullcontext()) as pool:
         for i in range(n - 1, -1, -1):
             design = features_at_node(bundle, i, config)
             if design is not None:
@@ -523,7 +470,7 @@ def solve_bsde(
                     np.multiply(noise, comp_dn[j, lo:hi], out=targets[1 + j, :, lo:hi])
                 noise *= dw[lo:hi]
 
-            ranges.run(phase_a)
+            _run_ranges(pool, phase_a, ranges)
             c_coef = _coefficients(design, targets.reshape(-1, m), config.ridge, gram)
             # rows of its own for what a read node keeps; the driver's value,
             # then Y_i, goes into the rows of Y_{i+1} when no read node keeps
@@ -567,7 +514,7 @@ def solve_bsde(
                     (work[0][:, lo:hi].T, work[1][:, lo:hi].T))
                 return counts, True, low, bad + lo
 
-            results = ranges.run(phase_b)
+            results = _run_ranges(pool, phase_b, ranges)
             for (cz, cu), _, _, _ in results:
                 clamped_z = clamped_z + cz
                 clamped_u = clamped_u + cu

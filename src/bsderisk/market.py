@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -177,9 +177,10 @@ def _stream(seed: int, channel: int, step: int) -> np.random.Generator:
 
 
 def _worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent pieces of work (the steps of a
-    simulation, the paths of a backward sweep): the CPUs this process may
-    run on, at most one per piece."""
+    """Threads for ``tasks`` independent pieces of work: the CPUs this
+    process may run on, at most one per piece. It sizes the thread pool of
+    ``simulate_paths`` (its steps) and the path ranges of a backward sweep,
+    one pool thread per range (``bsde._path_ranges``)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -197,9 +198,9 @@ def simulate_paths(
     is itself exact for this model, so there is no discretization bias in X.
 
     Each step draws from its own streams into its own rows of the bundle, in
-    place, and the steps are split over one thread per usable CPU (numpy's
-    generators and ufuncs release the interpreter lock); the increments are
-    then summed in place along time.
+    place, and the steps run on a thread pool of one thread per usable CPU
+    (numpy's generators and ufuncs release the interpreter lock); the
+    increments are then summed in place along time.
 
     Reproducibility contract: identical (grid, model, path_count, seed)
     gives a bit-identical bundle, whatever the number of worker threads;
@@ -224,7 +225,7 @@ def simulate_paths(
     state[0] = model.x0
 
     def draw(i: int) -> None:
-        # state[i + 1] first holds the increment sigma dW + mu dt + dN @ zeta
+        # state[i + 1] first holds the increment sigma dW + mu dt + dN zeta
         _stream(seed, 0, i).standard_normal(out=dw[i])
         dw[i] *= root_dt
         for j in range(k):
@@ -232,27 +233,19 @@ def simulate_paths(
         inc = np.multiply(dw[i], model.sigma, out=state[i + 1])
         inc += model.mu * dt
         if k:
-            inc += dn[i] @ sizes
+            # the jumps summed elementwise in mark order, so that a path's
+            # bits do not depend on the path count (dN @ zeta rounds
+            # differently for one path than for a matrix of them)
+            jump = dn[i, :, 0] * sizes[0]
+            for j in range(1, k):
+                jump += dn[i, :, j] * sizes[j]
+            inc += jump
 
-    errors = []
-
-    def run(steps: range) -> None:
-        try:
-            for i in steps:
-                draw(i)
-        except Exception as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    workers = _worker_count(n)
-    threads = [threading.Thread(target=run, args=(range(w, n, workers),))
-               for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(range(0, n, workers))
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    # map raises the first exception in step order; leaving the pool waits
+    # for every step that has started
+    with ThreadPoolExecutor(_worker_count(n)) as pool:
+        for _ in pool.map(draw, range(n)):
+            pass
 
     # the running sum over time as row adds, the order np.cumsum adds in but
     # without its strided walk down each column

@@ -28,6 +28,9 @@ A scenario is a JSON document (UTF-8) with the blocks below; dotted paths
                    "quad_nodes": 16, "tolerances": {}}
     verify        {"checks": [...], "phi_z": 0.5, "phi_jumps": [...],
                    "level": 0.1, "beta": 1.0}
+                  (each phi_jumps entry > -1, as the sublinear forms'
+                  jump_coefs: the per-jump density factor 1 + phi_k
+                  must stay positive)
 
 Every block a task needs must be present (referential completeness);
 unknown keys anywhere are validation errors naming the offending field.
@@ -401,6 +404,8 @@ def _build_verify(block: _Block | None, mark_count: int) -> VerifyOptions | None
         )
     if not all(_finite_number(p) for p in (phi_z, *phi_jumps)):
         raise ConfigValidationError(f"{block.path}.phi_z and phi_jumps must be finite numbers")
+    if any(p <= -1.0 for p in phi_jumps):
+        raise ConfigValidationError(f"{block.path}.phi_jumps entries must be > -1, got {phi_jumps}")
     if not 0.0 < level < math.inf:
         raise ConfigValidationError(f"{block.path}.level must be positive and finite")
     if not 0.0 <= beta < math.inf:

@@ -3,6 +3,8 @@
 import math
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -676,38 +678,59 @@ def test_path_range_failure_reaches_the_caller(jump_bundle, monkeypatch):
 
 
 def test_path_ranges_run_on_other_threads_in_the_callers_context(monkeypatch):
-    # the calling thread waits in its first range until another thread has
-    # run one; every range sees the caller's numpy error state, which is per
-    # thread, and a failure on another thread reaches the caller
+    # the first range waits until another thread has run one; every range
+    # sees the caller's numpy error state, which is per thread, the results
+    # come in range order, and a failure on another thread reaches the
+    # caller, the first in range order
     monkeypatch.setattr(market, "_worker_count", lambda n: min(3, n))
     threads = threading.active_count()
+    ranges = bsde._path_ranges(1000, 1000)
+    assert ranges == [(0, 333), (333, 666), (666, 1000)]
     other = threading.Event()
     seen = []
 
     def phase(lo, hi):
         seen.append((threading.get_ident(), np.geterr()["over"]))
-        if threading.current_thread() is threading.main_thread():
+        if lo == 0:
             other.wait(timeout=30)
         else:
             other.set()
         return lo
 
+    def failing(lo, hi):
+        if lo:
+            other.set()
+            raise MemoryError(f"range {lo}")
+        other.wait(timeout=30)
+        return lo
+
     with np.errstate(over="ignore"):
-        with bsde._PathRanges(1000, 1000) as ranges:
-            assert len(ranges.ranges) == 3
-            assert ranges.run(phase) == [lo for lo, _ in ranges.ranges]
-
-            def failing(lo, hi):
-                if threading.current_thread() is not threading.main_thread():
-                    other.set()
-                    raise MemoryError(f"range {lo}")
-                other.wait(timeout=30)
-                return lo
-
+        with ThreadPoolExecutor(len(ranges)) as pool:
+            assert bsde._run_ranges(pool, phase, ranges) == [0, 333, 666]
             other.clear()
-            with pytest.raises(MemoryError, match="range"):
-                ranges.run(failing)
+            with pytest.raises(MemoryError, match="^range 333$"):
+                bsde._run_ranges(pool, failing, ranges)
     assert threading.active_count() == threads
     assert other.is_set()
     assert {state for _, state in seen} == {"ignore"}
     assert len({ident for ident, _ in seen}) > 1
+
+
+def test_path_range_failure_waits_for_every_range():
+    # range 0 fails at once and range 2 ends late: the failure reaches the
+    # caller only after range 2 has finished, so no range of a sweep still
+    # writes into its workspace once solve_bsde has raised
+    finished = []
+
+    def phase(lo, hi):
+        if lo == 0:
+            raise MemoryError("range 0")
+        if lo == 2:
+            time.sleep(0.2)
+        finished.append(lo)
+        return lo
+
+    with ThreadPoolExecutor(3) as pool:
+        with pytest.raises(MemoryError, match="range 0"):
+            bsde._run_ranges(pool, phase, [(0, 1), (1, 2), (2, 3)])
+        assert sorted(finished) == [1, 2]

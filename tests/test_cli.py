@@ -268,10 +268,14 @@ def test_solver_failure_exits_four(config_path, tmp_path, capsys, monkeypatch):
 
 
 def test_signed_density_exits_five(config_path, tmp_path, capsys):
+    # 1 + dg/du = e^{u} - 1.5 < 0 for u below log 1.5: the allocation sweep's
+    # densities fail on the paths that jump there
     code = run_cli(
-        "verify", "--config", config_path, "--out", tmp_path,
-        "--set", "task=verify",
-        "--set", 'verify={"checks": ["doleans"], "phi_jumps": [-1.2]}',
+        "allocate", "--config", config_path, "--out", tmp_path,
+        "--set", "task=allocate",
+        "--set", 'driver={"family": "qexp", "alpha": 1.0, "jump_coefs": [-1.5]}',
+        "--set", 'payoff={"decomposition": [{"family": "affine", "a": 0.0, "b": 0.5},'
+                 ' {"family": "affine", "a": 0.0, "b": 0.5}]}',
     )
     assert code == 5
     assert capsys.readouterr().err.startswith("estimator-failure/signed-density:")

@@ -355,6 +355,26 @@ def test_verify_phi_jumps_length_checked():
         build_scenario(raw)
 
 
+@pytest.mark.parametrize("paths, phi", [(4, -1.5), (2000, -1.5), (4, -1.0)])
+def test_verify_phi_jumps_must_exceed_minus_one(tmp_path, capsys, paths, phi):
+    # a per-jump factor 1 + phi <= 0: refused before any path is simulated,
+    # rather than failing in the doleans check's log(1 + phi) when no jump is
+    # realized (4 paths) or in the density guard when one is (2000 paths)
+    raw = {
+        "scenario_id": "phi", "task": "verify",
+        "grid": {"horizon": 1.0, "steps": 5},
+        "mc": {"paths": paths, "seed": 1},
+        "model": {"x0": 0.0, "mu": 0.1, "sigma": 0.3,
+                  "jumps": [{"size": -0.2, "intensity": 0.01}]},
+        "verify": {"checks": ["doleans"], "phi_jumps": [phi]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config-validation-error:") and "config.verify.phi_jumps" in err, err
+
+
 def test_verify_driver_needed_only_for_driver_checks():
     raw = base_config(task="verify")
     raw["verify"] = {"checks": ["moments", "doleans"]}
