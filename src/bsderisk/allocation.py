@@ -320,14 +320,13 @@ def build_allocation_report(
 
     claims = ([xi_v] + [beta * xi_v for beta in betas] + [np.zeros_like(xi_v)]
               + _fd_legs([(xi_v, eta_v) for eta_v in directions], h))
-    probe = max(node, 1)
     columns = solve_bsde(bundle, driver, -np.column_stack(claims), config,
-                         nodes={0, node, probe}, densities=1 + node_count)
+                         nodes={0, node, max(node, 1)}, densities=1 + node_count)
 
     def risk(j):
         per_path = columns.y[node][:, j].copy()
-        se = float(columns.y[probe][:, j].std() / math.sqrt(bundle.path_count))
-        return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
+        return Estimate(value=_collapse(per_path, node), se=columns.std_error(node, j),
+                        per_path=per_path)
 
     rho, rho_zero = risk(0), risk(1 + node_count)
     density = columns.density[0]

@@ -17,7 +17,8 @@ clamped to configured guards against regression outliers.
 ``solve_bsde`` runs this recursion once for a block of terminals and returns
 one result, ``BsdeColumns``: the value process (and optionally densities and
 the controls, the clamped values the driver actually saw) at the nodes the
-caller reads. ``residual_replay`` checks a one-column solve read at every node.
+caller reads, as copies of the sweep's in-place workspace (node 0 excepted).
+``residual_replay`` checks a one-column solve read at every node.
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure.doleans_dade`` share it and its guards.
 
@@ -260,9 +261,10 @@ class BsdeColumns:
              driver saw, at the read nodes below N; empty without ``controls``
     clamped_z, clamped_upsilon (B,) per column
 
-    Every array is a transposed view of the sweep's (B, M), (D, M) or
-    (K, B, M) rows, so every column y[node][:, j], density[node][:, j],
-    z[node][:, j] or upsilon[node][:, j, k] is contiguous.
+    Every array is the transpose of (B, M), (D, M) or (K, B, M) rows, so
+    every column y[node][:, j], density[node][:, j], z[node][:, j] or
+    upsilon[node][:, j, k] is contiguous. The rows are copies, not views of
+    the sweep's workspace, except y, z and upsilon at node 0.
     """
 
     y: dict
@@ -271,6 +273,12 @@ class BsdeColumns:
     upsilon: dict
     clamped_z: np.ndarray
     clamped_upsilon: np.ndarray
+
+    def std_error(self, node: int, column: int = 0) -> float:
+        """Standard error of a column's value at ``node``: the spread of y over
+        the paths at max(node, 1), which the sweep must read, over sqrt(M)."""
+        y = self.y[max(node, 1)][:, column]
+        return float(y.std() / np.sqrt(y.size))
 
 
 def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt, work) -> np.ndarray:
@@ -387,20 +395,22 @@ def solve_bsde(
     ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
     and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
     control targets in a second. Only the value process of the current step
-    is kept; BsdeColumns holds it at ``nodes``, and with ``controls`` also
-    z and upsilon at the nodes below N.
+    is kept; BsdeColumns holds it at ``nodes`` (integers), and with
+    ``controls`` also z and upsilon at the nodes below N.
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
     the driver and ``_doleans_step`` see their transposes, which have the
-    shapes of their contracts. These arrays are allocated once per sweep
-    and written in place, except where a read node keeps one.
+    shapes of their contracts. These arrays are one workspace, allocated
+    once per sweep and written in place, Y_i over the rows of Y_{i+1}; a
+    read node keeps copies of its rows, except node 0, the last step.
     Each step finds the regression coefficients on the calling thread and
     runs the rest in two per-path phases over contiguous path ranges, one
     thread per usable CPU for blocks of at least ``_SPLIT_FLOOR`` values:
     (A) the fit of Y_{i+1} and the control targets, (B) the fitted controls,
-    the clamps, the driver, the value update and the Doleans-Dade step. The
-    results do not depend on the number of ranges.
+    the clamps, the driver, the value update (a non-finite Y_i raises
+    SolverFailure) and the Doleans-Dade step. The results, and which failure
+    is raised, do not depend on the number of ranges.
     The first ``densities`` columns also run ``_doleans_step`` on the driver's
     partials at their controls and return L(T)/L(t_node), under its guards
     and the uniform Kazamaki bound: a dg/du_k below -1 + 1e-12 at any step
@@ -414,29 +424,29 @@ def solve_bsde(
         raise ValueError("terminal values must be finite")
     if driver.mark_count != k:
         raise ValueError(f"driver has {driver.mark_count} marks, bundle has {k}")
-    reads = {int(node) for node in nodes}
-    if not reads <= set(range(n + 1)):
-        raise ValueError(f"nodes must lie in 0..{n}, got {sorted(reads)}")
+    asked = set(nodes)
+    reads = {int(node) for node in asked}
+    if reads != asked or not reads <= set(range(n + 1)):
+        raise ValueError(f"nodes must be integers in 0..{n}, got {sorted(asked)}")
 
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
-    # the (B, M) value process, copied once from the terminal
+    # the (B, M) rows of Y_{i+1}, copied once from the terminal; phase B
+    # overwrites them with Y_i at every step
     cur = xi.reshape(m, -1).T.copy()
     cols = cur.shape[0]
-    y_at = {n: cur.T} if n in reads else {}
-    z_at, u_at = {}, {}
     log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
+    y_at = {n: cur.copy().T} if n in reads else {}
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
+    z_at, u_at = {}, {}
     clamped_z = clamped_u = np.zeros(cols, dtype=np.int64)
     worst = np.inf
 
     # the step workspace, allocated in the first step after its design: that
     # design may build the bundle's cached jump counts, and a long-lived
     # array allocated above the workspace would keep the heap from reusing
-    # its memory once the sweep frees it. ``fits``, the fit of the control
-    # targets, and ``loose``, rows for a value that no read node keeps, are
-    # allocated when a step first needs them
-    y_fit = fits = loose = None
+    # its memory once the sweep frees it
+    y_fit = None
     ranges = _path_ranges(m, cols)
     # one thread per range, alive for the sweep; one range needs none
     with (concurrent.futures.ThreadPoolExecutor(len(ranges)) if len(ranges) > 1
@@ -449,11 +459,11 @@ def solve_bsde(
             y_coef = _coefficients(design, cur, config.ridge, gram)
             dw, dn = bundle.dw[:, i], bundle.dn[:, i]
             if y_fit is None:
-                # the fit of Y_{i+1}, the control targets (1 + K, B, M), the
-                # compensated jumps, the driver's partials and the
-                # Doleans-Dade step's scratch
+                # the fit of Y_{i+1}, the control targets (1 + K, B, M) and
+                # their fit, the compensated jumps, the driver's partials and
+                # the Doleans-Dade step's scratch
                 y_fit = np.empty((cols, m))
-                targets = np.empty((1 + k, cols, m))
+                targets, fitted = np.empty((1 + k, cols, m)), np.empty((1 + k, cols, m))
                 comp_dn = np.empty((k, m))
                 phi_z, phi_u = np.empty((densities, m)), np.empty((k, densities, m))
                 work = (np.empty((densities, m)), np.empty((densities, m)))
@@ -472,21 +482,6 @@ def solve_bsde(
 
             _run_ranges(pool, phase_a, ranges)
             c_coef = _coefficients(design, targets.reshape(-1, m), config.ridge, gram)
-            # rows of its own for what a read node keeps; the driver's value,
-            # then Y_i, goes into the rows of Y_{i+1} when no read node keeps
-            # those
-            if controls and i in reads:
-                fitted = np.empty_like(targets)
-            else:
-                fits = np.empty_like(targets) if fits is None else fits
-                fitted = fits
-            if i in reads:
-                g = np.empty_like(cur)
-            elif (i + 1) in reads:
-                loose = np.empty_like(cur) if loose is None else loose
-                g = loose
-            else:
-                g = cur
 
             def phase_b(lo, hi):
                 _fit_range(c_coef, design, fitted.reshape(-1, m), lo, hi)
@@ -495,8 +490,10 @@ def solve_bsde(
                 u_i /= lam_dt[:, None, None]
                 counts = (_clamp(z_i, config.z_clip, 1),
                           _clamp(u_i, config.upsilon_clip, (0, 2)) if k else 0)
-                # the control targets, fitted already, are the driver's scratch
-                buffers = (g[:, lo:hi].T, phi_z[:, lo:hi].T, phi_u[:, :, lo:hi].T)
+                # the driver's value, then Y_i, goes into the rows of Y_{i+1},
+                # which phase A has read; the control targets, fitted
+                # already, are the driver's scratch
+                buffers = (cur[:, lo:hi].T, phi_z[:, lo:hi].T, phi_u[:, :, lo:hi].T)
                 value = driver.evaluate(z_i.T, u_i.T, densities, out=buffers,
                                         work=targets[:, :, lo:hi].transpose(0, 2, 1))[0].T
                 value *= dt
@@ -504,32 +501,32 @@ def solve_bsde(
                 # a finite sum has finite terms; only a non-finite one needs
                 # the scan
                 if not np.isfinite(value.sum()) and not np.all(np.isfinite(value)):
-                    return counts, False, np.inf, None
+                    raise SolverFailure(f"non-finite value process at step {i}", step=i)
                 if not densities:
-                    return counts, True, np.inf, None
+                    return counts, np.inf, None
                 low = float(phi_u[:, :, lo:hi].min(initial=np.inf))
                 bad = _doleans_step(
                     log_l[:, lo:hi].T, jump_l[:, lo:hi].T, buffers[1], buffers[2],
                     dw[lo:hi], dn[lo:hi], dt, lam_dt,
                     (work[0][:, lo:hi].T, work[1][:, lo:hi].T))
-                return counts, True, low, bad + lo
+                return counts, low, bad + lo
 
             results = _run_ranges(pool, phase_b, ranges)
-            for (cz, cu), _, _, _ in results:
+            for (cz, cu), _, _ in results:
                 clamped_z = clamped_z + cz
                 clamped_u = clamped_u + cu
-            if not all(finite for _, finite, _, _ in results):
-                raise SolverFailure(f"non-finite value process at step {i}", step=i)
             if densities:
-                worst = min(worst, *(low for _, _, low, _ in results))
+                worst = min(worst, *(low for _, low, _ in results))
                 bad = np.concatenate([paths for *_, paths in results])
                 if bad.size:
                     raise _signed_density(bad)
-            cur = g
             if i in reads:
-                y_at[i], state_at[i] = cur.T, (log_l.copy(), jump_l.copy())
+                # later steps overwrite the workspace, so a read node keeps
+                # copies; node 0, the last step, keeps the rows themselves
+                rows = np.copy if i else np.asarray
+                y_at[i], state_at[i] = rows(cur).T, (log_l.copy(), jump_l.copy())
                 if controls:
-                    z_at[i], u_at[i] = fitted[0].T, fitted[1:].T
+                    z_at[i], u_at[i] = rows(fitted[0]).T, rows(fitted[1:]).T
 
     density = {node: _exponential(*state).T for node, state in state_at.items()}
     if worst < -1.0 + 1e-12:

@@ -179,8 +179,9 @@ def weighted_condexp(
     h = np.asarray(payload, dtype=float)
     if w.shape != (bundle.path_count,) or h.shape != (bundle.path_count,):
         raise ValueError("weights and payload must be per-path vectors")
-    if w.size and np.all(w == w[0]):
-        # constant weights cancel exactly; keep the unweighted estimator bit-for-bit
+    if w.size and w[0] > 0.0 and np.all(w == w[0]):
+        # constant positive weights cancel exactly; keep the unweighted
+        # estimator bit-for-bit
         return condexp_at_node(bundle, node, h, config)
     num, den = condexp_at_node(bundle, node, np.column_stack([w * h, w]), config).T
     bad = np.flatnonzero(den <= 0.0)

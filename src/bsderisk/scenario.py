@@ -570,11 +570,10 @@ def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     n = bundle.grid.step_count
     columns = solve_bsde(bundle, cfg.driver, xi, cfg.method.regression,
                          nodes=range(n + 1), controls=True)
-    se = float(columns.y[1][:, 0].std() / math.sqrt(cfg.paths)) if n >= 1 else 0.0
     sigmas = cfg.method.tolerance("replay_sigmas")
     replay = residual_replay(bundle, cfg.driver, columns, k_sigma=sigmas)
     return [
-        Row(sid, "y0", float(columns.y[0][0, 0]), se),
+        Row(sid, "y0", float(columns.y[0][0, 0]), columns.std_error(0)),
         *_clamp_rows(sid, "y0", columns.clamped_z[0], columns.clamped_upsilon[0]),
         Row(sid, "y0_replay_worst_z", replay.worst_z,
             check=f"replay_within_{sigmas:g}_se", passed=replay.passed),
@@ -598,8 +597,7 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     columns = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n))
     y = columns.y
     rho0 = float(y[0][0, 0])
-    se = float(y[1][:, 0].std() / math.sqrt(cfg.paths))
-    rows = [Row(sid, "rho0", rho0, se)]
+    rows = [Row(sid, "rho0", rho0, columns.std_error(0))]
     rows += _clamp_rows(sid, "rho0", columns.clamped_z[0], columns.clamped_upsilon[0])
     terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
     rows.append(Row(sid, "terminal_identity_gap", terminal_gap,

@@ -377,6 +377,16 @@ def test_terminal_shape_validation(jump_bundle):
         br.solve_bsde(jump_bundle, driver, np.full(jump_bundle.path_count, np.nan), nodes=(0,))
 
 
+def test_non_integer_nodes_rejected():
+    b = range_bundle(1)
+    driver = br.make_entropic_driver(1.0, b.model.jump_intensities)
+    with pytest.raises(ValueError, match="2.7"):
+        br.solve_bsde(b, driver, -b.terminal, nodes=(2.7,))
+    plain = br.solve_bsde(b, driver, -b.terminal, nodes=(2,)).y[2]
+    numpy = br.solve_bsde(b, driver, -b.terminal, nodes=(np.int64(2),)).y[2]
+    assert np.array_equal(plain, numpy)
+
+
 def test_mark_count_mismatch_rejected(brownian_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):
@@ -625,6 +635,34 @@ def test_sweep_is_the_same_on_any_number_of_threads(family, marks):
             assert np.array_equal(run.clamped_z, ref.clamped_z)
             assert np.array_equal(run.clamped_upsilon, ref.clamped_upsilon)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_single_node_reads_equal_a_read_of_every_node(workers):
+    # a read node keeps copies of the sweep's rows: what one node reads
+    # alone equals what a read of every node gives there, and no two read
+    # arrays share memory
+    b = range_bundle(1)
+    driver = RANGE_DRIVERS["entropic"](b.model.jump_intensities)
+    x = b.terminal
+    terminals = np.column_stack([-x, -(x * x), -(0.5 * x + 0.2)])
+    n = b.grid.step_count
+    full = sweep_on(workers, b, driver, terminals, nodes=range(n + 1), densities=2,
+                    controls=True)
+    for i in (0, 1, n // 2, n - 1, n):
+        alone = sweep_on(workers, b, driver, terminals, nodes=(i,), densities=2,
+                         controls=True)
+        for name in ("y", "density", "z", "upsilon"):
+            got = getattr(alone, name)
+            if name in ("z", "upsilon") and i == n:
+                assert not got
+                continue
+            assert np.array_equal(got[i], getattr(full, name)[i]), (name, i)
+    arrays = [(name, node, a) for name in ("y", "density", "z", "upsilon")
+              for node, a in getattr(full, name).items()]
+    for j, (name, node, a) in enumerate(arrays):
+        for other, other_node, c in arrays[j + 1:]:
+            assert not np.shares_memory(a, c), (name, node, other, other_node)
 
 
 def test_signed_density_names_the_same_paths_on_any_number_of_threads():

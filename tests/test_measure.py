@@ -87,6 +87,18 @@ def test_weighted_condexp_unit_weights_bit_identical(jump_bundle):
     assert np.array_equal(weighted, plain)
 
 
+@pytest.mark.parametrize("weight", [0.0, -2.0])
+def test_constant_non_positive_weights_raise(weight):
+    # constant weights skip the regression only when they are positive; a
+    # zero or negative constant is a non-positive normalizer on every path
+    model = br.LevyModel(x0=0.0, mu=0.1, sigma=0.3, jumps=(br.JumpMark(-0.2, 1.5),))
+    bundle = br.simulate_paths(br.build_grid(1.0, 5), model, 200, 1)
+    weights = np.full(bundle.path_count, weight)
+    with pytest.raises(EstimatorFailure, match="non-positive weight normalizer") as failure:
+        br.weighted_condexp(bundle, weights, bundle.terminal)
+    assert failure.value.paths.size == bundle.path_count
+
+
 def test_reweighted_constant_payload_is_exact(jump_bundle):
     rn = constant_rn(jump_bundle, 0.5, (0.4,))
     payload = np.full(jump_bundle.path_count, 3.5)
