@@ -22,14 +22,15 @@ caller reads, as copies of the sweep's in-place workspace (node 0 excepted).
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure.doleans_dade`` share it and its guards.
 
-Every fit, in the sweep or standalone (``regress_condexp``), finds its
-coefficients on the calling thread with F Y^T summed over path chunks in path
-order, and forms its fitted values chunk by chunk; no BLAS call is large
-enough to wake OpenBLAS's threads. The sweep runs its per-path work over
-contiguous path ranges: for large blocks one range per usable CPU, on a
-``concurrent.futures.ThreadPoolExecutor`` that lives for the sweep, else
-one range on the calling thread. Its results do not depend on the number
-of ranges.
+Every fit, in the sweep or standalone (``condexp_at_node``), is the same
+two steps on the (p, M) basis rows of ``features_at_node``: ``_coefficients``
+finds the coefficients on the calling thread with F Y^T summed over path
+chunks in path order, and ``_fit_range`` forms the fitted values chunk by
+chunk; no BLAS call is large enough to wake OpenBLAS's threads. The sweep
+runs its per-path work over contiguous path ranges: for large blocks one
+range per usable CPU, on a ``concurrent.futures.ThreadPoolExecutor`` that
+lives for the sweep, else one range on the calling thread. Its results do
+not depend on the number of ranges.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "RegressionConfig",
     "BsdeColumns",
     "ResidualReport",
-    "regress_condexp",
     "features_at_node",
     "condexp_at_node",
     "solve_bsde",
@@ -161,36 +161,6 @@ def _fit_range(coef: np.ndarray, design, out: np.ndarray, lo: int, hi: int) -> N
         start = stop
 
 
-def regress_condexp(features, targets, ridge: float = 1e-8):
-    """Fitted values of a (ridge) least-squares regression.
-
-    ``features`` is (M, p); ``targets`` is (M,) or (M, q) for q regressions
-    sharing one design matrix. The penalty is not applied to an intercept
-    (constant) column in position 0. With ridge = 0 a rank-deficient design
-    raises SolverFailure rather than silently picking a pseudoinverse
-    solution. The backward sweep fits with the same two steps
-    (``_coefficients``, then ``_fit_range``), so its fits and this one agree
-    bit for bit.
-
-    A 2-d fit is returned as the (M, q) transpose of a (q, M) array, so each
-    fitted column is contiguous.
-    """
-    f = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if f.ndim != 2:
-        raise ValueError(f"features must be 2-d, got shape {f.shape}")
-    if y.shape[0] != f.shape[0]:
-        raise ValueError(
-            f"targets first axis {y.shape[0]} != features rows {f.shape[0]}"
-        )
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    rows = y.reshape(y.shape[0], -1).T
-    fit = np.empty(rows.shape)
-    _fit_range(_coefficients(f.T, rows, ridge), f.T, fit, 0, f.shape[0])
-    return fit.T if y.ndim == 2 else fit[0]
-
-
 def _standardize(col: np.ndarray):
     m = col.mean()
     s = col.std()
@@ -202,11 +172,10 @@ def _standardize(col: np.ndarray):
 def features_at_node(
     bundle: PathBundle, node: int, config: RegressionConfig
 ) -> np.ndarray | None:
-    """Regression design at grid node: [1, x, ..., x^degree] in the
-    standardized state, optionally followed by standardized cumulative jump
-    counts. Returns None when every candidate column is constant (the node
-    carries no cross-path information). The design is the (M, p) view of a
-    (p, M) buffer, so each basis function is one contiguous row."""
+    """Regression design at grid node: the (p, M) basis rows [1, x, ...,
+    x^degree] in the standardized state, optionally followed by standardized
+    cumulative jump counts, each row contiguous. Returns None when every
+    candidate row is constant (the node carries no cross-path information)."""
     xs = _standardize(bundle.state[:, node])
     powers = config.degree if xs is not None else 0
     counts = []
@@ -224,29 +193,33 @@ def features_at_node(
         np.multiply(design[j - 1], xs, out=design[j])
     for row, c in zip(design[1 + powers:], counts):
         row[:] = c
-    return design.T
+    return design
 
 
 def condexp_at_node(
     bundle: PathBundle, node: int, targets: np.ndarray, config: RegressionConfig
 ):
-    """Estimate E[targets | F_{t_node}] pathwise.
+    """Estimate E[targets | F_{t_node}] pathwise for (M,) or (M, q) targets.
 
-    Node N (the horizon) returns the targets unchanged; nodes with
-    degenerate features return the plain cross-path mean, in the targets'
-    memory layout.
+    Node N (the horizon) returns the targets unchanged. Other nodes fit as
+    the sweep does (``_coefficients``, then ``_fit_range``), so the sweep's
+    fits and this one agree bit for bit; nodes with degenerate features
+    return the plain cross-path mean. A 2-d fit is returned as the (M, q) transpose of
+    a (q, M) array, so each fitted column is contiguous.
     """
     y = np.asarray(targets, dtype=float)
-    if node < 0 or node > bundle.grid.step_count:
-        raise ValueError(f"node {node} outside grid 0..{bundle.grid.step_count}")
-    if node == bundle.grid.step_count:
+    m, n = bundle.path_count, bundle.grid.step_count
+    if node < 0 or node > n:
+        raise ValueError(f"node {node} outside grid 0..{n}")
+    if y.ndim not in (1, 2) or y.shape[0] != m:
+        raise ValueError(f"targets must have shape ({m},) or ({m}, q), got {y.shape}")
+    if node == n:
         return y
-    feats = features_at_node(bundle, node, config)
-    if feats is None:
-        fit = np.empty_like(y)
-        fit[...] = y.mean(axis=0)
-        return fit
-    return regress_condexp(feats, y, config.ridge)
+    design = features_at_node(bundle, node, config)
+    rows = y.reshape(m, -1).T
+    fit = np.empty(rows.shape)
+    _fit_range(_coefficients(design, rows, config.ridge), design, fit, 0, m)
+    return fit.T if y.ndim == 2 else fit[0]
 
 
 @dataclass(frozen=True)
@@ -453,8 +426,6 @@ def solve_bsde(
           else contextlib.nullcontext()) as pool:
         for i in range(n - 1, -1, -1):
             design = features_at_node(bundle, i, config)
-            if design is not None:
-                design = design.T  # the (p, M) basis rows
             gram = None if design is None else design @ design.T
             y_coef = _coefficients(design, cur, config.ridge, gram)
             dw, dn = bundle.dw[:, i], bundle.dn[:, i]

@@ -28,23 +28,16 @@ their arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LinearForm",
     "Driver",
-    "SampleBox",
-    "GrowthBoundReport",
-    "LipschitzReport",
-    "HomogeneityReport",
     "make_qexp_driver",
     "make_entropic_driver",
     "make_sublinear_driver",
-    "check_growth_bound",
-    "check_local_lipschitz",
-    "check_positive_homogeneity",
 ]
 
 
@@ -311,184 +304,3 @@ def make_sublinear_driver(forms, intensities=()) -> Driver:
         raise ValueError("sublinear driver needs at least one form")
     return Driver(family="sublinear", intensities=lam, forms=tuple(checked))
 
-
-# --------------------------------------------------------------------------
-# sampled assumption checks
-
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Uniform sampling box |y| <= y_max, |z| <= z_max, |u_k| <= upsilon_max."""
-
-    y_max: float = 1.0
-    z_max: float = 5.0
-    upsilon_max: float = 2.0
-
-    def sample(self, count: int, mark_count: int, seed: int):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        y = rng.uniform(-self.y_max, self.y_max, count)
-        z = rng.uniform(-self.z_max, self.z_max, count)
-        u = rng.uniform(-self.upsilon_max, self.upsilon_max, (count, mark_count))
-        return y, z, u
-
-
-@dataclass(frozen=True)
-class GrowthBoundReport:
-    samples: int
-    violations: int
-    worst_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def check_growth_bound(
-    driver: Driver,
-    box: SampleBox = SampleBox(),
-    bound_alpha: float | None = None,
-    bound_beta: float = 0.0,
-    bound_ell: float = 0.0,
-    samples: int = 4096,
-    seed: int = 0,
-) -> GrowthBoundReport:
-    """Sampled two-sided quadratic-exponential growth check.
-
-    Tests, over a box of (y, z, upsilon) samples, that
-
-      -ell - beta |y| - (alpha/2) z^2 - sum_k j_alpha(-u_k) lambda_k
-        <= g(z, u) <=
-       ell + beta |y| + (alpha/2) z^2 + sum_k j_alpha(u_k) lambda_k
-
-    with j_alpha(u) = e^{alpha u} - 1 - alpha u. ``bound_alpha`` defaults to
-    the driver's own curvature (required for sublinear drivers). Margins
-    within -1e-12 count as satisfied so exact-equality cases pass.
-    """
-    alpha = bound_alpha if bound_alpha is not None else driver.alpha
-    if alpha is None or not alpha > 0.0:
-        raise ValueError("growth bound needs a positive alpha")
-    y, z, u = box.sample(samples, driver.mark_count, seed)
-    lam = np.asarray(driver.intensities)
-    g = driver(z, u)
-    quad = bound_ell + bound_beta * np.abs(y) + 0.5 * alpha * z * z
-    if driver.mark_count:
-        j_up = (np.exp(alpha * u) - 1.0 - alpha * u) * lam
-        j_dn = (np.exp(-alpha * u) - 1.0 + alpha * u) * lam
-        upper = quad + j_up.sum(axis=1)
-        lower = -quad - j_dn.sum(axis=1)
-    else:
-        upper = quad
-        lower = -quad
-    margin = np.minimum(upper - g, g - lower)
-    worst = float(margin.min())
-    violations = int(np.count_nonzero(margin < -1e-12))
-    return GrowthBoundReport(samples=samples, violations=violations, worst_margin=worst)
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    pairs: int
-    max_ratio: float
-    witness: tuple = field(default=())
-
-
-def check_local_lipschitz(
-    driver: Driver,
-    level: float = 1.0,
-    z_max: float = 5.0,
-    pairs: int = 4096,
-    seed: int = 0,
-) -> LipschitzReport:
-    """Estimate the smallest K_M in the local Lipschitz bound on a level set.
-
-    Ratio maximized over sampled pairs confined to |y|, |u_k| <= level:
-
-        |g(z,u) - g(z',u')| /
-        ( |y-y'| + ||u-u'||_nu + (1 + |z| + |z'| + ||u||_nu + ||u'||_nu) |z-z'| )
-
-    with ||u||_nu = sqrt(sum_k u_k^2 lambda_k). Half the pairs differ in z
-    only, with magnitudes sampled log-uniformly toward zero, so the supremum
-    of the ratio is approached for drivers whose steepest normalized slope
-    sits at the origin (e.g. linear ones).
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    k = driver.mark_count
-    lam = np.asarray(driver.intensities)
-
-    def nu_norm(u):
-        if k == 0:
-            return np.zeros(u.shape[0])
-        return np.sqrt((u * u * lam).sum(axis=1))
-
-    half = pairs // 2
-    # pairs differing in every coordinate
-    y1 = rng.uniform(-level, level, half)
-    y2 = rng.uniform(-level, level, half)
-    z1 = rng.uniform(-z_max, z_max, half)
-    z2 = rng.uniform(-z_max, z_max, half)
-    u1 = rng.uniform(-level, level, (half, k))
-    u2 = rng.uniform(-level, level, (half, k))
-    # z-only pairs at log-uniform magnitudes, shared (y, u)
-    rest = pairs - half
-    mag = np.exp(rng.uniform(math.log(1e-4), math.log(max(z_max, 1e-3)), rest))
-    sgn = rng.choice([-1.0, 1.0], rest)
-    z3 = mag * sgn
-    z4 = -z3
-    y3 = rng.uniform(-level, level, rest)
-    u3 = rng.uniform(-level, level, (rest, k)) * rng.uniform(0.0, 1.0, (rest, 1))
-
-    ya = np.concatenate([y1, y3])
-    yb = np.concatenate([y2, y3])
-    za = np.concatenate([z1, z3])
-    zb = np.concatenate([z2, z4])
-    ua = np.concatenate([u1, u3], axis=0)
-    ub = np.concatenate([u2, u3], axis=0)
-
-    dg = np.abs(driver(za, ua) - driver(zb, ub))
-    na, nb = nu_norm(ua), nu_norm(ub)
-    du = nu_norm(ua - ub)
-    denom = (
-        np.abs(ya - yb)
-        + du
-        + (1.0 + np.abs(za) + np.abs(zb) + na + nb) * np.abs(za - zb)
-    )
-    ok = denom > 0
-    ratio = dg[ok] / denom[ok]
-    i = int(ratio.argmax())
-    idx = np.flatnonzero(ok)[i]
-    witness = (float(ya[idx]), float(za[idx]), float(yb[idx]), float(zb[idx]))
-    return LipschitzReport(pairs=pairs, max_ratio=float(ratio.max()), witness=witness)
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    scales: tuple[float, ...]
-    residuals: tuple[float, ...]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tolerance for r in self.residuals)
-
-
-def check_positive_homogeneity(
-    driver: Driver,
-    box: SampleBox = SampleBox(),
-    scales=(0.5, 2.0, 7.0),
-    samples: int = 2048,
-    seed: int = 0,
-    tolerance: float = 1e-12,
-) -> HomogeneityReport:
-    """Max |g(c z, c u) - c g(z, u)| over sampled controls, per scale c > 0."""
-    _, z, u = box.sample(samples, driver.mark_count, seed)
-    g = driver(z, u)
-    residuals = []
-    for c in scales:
-        if not c > 0.0:
-            raise ValueError(f"scales must be positive, got {c}")
-        residuals.append(float(np.abs(driver(c * z, c * u) - c * g).max()))
-    return HomogeneityReport(
-        scales=tuple(float(c) for c in scales),
-        residuals=tuple(residuals),
-        tolerance=tolerance,
-    )

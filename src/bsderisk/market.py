@@ -163,11 +163,6 @@ class PathBundle:
             counts[i] += counts[i - 1]
         return counts.transpose(1, 0, 2)
 
-    def compensated_dn(self) -> np.ndarray:
-        """Jump increments minus their compensator: dN_k - lambda_k dt, shape (M, N, K)."""
-        lam = self.model.jump_intensities
-        return self.dn - lam[None, None, :] * self.grid.dt
-
 
 def _stream(seed: int, channel: int, step: int) -> np.random.Generator:
     # one counter-based stream per (channel, step); path m reads slot m, so

@@ -198,8 +198,19 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     standard error sqrt(sum v_m^2 (h_m - mean)^2), v = w / sum w.
 
     An (M,) payload gives two floats; an (M, q) payload gives two (q,) arrays,
-    one entry per column."""
-    v = weights / weights.sum()
+    one entry per column. Unless the weights are finite and nonnegative with
+    a positive sum (exact zeros allowed) EstimatorFailure is raised, listing
+    the negative or non-finite ones."""
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    if not (0.0 < total < np.inf and w.min() >= 0.0):
+        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
+        raise EstimatorFailure(
+            f"weights must be finite and nonnegative with a positive sum: sum {total}, "
+            f"{bad.size} negative or non-finite (first: {bad[:5]})",
+            paths=bad,
+        )
+    v = w / total
     mean = v @ payload
     se = np.sqrt((v * v) @ ((payload - mean) ** 2))
     return (float(mean), float(se)) if np.ndim(payload) == 1 else (mean, se)

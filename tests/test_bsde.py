@@ -13,17 +13,27 @@ from hypothesis import strategies as st
 
 import bsderisk as br
 from bsderisk import bsde, market
-from bsderisk.bsde import _standardize, condexp_at_node, features_at_node, regress_condexp
+from bsderisk.bsde import _standardize, condexp_at_node, features_at_node
 from bsderisk.errors import EstimatorFailure, SignedDensityFailure, SolverFailure
+
+
+def fit(features, targets, ridge):
+    """A standalone fit of (M,) or (M, q) targets on the (p, M) basis rows
+    ``features`` in the sweep's two steps; a 2-d fit is the (M, q) transpose
+    of (q, M) rows."""
+    y = np.asarray(targets, dtype=float)
+    rows = y.reshape(y.shape[0], -1).T
+    out = np.empty(rows.shape)
+    bsde._fit_range(bsde._coefficients(features, rows, ridge), features, out, 0, y.shape[0])
+    return out.T if y.ndim == 2 else out[0]
 
 
 def test_regression_recovers_linear_function_exactly():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(500, 3))
-    feats = np.hstack([np.ones((500, 1)), x])
+    feats = np.vstack([np.ones(500), rng.normal(size=(3, 500))])
     beta = np.array([1.0, -2.0, 0.5, 3.0])
-    y = feats @ beta
-    fitted = regress_condexp(feats, y, ridge=0.0)
+    y = beta @ feats
+    fitted = fit(feats, y, ridge=0.0)
     np.testing.assert_allclose(fitted, y, rtol=0.0, atol=1e-10)
 
 
@@ -31,25 +41,25 @@ def test_ridge_keeps_constants_exact():
     # the intercept is excluded from the penalty, so a constant target is
     # reproduced exactly even with ridge on
     rng = np.random.default_rng(1)
-    feats = np.hstack([np.ones((400, 1)), rng.normal(size=(400, 2))])
+    feats = np.vstack([np.ones(400), rng.normal(size=(2, 400))])
     y = np.full(400, 7.25)
-    fitted = regress_condexp(feats, y, ridge=1e-8)
+    fitted = fit(feats, y, ridge=1e-8)
     np.testing.assert_allclose(fitted, y, rtol=0.0, atol=1e-12)
 
 
 def test_rank_deficiency_raises_without_ridge():
-    feats = np.ones((50, 2))  # duplicated constant column
+    feats = np.ones((2, 50))  # duplicated constant row
     with pytest.raises(SolverFailure):
-        regress_condexp(feats, np.arange(50.0), ridge=0.0)
+        fit(feats, np.arange(50.0), ridge=0.0)
 
 
 def test_multi_column_targets_match_separate_fits():
     rng = np.random.default_rng(2)
-    feats = np.hstack([np.ones((300, 1)), rng.normal(size=(300, 3))])
+    feats = np.vstack([np.ones(300), rng.normal(size=(3, 300))])
     targets = rng.normal(size=(300, 4))
-    joint = regress_condexp(feats, targets, ridge=1e-8)
+    joint = fit(feats, targets, ridge=1e-8)
     for j in range(4):
-        single = regress_condexp(feats, targets[:, j], ridge=1e-8)
+        single = fit(feats, targets[:, j], ridge=1e-8)
         np.testing.assert_allclose(joint[:, j], single, rtol=0.0, atol=1e-12)
 
 
@@ -61,14 +71,14 @@ def test_fit_split_by_path_range_is_bitwise_equal(q):
     # number of chunks for q = 24 and 48
     rng = np.random.default_rng(q)
     m = 40_003
-    feats = np.hstack([np.ones((m, 1)), rng.normal(size=(m, 3))])
+    feats = np.vstack([np.ones(m), rng.normal(size=(3, m))])
     targets = rng.normal(size=(m, q))
-    whole = regress_condexp(feats, targets, ridge=1e-8)
-    coef = bsde._coefficients(feats.T, targets.T, 1e-8)
-    for cuts in ([0, m], [0, 2, 2051, 6148, m], [0, 777, 20_001, 33_333, m]):
+    whole = fit(feats, targets, ridge=1e-8)
+    coef = bsde._coefficients(feats, targets.T, 1e-8)
+    for cuts in ([0, 2, 2051, 6148, m], [0, 777, 20_001, 33_333, m]):
         split = np.empty((q, m))
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            bsde._fit_range(coef, feats.T, split, lo, hi)
+            bsde._fit_range(coef, feats, split, lo, hi)
         assert np.array_equal(split, whole.T), cuts
 
 
@@ -82,11 +92,13 @@ def test_chunk_length_keeps_each_blas_call_small():
 
 
 @pytest.mark.parametrize("ridge", [1e-8, 0.0])
-def test_multi_column_fit_has_contiguous_columns(ridge):
+def test_multi_column_fit_has_contiguous_columns(jump_bundle, ridge):
     rng = np.random.default_rng(3)
-    feats = np.hstack([np.ones((300, 1)), rng.normal(size=(300, 3))])
-    joint = regress_condexp(feats, rng.normal(size=(300, 4)), ridge=ridge)
-    assert all(joint[:, j].flags.c_contiguous for j in range(4))
+    targets = rng.normal(size=(jump_bundle.path_count, 4))
+    # node 0 has no basis beyond the intercept and fits the plain means
+    for node in (0, 25):
+        joint = condexp_at_node(jump_bundle, node, targets, br.RegressionConfig(ridge=ridge))
+        assert all(joint[:, j].flags.c_contiguous for j in range(4)), node
 
 
 def test_condexp_terminal_node_is_identity(jump_bundle):
@@ -101,22 +113,32 @@ def test_condexp_node_zero_is_plain_mean(jump_bundle):
     np.testing.assert_allclose(out, y.mean(), rtol=0.0, atol=1e-14)
 
 
+def test_condexp_checks_path_count_at_every_node(jump_bundle):
+    # node 0 (degenerate features), an interior node and node N (identity)
+    cfg = br.RegressionConfig()
+    for node in (0, 25, 50):
+        for targets in (np.ones(7), np.ones((7, 2))):
+            with pytest.raises(ValueError):
+                condexp_at_node(jump_bundle, node, targets, cfg)
+
+
 def test_features_standardized(jump_bundle):
     feats = features_at_node(jump_bundle, 25, br.RegressionConfig())
-    assert feats.shape == (jump_bundle.path_count, 4)
-    np.testing.assert_allclose(feats[:, 0], 1.0)
-    assert abs(feats[:, 1].mean()) < 1e-12
-    assert feats[:, 1].std() == pytest.approx(1.0, abs=1e-10)
+    assert feats.shape == (4, jump_bundle.path_count)
+    np.testing.assert_allclose(feats[0], 1.0)
+    assert abs(feats[1].mean()) < 1e-12
+    assert feats[1].std() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_jump_count_features_extend_basis(jump_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
     feats = features_at_node(jump_bundle, 25, cfg)
-    assert feats.shape == (jump_bundle.path_count, 5)
+    assert feats.shape == (5, jump_bundle.path_count)
 
 
 def reference_features(bundle, node, config):
-    """The design as built by re-summing the count increments at every node."""
+    """The (M, p) design as built by re-summing the count increments at every
+    node."""
     xs = _standardize(bundle.state[:, node])
     cols = []
     if xs is not None and config.degree >= 1:
@@ -137,7 +159,7 @@ def test_jump_count_basis_matches_direct_sums(two_mark_bundle):
     for node in range(two_mark_bundle.grid.step_count + 1):
         feats = features_at_node(two_mark_bundle, node, cfg)
         ref = reference_features(two_mark_bundle, node, cfg)
-        assert (feats is None and ref is None) or np.array_equal(feats, ref), node
+        assert (feats is None and ref is None) or np.array_equal(feats, ref.T), node
 
 
 def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
@@ -194,9 +216,8 @@ def test_solver_noise_shrinks_with_path_count(desk_grid, jump_model):
 
 
 def reference_sweep(bundle, driver, xi, cfg):
-    """The backward recursion with one features_at_node and one
-    regress_condexp call per fit: y, z, upsilon and the per-step counts of
-    clamped z and upsilon values."""
+    """The backward recursion with one condexp_at_node call per fit: y, z,
+    upsilon and the per-step counts of clamped z and upsilon values."""
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
@@ -204,18 +225,12 @@ def reference_sweep(bundle, driver, xi, cfg):
     clamps = np.zeros((n, 2), dtype=int)
     y[:, n] = xi
     for i in range(n - 1, -1, -1):
-        feats = features_at_node(bundle, i, cfg)
-
-        def fit(targets):
-            if feats is None:
-                return np.broadcast_to(targets.mean(axis=0), targets.shape)
-            return regress_condexp(feats, targets, cfg.ridge)
-
-        y_fit = fit(y[:, i + 1])
+        y_fit = condexp_at_node(bundle, i, y[:, i + 1], cfg)
         noise = y[:, i + 1] - y_fit
-        z_raw = fit(noise * bundle.dw[:, i]) / dt
+        z_raw = condexp_at_node(bundle, i, noise * bundle.dw[:, i], cfg) / dt
         u_raw = np.column_stack([
-            fit(noise * (bundle.dn[:, i, j] - lam_dt[j])) / lam_dt[j] for j in range(k)])
+            condexp_at_node(bundle, i, noise * (bundle.dn[:, i, j] - lam_dt[j]), cfg) / lam_dt[j]
+            for j in range(k)])
         clamps[i] = (np.count_nonzero(np.abs(z_raw) > cfg.z_clip),
                      np.count_nonzero(np.abs(u_raw) > cfg.upsilon_clip))
         z[:, i] = np.clip(z_raw, -cfg.z_clip, cfg.z_clip)
@@ -474,7 +489,7 @@ def reference_residual_replay(b, driver, solution):
     """Means and standard errors of the replayed identity, one driver call and
     one compensated-jump slice per step, on the stacked solution."""
     n, dt = b.grid.step_count, b.grid.dt
-    dnc = b.compensated_dn()
+    dnc = b.dn - b.model.jump_intensities * dt
     means, ses = np.empty(n), np.empty(n)
     for i in range(n):
         g = driver(solution.z[:, i], solution.upsilon[:, i, :])

@@ -120,58 +120,6 @@ def test_factory_validation():
         br.make_qexp_driver(1.0, br.LinearForm(0.0, (0.1,)), ())
 
 
-def test_growth_bound_holds_for_families():
-    box = br.SampleBox()
-    ent = br.make_entropic_driver(2.0, (1.5,))
-    assert br.check_growth_bound(ent, box).passed
-    sub = br.make_sublinear_driver(
-        (br.LinearForm(0.5, (0.3,)), br.LinearForm(-0.5, (0.1,))), (1.5,)
-    )
-    # any positive curvature dominates a sublinear driver far out, but the
-    # bound must hold on the box as well
-    assert br.check_growth_bound(sub, box, bound_alpha=2.0, bound_ell=1.0).passed
-
-
-def test_growth_bound_equality_case_passes():
-    # at gamma the entropic driver sits exactly on its own bound when z = 0;
-    # the margin tolerance must accept equality
-    ent = br.make_entropic_driver(1.0, (2.0,))
-    report = br.check_growth_bound(ent, br.SampleBox(z_max=0.0))
-    assert report.passed
-    assert report.worst_margin >= -1e-12
-
-
-def test_growth_bound_detects_understated_alpha():
-    ent = br.make_entropic_driver(2.0, (1.5,))
-    report = br.check_growth_bound(ent, br.SampleBox(), bound_alpha=1.0)
-    assert not report.passed
-    assert report.violations > 0
-
-
-def test_lipschitz_estimate_for_linear_driver():
-    # a one-form sublinear driver is linear; its local constant is the
-    # normalized slope, approached by the z-only pairs near the origin
-    d = br.make_sublinear_driver((br.LinearForm(0.7, (0.2,)),), (1.5,))
-    report = br.check_local_lipschitz(d, level=1.0)
-    assert report.max_ratio == pytest.approx(0.7, rel=0.02)
-
-
-def test_lipschitz_qexp_grows_with_level():
-    d = br.make_entropic_driver(2.0, (1.5,))
-    low = br.check_local_lipschitz(d, level=0.5, z_max=1.0)
-    high = br.check_local_lipschitz(d, level=2.0, z_max=5.0)
-    assert high.max_ratio > low.max_ratio
-
-
-def test_homogeneity_check_separates_families():
-    sub = br.make_sublinear_driver(
-        (br.LinearForm(0.5, (0.3,)), br.LinearForm(-0.2, (0.6,))), (1.5,)
-    )
-    assert br.check_positive_homogeneity(sub).passed
-    ent = br.make_entropic_driver(1.0, (1.5,))
-    assert not br.check_positive_homogeneity(ent).passed
-
-
 def test_upsilon_shape_validation():
     d = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):

@@ -209,12 +209,6 @@ def test_jump_counts_match_intensity(jump_bundle):
     assert abs(total.mean() - 1.5) < 4 * se
 
 
-def test_compensated_increments_have_zero_mean(jump_bundle):
-    dnc = jump_bundle.compensated_dn()
-    se = dnc.std() / np.sqrt(dnc.size)
-    assert abs(dnc.mean()) < 4 * se
-
-
 def test_seed_range_validation(desk_grid, brownian_model):
     with pytest.raises(ValueError):
         br.simulate_paths(desk_grid, brownian_model, 10, -1)

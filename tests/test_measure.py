@@ -99,6 +99,22 @@ def test_constant_non_positive_weights_raise(weight):
     assert failure.value.paths.size == bundle.path_count
 
 
+def test_weighted_mean_se_rejects_inadmissible_weights():
+    payload = np.linspace(-1.0, 1.0, 200)
+    # mixed signs would give a "mean" of -1.51, outside the payload's range
+    mixed = np.concatenate([np.full(100, 2.0), np.full(100, -1.0)])
+    with pytest.raises(EstimatorFailure) as failure:
+        weighted_mean_se(mixed, payload)
+    assert np.array_equal(failure.value.paths, np.arange(100, 200))
+    for weights in (np.zeros(200), np.full(200, np.inf), np.full(200, np.nan)):
+        with pytest.raises(EstimatorFailure):
+            weighted_mean_se(weights, payload)
+    # exact zeros, as a collapsed density has, stay allowed
+    weights = np.concatenate([np.zeros(100), np.ones(100)])
+    mean, _ = weighted_mean_se(weights, payload)
+    assert mean == pytest.approx(payload[100:].mean(), abs=1e-15)
+
+
 def test_reweighted_constant_payload_is_exact(jump_bundle):
     rn = constant_rn(jump_bundle, 0.5, (0.4,))
     payload = np.full(jump_bundle.path_count, 3.5)
