@@ -57,13 +57,8 @@ from .risk import (
 )
 from .allocation import (
     AllocationReport,
-    aumann_shapley,
     build_allocation_report,
-    coherent_representation,
     convex_representation,
-    full_allocation_check,
-    gradient_fd,
-    gradient_measure,
 )
 from .malliavin import (
     clark_ocone,
@@ -117,13 +112,8 @@ __all__ = [
     "entropic_closed_form",
     "entropic_coherent_static",
     "AllocationReport",
-    "aumann_shapley",
     "build_allocation_report",
-    "coherent_representation",
     "convex_representation",
-    "full_allocation_check",
-    "gradient_fd",
-    "gradient_measure",
     "clark_ocone",
     "entropic_controls",
     "gamma_exponential_check",

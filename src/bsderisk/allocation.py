@@ -1,31 +1,28 @@
 """Capital allocation of a dynamic risk number across sub-portfolios.
 
-Three routes to the same marginal quantity, kept deliberately separate so
-they can cross-check each other:
+``build_allocation_report`` allocates a claim xi across the parts
+eta_1, ..., eta_D of its decomposition (the components of a
+``PortfolioPayoff``) by three routes that cross-check each other. All three
+read one backward sweep over the 2 + 2D + Q columns
+[xi, beta_q xi, 0, xi +- h eta_d], for Q Gauss-Legendre nodes beta_q:
 
-  gradient_fd       central finite difference of rho along a direction,
-                    common random numbers on both sides
-  gradient_measure  the measure-change identity: solve the risk BSDE once,
-                    build the Radon-Nikodym density from the driver's
-                    partials at the solved controls, and take E_Q[-eta]
-  aumann_shapley    Gauss-Legendre average over beta in (0,1) of the
-                    measure-route gradient at the scaled claim beta * xi,
-                    which sums to the full risk across a decomposition
+  fd       central difference [rho(xi + h eta) - rho(xi - h eta)] / 2h; both
+           legs are columns of the sweep (common random numbers)
+  measure  the measure-change identity E_Q[-eta], Q the density the sweep
+           builds from the driver's partials at the solved controls of xi
+  shapley  Aumann-Shapley: the Gauss-Legendre average over beta in (0, 1) of
+           the measure-route gradient at the scaled claims beta_q xi; the
+           parts sum to rho(xi) - rho(0), and the zero claim's column gives
+           rho(0) for that full-allocation check
 
-plus the density representations of the risk number itself:
+``convex_representation`` re-expresses the risk number itself as
+E[-Lambda xi], Lambda the Gauss-Legendre mixture of the densities of the
+scaled claims, all columns of one sweep. For a positively homogeneous
+driver every claim beta xi has the density of xi, so ``node_count=1`` is the
+coherent, single-density representation.
 
-  convex_representation    rho as E[-Lambda xi] with Lambda the
-                           quadrature mixture of per-beta stochastic
-                           exponentials
-  coherent_representation  the positively homogeneous case, where a single
-                           beta = 1 exponential suffices
-
-Every route builds a block of terminals (finite-difference legs, scaled
-claims), runs one backward sweep on the bundle and reads columns;
-the allocation report is one sweep over 2 + 2D + Q columns for D
-directions and Q quadrature nodes. The measure routes read their densities
-off that sweep (solve_bsde's ``densities``), so every density passes the
-sweep's sign, overflow and uniform Kazamaki guards.
+Every density is read off the sweep (solve_bsde's ``densities``), so every
+one passes the sweep's sign, overflow and uniform Kazamaki guards.
 """
 
 from __future__ import annotations
@@ -45,12 +42,7 @@ __all__ = [
     "Estimate",
     "FullAllocationCheck",
     "AllocationReport",
-    "gradient_fd",
-    "gradient_measure",
-    "aumann_shapley",
     "convex_representation",
-    "coherent_representation",
-    "full_allocation_check",
     "build_allocation_report",
 ]
 
@@ -95,13 +87,6 @@ def _quadrature(weights, parts: list[Estimate]) -> Estimate:
     )
 
 
-def _fd_legs(pairs, h: float) -> list[np.ndarray]:
-    """Claim columns x + h e, x - h e of a central difference per (x, e) pair."""
-    if not h > 0.0:
-        raise ValueError(f"fd step must be positive, got {h}")
-    return [x + sign * h * e for x, e in pairs for sign in (1.0, -1.0)]
-
-
 def _fd_estimates(columns: BsdeColumns, first: int, count: int, h: float, node: int):
     """Central differences of ``count`` leg pairs from column ``first`` on. The
     standard error is the delta-method one: dispersion of the pathwise
@@ -116,47 +101,10 @@ def _fd_estimates(columns: BsdeColumns, first: int, count: int, h: float, node: 
     return estimates
 
 
-def gradient_fd(
-    bundle: PathBundle,
-    driver: Driver,
-    xi,
-    eta,
-    step: float | None = None,
-    node: int = 0,
-    config: RegressionConfig = RegressionConfig(),
-) -> Estimate:
-    """Central difference [rho(xi + h eta) - rho(xi - h eta)] / 2h.
-
-    Both legs are columns of one sweep on the bundle (common random
-    numbers), so the Monte Carlo noise largely cancels pathwise.
-    """
-    xi_v = _claim_values(bundle, xi)
-    eta_v = _claim_values(bundle, eta)
-    h = default_fd_step(xi_v) if step is None else float(step)
-    legs = np.column_stack(_fd_legs([(xi_v, eta_v)], h))
-    columns = solve_bsde(bundle, driver, -legs, config, nodes={node, max(node, 1)})
-    return _fd_estimates(columns, 0, 1, h, node)[0]
-
-
 def _weighted_estimate(bundle: PathBundle, weights, payload, node: int, config) -> Estimate:
     per_path = weighted_condexp(bundle, weights, payload, node, config)
     _, se = weighted_mean_se(weights, payload)
     return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
-
-
-def gradient_measure(
-    bundle: PathBundle,
-    driver: Driver,
-    xi,
-    eta,
-    node: int = 0,
-    config: RegressionConfig = RegressionConfig(),
-) -> Estimate:
-    """Marginal risk along eta via the gradient measure: E_Q[-eta | F_t]."""
-    xi_v = _claim_values(bundle, xi)
-    eta_v = _claim_values(bundle, eta)
-    density = solve_bsde(bundle, driver, -xi_v, config, nodes=(0,), densities=1).density[0][:, 0]
-    return _weighted_estimate(bundle, density, -eta_v, node, config)
 
 
 def _shapley_multi(bundle: PathBundle, densities, directions, node: int, config) -> list[Estimate]:
@@ -169,29 +117,6 @@ def _shapley_multi(bundle: PathBundle, densities, directions, node: int, config)
                  for q in range(len(weights))]
         estimates.append(_quadrature(weights, parts))
     return estimates
-
-
-def aumann_shapley(
-    bundle: PathBundle,
-    driver: Driver,
-    xi,
-    eta,
-    node_count: int = 16,
-    node: int = 0,
-    config: RegressionConfig = RegressionConfig(),
-) -> Estimate:
-    """Aumann-Shapley allocation along eta.
-
-    Integrates the measure-route gradient of rho at the scaled claim beta*xi
-    over beta in (0, 1) with a Gauss-Legendre rule; the densities of all
-    beta nodes are columns of one sweep on the same bundle.
-    """
-    xi_v = _claim_values(bundle, xi)
-    eta_v = _claim_values(bundle, eta)
-    betas, _ = _unit_legendre(node_count)
-    scaled = np.column_stack([beta * xi_v for beta in betas])
-    columns = solve_bsde(bundle, driver, -scaled, config, nodes=(0,), densities=node_count)
-    return _shapley_multi(bundle, columns.density[0], [eta_v], node, config)[0]
 
 
 def convex_representation(
@@ -207,6 +132,8 @@ def convex_representation(
     Lambda(T, t) is the Gauss-Legendre mixture over beta of the stochastic
     exponentials built from the solved controls of the scaled claims
     beta * xi, all columns of one sweep; expectations are self-normalized.
+    For a positively homogeneous driver ``node_count=1`` gives the coherent
+    representation: the one density of beta * xi is the density of xi.
     """
     xi_v = _claim_values(bundle, xi)
     betas, weights = _unit_legendre(node_count)
@@ -214,29 +141,6 @@ def convex_representation(
     columns = solve_bsde(bundle, driver, -scaled, config, nodes=(node,), densities=node_count)
     mix = columns.density[node] @ weights
     return _weighted_estimate(bundle, mix, -xi_v, node, config)
-
-
-def coherent_representation(
-    bundle: PathBundle,
-    driver: Driver,
-    xi,
-    node: int = 0,
-    config: RegressionConfig = RegressionConfig(),
-) -> Estimate:
-    """Single-density representation for positively homogeneous drivers.
-
-    Scaling invariance collapses the beta mixture to the single exponential
-    at beta = 1. Requires a positively homogeneous driver.
-    """
-    if not driver.positively_homogeneous:
-        raise ValueError(
-            "coherent_representation requires a positively homogeneous driver; "
-            f"got family {driver.family!r}"
-        )
-    xi_v = _claim_values(bundle, xi)
-    weights = solve_bsde(bundle, driver, -xi_v, config, nodes=(node,),
-                         densities=1).density[node][:, 0]
-    return _weighted_estimate(bundle, weights, -xi_v, node, config)
 
 
 @dataclass(frozen=True)
@@ -255,25 +159,15 @@ class FullAllocationCheck:
         return self.residual <= self.tolerance
 
 
-def full_allocation_check(
-    allocations, rho, tolerance: float = 1e-2, rho_zero=0.0
+def _full_allocation_check(
+    allocations, rho: Estimate, rho_zero: Estimate, tolerance: float
 ) -> FullAllocationCheck:
     """Compare sum_i allocation_i, which path-integral allocations make
-    rho(xi) - rho(0), against that difference; pooled SE is informational.
-    The default rho(0) = 0 is the normalized case g(0, 0) = 0 of every
-    factory-built family except a qexp driver with a constant term.
-    """
-
-    def value_var(x):
-        return (x.value, x.se**2) if isinstance(x, Estimate) else (float(x), 0.0)
-
-    parts = [value_var(a) for a in allocations]
-    rho_v, rho_var = value_var(rho)
-    zero_v, zero_var = value_var(rho_zero)
-    allocated = float(sum(v for v, _ in parts))
-    pooled_se = float(math.sqrt(rho_var + zero_var + sum(var for _, var in parts)))
-    return FullAllocationCheck(rho_v, zero_v, allocated, abs(rho_v - zero_v - allocated),
-                               pooled_se, tolerance)
+    rho(xi) - rho(0), against that difference; pooled SE is informational."""
+    allocated = float(sum(a.value for a in allocations))
+    pooled_se = float(math.sqrt(rho.se**2 + rho_zero.se**2 + sum(a.se**2 for a in allocations)))
+    return FullAllocationCheck(rho.value, rho_zero.value, allocated,
+                               abs(rho.value - rho_zero.value - allocated), pooled_se, tolerance)
 
 
 @dataclass(frozen=True)
@@ -316,10 +210,12 @@ def build_allocation_report(
     xi_v = _claim_values(bundle, payoff)
     directions = [_claim_values(bundle, c) for c in payoff.components]
     h = default_fd_step(xi_v) if step is None else float(step)
+    if not h > 0.0:
+        raise ValueError(f"fd step must be positive, got {h}")
     betas, _ = _unit_legendre(node_count)
 
     claims = ([xi_v] + [beta * xi_v for beta in betas] + [np.zeros_like(xi_v)]
-              + _fd_legs([(xi_v, eta_v) for eta_v in directions], h))
+              + [xi_v + sign * h * eta_v for eta_v in directions for sign in (1.0, -1.0)])
     columns = solve_bsde(bundle, driver, -np.column_stack(claims), config,
                          nodes={0, node, max(node, 1)}, densities=1 + node_count)
 
@@ -337,6 +233,6 @@ def build_allocation_report(
     fd = tuple(_fd_estimates(columns, 2 + node_count, len(directions), h, node))
     shapley = tuple(_shapley_multi(bundle, density[:, 1:], directions, node, config))
     gaps = tuple(abs(f.value - m.value) for f, m in zip(fd, measure))
-    check = full_allocation_check(shapley, rho, tolerance, rho_zero)
+    check = _full_allocation_check(shapley, rho, rho_zero, tolerance)
     return AllocationReport(rho, rho_zero, fd, measure, shapley, gaps, check, h,
                             node_count, node, bundle.seed)

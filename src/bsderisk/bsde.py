@@ -161,6 +161,18 @@ def _fit_range(coef: np.ndarray, design, out: np.ndarray, lo: int, hi: int) -> N
         start = stop
 
 
+def _grid_node(node, n: int) -> int:
+    """The grid node ``node`` names: an integer in 0..n, where an integral
+    float names that node; anything else, a bool too, raises ValueError."""
+    try:
+        named = int(node) == node and not isinstance(node, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        named = False
+    if not named or not 0 <= int(node) <= n:
+        raise ValueError(f"node must be an integer in 0..{n}, got {node!r}")
+    return int(node)
+
+
 def _standardize(col: np.ndarray):
     m = col.mean()
     s = col.std()
@@ -201,6 +213,7 @@ def condexp_at_node(
 ):
     """Estimate E[targets | F_{t_node}] pathwise for (M,) or (M, q) targets.
 
+    ``node`` follows the rule of ``solve_bsde``'s nodes.
     Node N (the horizon) returns the targets unchanged. Other nodes fit as
     the sweep does (``_coefficients``, then ``_fit_range``), so the sweep's
     fits and this one agree bit for bit; nodes with degenerate features
@@ -209,8 +222,7 @@ def condexp_at_node(
     """
     y = np.asarray(targets, dtype=float)
     m, n = bundle.path_count, bundle.grid.step_count
-    if node < 0 or node > n:
-        raise ValueError(f"node {node} outside grid 0..{n}")
+    node = _grid_node(node, n)
     if y.ndim not in (1, 2) or y.shape[0] != m:
         raise ValueError(f"targets must have shape ({m},) or ({m}, q), got {y.shape}")
     if node == n:
@@ -368,8 +380,9 @@ def solve_bsde(
     ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
     and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
     control targets in a second. Only the value process of the current step
-    is kept; BsdeColumns holds it at ``nodes`` (integers), and with
-    ``controls`` also z and upsilon at the nodes below N.
+    is kept; BsdeColumns holds it at ``nodes`` (integers in 0..N, where an
+    integral float names that node), and with ``controls`` also z and
+    upsilon at the nodes below N.
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
@@ -397,10 +410,7 @@ def solve_bsde(
         raise ValueError("terminal values must be finite")
     if driver.mark_count != k:
         raise ValueError(f"driver has {driver.mark_count} marks, bundle has {k}")
-    asked = set(nodes)
-    reads = {int(node) for node in asked}
-    if reads != asked or not reads <= set(range(n + 1)):
-        raise ValueError(f"nodes must be integers in 0..{n}, got {sorted(asked)}")
+    reads = {_grid_node(node, n) for node in nodes}
 
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt

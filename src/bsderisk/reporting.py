@@ -116,22 +116,43 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[Path, Path]:
     return payload_path, sidecar_path
 
 
-def _parse_value(text: str):
+def _parse_value(text):
     if text in ("", "null", None):
         return None
+    if isinstance(text, bool):
+        raise ValueError(f"{text!r} is not a number")
     return float(text)
 
 
 def _parse_bool(text):
     if text in ("", "null", None):
         return None
-    if isinstance(text, bool):
-        return text
-    return text == "true"
+    if text is True or text == "true":
+        return True
+    if text is False or text == "false":
+        return False
+    raise ValueError(f"pass flag {text!r} is not true, false or empty")
+
+
+def _row(rec, where: str) -> Row:
+    """One payload record as a Row. A record that lacks a field, whose value
+    or std_error is neither a number nor empty/null, or whose pass flag is
+    not true, false or empty/null raises ConfigParseError naming ``where``."""
+    try:
+        text = [rec[key] for key in ("scenario_id", "quantity", "check")]
+        if not all(isinstance(t, str) for t in text):
+            raise ValueError("scenario_id, quantity and check must be text")
+        return Row(text[0], text[1], _parse_value(rec["value"]),
+                   _parse_value(rec["std_error"]), text[2], _parse_bool(rec["pass"]))
+    except KeyError as exc:
+        raise ConfigParseError(f"{where}: row lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"{where}: bad row: {exc}") from exc
 
 
 def read_report(path) -> RunReport:
-    """Load a payload file (either format) back into rows."""
+    """Load a payload file (either format) back into rows; a malformed row
+    raises ConfigParseError naming the file and its line."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -143,16 +164,11 @@ def read_report(path) -> RunReport:
         if reader.fieldnames != list(CSV_HEADER):
             raise ConfigParseError(f"{p} is not a report payload (header mismatch)")
         for rec in reader:
-            rows.append(
-                Row(
-                    scenario_id=rec["scenario_id"],
-                    quantity=rec["quantity"],
-                    value=_parse_value(rec["value"]),
-                    std_error=_parse_value(rec["std_error"]),
-                    check=rec["check"],
-                    passed=_parse_bool(rec["pass"]),
-                )
-            )
+            # DictReader files a missing field as None and extra ones under None
+            if None in rec or None in rec.values():
+                raise ConfigParseError(f"{p}:{reader.line_num}: row does not have "
+                                       f"the {len(CSV_HEADER)} fields of the header")
+            rows.append(_row(rec, f"{p}:{reader.line_num}"))
     else:
         for line_no, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -162,15 +178,6 @@ def read_report(path) -> RunReport:
                 rec = json.loads(line, parse_int=float)
             except json.JSONDecodeError as exc:
                 raise ConfigParseError(f"{p}:{line_no}: invalid json line: {exc}") from exc
-            rows.append(
-                Row(
-                    scenario_id=rec["scenario_id"],
-                    quantity=rec["quantity"],
-                    value=rec["value"],
-                    std_error=rec["std_error"],
-                    check=rec.get("check", ""),
-                    passed=rec.get("pass"),
-                )
-            )
+            rows.append(_row(rec, f"{p}:{line_no}"))
     scenario_id = rows[0].scenario_id if rows else "empty"
     return RunReport(scenario_id=scenario_id, rows=rows)

@@ -167,7 +167,7 @@ def test_c05_sublinear_homogeneity(sublinear_driver, jump_desk, desk_parts):
         g_gap = abs(shap.value - grad.value)
         ok &= g_gap <= 1e-2
         details.append(f"AS vs gradient dir{i}: gap={g_gap:.2e} tol=1e-2")
-    coh = br.coherent_representation(jump_desk, driver, xi)
+    coh = br.convex_representation(jump_desk, driver, xi, node_count=1)
     c_gap = abs(coh.value - rho0)
     ok &= c_gap <= 2e-2
     details.append(f"coherent repr gap={c_gap:.2e} tol=2e-2")

@@ -1,4 +1,4 @@
-"""Gradient estimators, path-integral allocation, density representations."""
+"""The allocation report's three routes, full allocation, density representations."""
 
 import math
 
@@ -25,6 +25,21 @@ def driver():
     return br.make_entropic_driver(GAMMA, (1.5,))
 
 
+@pytest.fixture(scope="module")
+def sublinear():
+    return br.make_sublinear_driver(
+        (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (1.5,)
+    )
+
+
+@pytest.fixture(scope="module")
+def reports(driver, jump_bundle, parts):
+    """The allocation report of the three parts at 4, 8 and 16 quadrature nodes."""
+    payoff = br.PortfolioPayoff(parts)
+    return {q: br.build_allocation_report(jump_bundle, driver, payoff, node_count=q)
+            for q in (4, 8, 16)}
+
+
 def entropic_tilt_gradient(bundle, xi, eta, gamma=GAMMA):
     # analytic Gateaux derivative of the entropic risk:
     # d/de rho(xi + e eta) = E[-eta e^{-gamma xi}] / E[e^{-gamma xi}]
@@ -32,112 +47,80 @@ def entropic_tilt_gradient(bundle, xi, eta, gamma=GAMMA):
     return float(-(w @ eta) / w.sum())
 
 
-def test_gradient_measure_matches_analytic_tilt(driver, jump_bundle, parts):
+def test_report_rows_match_analytic_tilt(reports, jump_bundle, parts):
+    report = reports[16]
     xi = br.terminal_values(jump_bundle, br.PortfolioPayoff(parts))
-    for p in parts:
-        eta = p(jump_bundle.terminal)
-        est = br.gradient_measure(jump_bundle, driver, xi, eta)
-        ana = entropic_tilt_gradient(jump_bundle.terminal * 0 + xi, xi, eta)
-        assert abs(est.value - ana) < 5e-3, (est.value, ana)
-
-
-def test_gradient_fd_matches_analytic_tilt(driver, jump_bundle, parts):
-    xi = br.terminal_values(jump_bundle, br.PortfolioPayoff(parts))
-    for p in parts:
-        eta = p(jump_bundle.terminal)
-        est = br.gradient_fd(jump_bundle, driver, xi, eta)
-        ana = entropic_tilt_gradient(xi, xi, eta)
-        assert abs(est.value - ana) < 5e-3
+    for p, fd, mv in zip(parts, report.fd, report.measure):
+        ana = entropic_tilt_gradient(jump_bundle, xi, p(jump_bundle.terminal))
+        assert abs(fd.value - ana) < 5e-3, (fd.value, ana)
+        assert abs(mv.value - ana) < 5e-3, (mv.value, ana)
 
 
 def test_cash_direction_gradient_is_minus_one(driver, jump_bundle):
     # translation property: adding cash reduces risk one for one
-    xi = jump_bundle.terminal
-    eta = np.ones_like(xi)
-    fd = br.gradient_fd(jump_bundle, driver, xi, eta)
-    mv = br.gradient_measure(jump_bundle, driver, xi, eta)
-    assert fd.value == pytest.approx(-1.0, abs=1e-6)
-    assert mv.value == pytest.approx(-1.0, abs=1e-6)
+    payoff = br.PortfolioPayoff((br.AffinePayoff(0.0, 1.0), br.AffinePayoff(1.0, 0.0)))
+    report = br.build_allocation_report(jump_bundle, driver, payoff, node_count=1)
+    assert report.fd[1].value == pytest.approx(-1.0, abs=1e-6)
+    assert report.measure[1].value == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_fd_and_measure_agree(driver, jump_bundle, parts):
-    xi = br.terminal_values(jump_bundle, br.PortfolioPayoff(parts))
-    for p in parts:
-        eta = p(jump_bundle.terminal)
-        fd = br.gradient_fd(jump_bundle, driver, xi, eta)
-        mv = br.gradient_measure(jump_bundle, driver, xi, eta)
+def test_fd_and_measure_agree(reports):
+    report = reports[16]
+    for fd, mv in zip(report.fd, report.measure):
         pooled = math.sqrt(fd.se**2 + mv.se**2)
         assert abs(fd.value - mv.value) <= max(2e-2, 4 * pooled)
 
 
-def test_aumann_shapley_full_allocation(driver, jump_bundle, parts):
-    payoff = br.PortfolioPayoff(parts)
-    xi = br.terminal_values(jump_bundle, payoff)
-    rho0 = br.dynamic_risk(jump_bundle, driver, xi)[0]
-    allocs = [
-        br.aumann_shapley(jump_bundle, driver, xi, p(jump_bundle.terminal), node_count=8)
-        for p in parts
-    ]
-    check = br.full_allocation_check(allocs, rho0)
-    assert check.passed, check
+def test_aumann_shapley_full_allocation(reports):
+    for report in reports.values():
+        assert report.check.passed, report.check
 
 
-def test_aumann_shapley_refinement(driver, jump_bundle, parts):
+def test_aumann_shapley_refinement(reports):
     # quadrature refinement must not worsen the allocation residual beyond
     # one pooled standard error
-    payoff = br.PortfolioPayoff(parts)
-    xi = br.terminal_values(jump_bundle, payoff)
-    rho0 = br.dynamic_risk(jump_bundle, driver, xi)[0]
-    residuals = []
-    pooled = []
-    for nodes in (4, 8, 16):
-        allocs = [
-            br.aumann_shapley(jump_bundle, driver, xi, p(jump_bundle.terminal), node_count=nodes)
-            for p in parts
-        ]
-        check = br.full_allocation_check(allocs, rho0)
-        residuals.append(check.residual)
-        pooled.append(check.pooled_se)
+    residuals = [reports[q].check.residual for q in (4, 8, 16)]
+    pooled = [reports[q].check.pooled_se for q in (4, 8, 16)]
     assert residuals[1] <= residuals[0] + pooled[1]
     assert residuals[2] <= residuals[1] + pooled[2]
 
 
-def test_aumann_shapley_equals_gradient_for_homogeneous(jump_bundle):
-    sub = br.make_sublinear_driver(
-        (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (1.5,)
-    )
+def test_aumann_shapley_equals_gradient_for_homogeneous(jump_bundle, sublinear):
+    half = br.AffinePayoff(0.0, 0.5)
+    report = br.build_allocation_report(jump_bundle, sublinear, br.PortfolioPayoff((half, half)),
+                                        node_count=8)
+    for shap, grad in zip(report.shapley, report.measure):
+        assert abs(grad.value - shap.value) < 1e-2
+
+
+def test_part_rows_do_not_depend_on_the_other_parts(reports, driver, jump_bundle, parts):
+    # eta = parts[1] against (a, eta, xi - eta - a) in the fixture and
+    # (eta, xi - eta) here; the two claims differ only in rounding
+    eta = parts[1]
+    rest = br.AffinePayoff(parts[0].a + parts[2].a, parts[0].b + parts[2].b)
+    two = br.build_allocation_report(jump_bundle, driver, br.PortfolioPayoff((eta, rest)),
+                                     node_count=4)
+    three = reports[4]
+    for route in ("fd", "measure", "shapley"):
+        got, want = getattr(two, route)[0], getattr(three, route)[1]
+        assert got.value == pytest.approx(want.value, rel=0.0, abs=1e-12), route
+        assert got.se == pytest.approx(want.se, rel=0.0, abs=1e-12), route
+
+
+def test_convex_representation_recovers_risk(driver, sublinear, jump_bundle):
+    # for the positively homogeneous driver one node is the coherent,
+    # single-density representation: every beta xi has the density of xi
     xi = jump_bundle.terminal
-    eta = 0.5 * xi
-    grad = br.gradient_measure(jump_bundle, sub, xi, eta)
-    shap = br.aumann_shapley(jump_bundle, sub, xi, eta, node_count=8)
-    assert abs(grad.value - shap.value) < 1e-2
+    for drv, node_count in ((driver, 16), (sublinear, 1)):
+        rho0 = br.dynamic_risk(jump_bundle, drv, xi)[0]
+        est = br.convex_representation(jump_bundle, drv, xi, node_count=node_count)
+        assert abs(est.value - rho0) < 2e-2, (node_count, est.value, rho0)
+    mixed = br.convex_representation(jump_bundle, sublinear, xi, node_count=4)
+    assert mixed.value == pytest.approx(est.value, rel=0.0, abs=1e-12)
 
 
-def test_convex_representation_recovers_risk(driver, jump_bundle):
-    xi = jump_bundle.terminal
-    rho0 = br.dynamic_risk(jump_bundle, driver, xi)[0]
-    est = br.convex_representation(jump_bundle, driver, xi, node_count=16)
-    assert abs(est.value - rho0) < 2e-2
-
-
-def test_coherent_representation_recovers_risk(jump_bundle):
-    sub = br.make_sublinear_driver(
-        (br.LinearForm(0.3, (0.2,)), br.LinearForm(-0.25, (0.5,))), (1.5,)
-    )
-    xi = jump_bundle.terminal
-    rho0 = br.dynamic_risk(jump_bundle, sub, xi)[0]
-    est = br.coherent_representation(jump_bundle, sub, xi)
-    assert abs(est.value - rho0) < 2e-2
-
-
-def test_coherent_representation_rejects_convex_driver(driver, jump_bundle):
-    with pytest.raises(ValueError):
-        br.coherent_representation(jump_bundle, driver, jump_bundle.terminal)
-
-
-def test_allocation_report_shares_seed_and_paths(driver, jump_bundle, parts):
-    report = br.build_allocation_report(jump_bundle, driver, br.PortfolioPayoff(parts),
-                                        node_count=4)
+def test_allocation_report_shares_seed_and_paths(reports, jump_bundle):
+    report = reports[4]
     assert report.seed == jump_bundle.seed
     assert len(report.fd) == len(report.measure) == len(report.shapley) == 3
     assert report.check.passed
@@ -200,8 +183,6 @@ def test_signed_density_guard_shared_by_measure_routes(jump_bundle, jump_coef, m
     xi = br.terminal_values(jump_bundle, payoff)
     with pytest.raises(br.SignedDensityFailure, match=message):
         br.solve_bsde(jump_bundle, driver, -xi, nodes=(0,), densities=1)
-    with pytest.raises(br.SignedDensityFailure, match=message):
-        br.gradient_measure(jump_bundle, driver, xi, xi)
     with pytest.raises(br.SignedDensityFailure, match=message):
         br.build_allocation_report(jump_bundle, driver, payoff, node_count=4)
 

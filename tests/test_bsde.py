@@ -122,6 +122,16 @@ def test_condexp_checks_path_count_at_every_node(jump_bundle):
                 condexp_at_node(jump_bundle, node, targets, cfg)
 
 
+def test_condexp_reads_nodes_as_the_sweep_does(jump_bundle):
+    # an integral float names its node; a fraction or a bool raises
+    cfg, y = br.RegressionConfig(), jump_bundle.terminal
+    assert np.array_equal(condexp_at_node(jump_bundle, 5.0, y, cfg),
+                          condexp_at_node(jump_bundle, 5, y, cfg))
+    for node in (2.5, True, -1, 51):
+        with pytest.raises(ValueError, match="node must be an integer"):
+            condexp_at_node(jump_bundle, node, y, cfg)
+
+
 def test_features_standardized(jump_bundle):
     feats = features_at_node(jump_bundle, 25, br.RegressionConfig())
     assert feats.shape == (4, jump_bundle.path_count)

@@ -147,6 +147,24 @@ def test_report_reemits_identical_payload(config_path, tmp_path):
     assert (first / "cli-unit.csv").read_bytes() == (second / "cli-unit.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.csv", "scenario_id,quantity,value,std_error,check,pass\nx,rho0,abc,,,\n",
+     "bad.csv:2: bad row: could not convert"),
+    ("bad.jsonl", '{"quantity": "rho0", "value": 1.0, "std_error": null, "check": "", '
+     '"pass": null}\n', "bad.jsonl:1: row lacks the field 'scenario_id'"),
+    ("bad.csv", "scenario_id,quantity,value,std_error,check,pass\nx,rho0,1.0,,c,maybe\n",
+     "bad.csv:2: bad row: pass flag 'maybe'"),
+], ids=["csv-value", "jsonl-missing-field", "csv-pass-flag"])
+def test_report_rejects_malformed_rows(tmp_path, capsys, name, text, message):
+    # a malformed row is a parse error (exit 2) naming the file and its line,
+    # as a bad header is
+    payload = tmp_path / name
+    payload.write_text(text)
+    assert run_cli("report", "--in", payload, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-parse-error: ") and message in err, err
+
+
 def test_out_env_fallback(config_path, tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("BSDERISK_OUT", str(target))
