@@ -26,11 +26,14 @@ Every fit, in the sweep or standalone (``condexp_at_node``), is the same
 two steps on the (p, M) basis rows of ``features_at_node``: ``_coefficients``
 finds the coefficients on the calling thread with F Y^T summed over path
 chunks in path order, and ``_fit_range`` forms the fitted values chunk by
-chunk; no BLAS call is large enough to wake OpenBLAS's threads. The sweep
-runs its per-path work over contiguous path ranges: for large blocks one
-range per usable CPU, on a ``concurrent.futures.ThreadPoolExecutor`` that
-lives for the sweep, else one range on the calling thread. Its results do
-not depend on the number of ranges.
+chunk, each chunk's product at most 2^17 multiply-adds. Two calls span the
+whole bundle: the Gram F F^T (about p^2 M / 2 multiply-adds) and, at ridge
+0, ``lstsq`` on the (M, p) design; forming the Gram from path chunks is open
+(ROADMAP.md, "The serial part of a sweep"). The sweep runs its per-path
+work over contiguous path ranges: for large blocks one range per usable
+CPU, on a ``concurrent.futures.ThreadPoolExecutor`` that lives for the
+sweep, else one range on the calling thread. Its results do not depend on
+the number of ranges.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class RegressionConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
-# the multiply-adds of one BLAS call of a fit, q target rows by p basis rows
-# over a chunk of paths, stay at or below 2^17: OpenBLAS (0.3.31) may run a
+# the multiply-adds of one chunked product of a fit, q target rows by p basis
+# rows over a chunk of paths, stay at or below 2^17: OpenBLAS (0.3.31) may run a
 # product on its own threads above 2^18 (65536 times its default
 # GEMM_MULTITHREAD_THRESHOLD of 4), and those threads then spin-wait between
 # calls on CPUs the sweep's path ranges need
@@ -408,6 +411,9 @@ def solve_bsde(
         raise ValueError(f"terminal must have shape ({m},) or ({m}, B), got {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal values must be finite")
+    cols = 1 if xi.ndim == 1 else xi.shape[1]
+    if not 0 <= densities <= cols:
+        raise ValueError(f"densities must be in 0..{cols}, the terminal's columns, got {densities}")
     if driver.mark_count != k:
         raise ValueError(f"driver has {driver.mark_count} marks, bundle has {k}")
     reads = {_grid_node(node, n) for node in nodes}
@@ -417,7 +423,6 @@ def solve_bsde(
     # the (B, M) rows of Y_{i+1}, copied once from the terminal; phase B
     # overwrites them with Y_i at every step
     cur = xi.reshape(m, -1).T.copy()
-    cols = cur.shape[0]
     log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
     y_at = {n: cur.copy().T} if n in reads else {}
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}

@@ -91,7 +91,11 @@ def _run_task(args) -> int:
 
 def _run_report(args) -> int:
     report = read_report(args.payload)
-    payload, sidecar = emit_report(report, args.fmt, _out_dir(args))
+    try:
+        payload, sidecar = emit_report(report, args.fmt, _out_dir(args))
+    except ValueError as exc:
+        # the payload's first row names the files
+        raise ConfigParseError(f"{args.payload}: {exc}") from exc
     print(payload)
     print(sidecar)
     print(f"checks passed {report.checks_passed}/{report.checks_total}")

@@ -171,14 +171,16 @@ def weighted_condexp(
     cancels in the self-normalized ratio, so no division by the running
     density is needed.
 
-    Wherever the conditional estimate of the weights is not strictly
-    positive the normalization is meaningless and EstimatorFailure is
-    raised, listing the offending paths.
+    Non-finite weights or payload raise ValueError. Wherever the conditional
+    estimate of the weights is not strictly positive the normalization is
+    meaningless and EstimatorFailure is raised, listing the offending paths.
     """
     w = np.asarray(weights, dtype=float)
     h = np.asarray(payload, dtype=float)
     if w.shape != (bundle.path_count,) or h.shape != (bundle.path_count,):
         raise ValueError("weights and payload must be per-path vectors")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(h))):
+        raise ValueError("weights and payload must be finite")
     if w.size and w[0] > 0.0 and np.all(w == w[0]):
         # constant positive weights cancel exactly; keep the unweighted
         # estimator bit-for-bit
@@ -200,8 +202,10 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     An (M,) payload gives two floats; an (M, q) payload gives two (q,) arrays,
     one entry per column. Unless the weights are finite and nonnegative with
     a positive sum (exact zeros allowed) EstimatorFailure is raised, listing
-    the negative or non-finite ones."""
+    the negative or non-finite ones; a non-finite payload raises ValueError."""
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(payload)):
+        raise ValueError("payload values must be finite")
     total = w.sum()
     if not (0.0 < total < np.inf and w.min() >= 0.0):
         bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))

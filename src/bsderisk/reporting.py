@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from .errors import ConfigParseError
 
 __all__ = ["Row", "RunReport", "emit_report", "read_report"]
 
+# a scenario id names the report's files, so it holds no path separator
+SCENARIO_ID = re.compile(r"[A-Za-z0-9_.-]+")
 CSV_HEADER = ("scenario_id", "quantity", "value", "std_error", "check", "pass")
 FORMATS = ("csv", "json-lines")
 
@@ -99,9 +102,14 @@ def _jsonl_payload(rows: list[Row]) -> str:
 
 
 def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[Path, Path]:
-    """Write the payload and its provenance sidecar; returns both paths."""
+    """Write the payload and its provenance sidecar, named after the report's
+    scenario id; returns both paths. An id that does not match SCENARIO_ID
+    raises ValueError before anything is written."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    if not SCENARIO_ID.fullmatch(report.scenario_id):
+        raise ValueError(f"scenario_id {report.scenario_id!r} cannot name a file: "
+                         f"it must match {SCENARIO_ID.pattern}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     suffix = "csv" if fmt == "csv" else "jsonl"

@@ -39,6 +39,8 @@ def _claim_values(bundle: PathBundle, xi) -> np.ndarray:
         raise ValueError(
             f"claim values must have shape ({bundle.path_count},), got {values.shape}"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("claim values must be finite")
     return values
 
 

@@ -11,8 +11,8 @@ A scenario is a JSON document (UTF-8) with the blocks below; dotted paths
     model         {"x0": 0.0, "mu": 0.1, "sigma": 0.3,
                    "jumps": [{"size": -0.2, "intensity": 1.5}]}
     driver        {"family": "entropic", "gamma": 2.0}
-                  | {"family": "qexp", "alpha": 2.0, "z_coef": 0.0,
-                     "jump_coefs": [...], "const": 0.0}
+                  | {"family": "qexp", "alpha": 2.0, "z_coef": ...,
+                     "jump_coefs": [...], "const": ...}
                   | {"family": "sublinear",
                      "forms": [{"z_coef": 0.3, "jump_coefs": [0.1]}, ...]}
                   ("entropic" is shorthand for qexp at alpha = gamma with no
@@ -23,24 +23,25 @@ A scenario is a JSON document (UTF-8) with the blocks below; dotted paths
                   with optional "clip": {"lo": ..., "hi": ...} and optional
                   "decomposition": [payoff, ...] (the claim is then their
                   exact pathwise sum)
-    method        {"degree": 3, "ridge": 1e-8, "jump_count_features": false,
-                   "z_clip": 10.0, "upsilon_clip": 5.0, "fd_step": null,
-                   "quad_nodes": 16, "tolerances": {}}
-    verify        {"checks": [...], "phi_z": 0.5, "phi_jumps": [...],
-                   "level": 0.1, "beta": 1.0}
-                  (each phi_jumps entry > -1, as the sublinear forms'
-                  jump_coefs: the per-jump density factor 1 + phi_k
-                  must stay positive)
+    method        optional "degree", "ridge", "jump_count_features", "z_clip"
+                  and "upsilon_clip" (RegressionConfig), "fd_step",
+                  "quad_nodes" and "tolerances" (MethodOptions)
+    verify        {"checks": [...]} with optional "phi_z", "phi_jumps" (one
+                  entry per jump mark, each > -1 so that the per-jump
+                  density factor 1 + phi_k stays positive), "level" and
+                  "beta" (VerifyOptions)
 
-Every block a task needs must be present (referential completeness);
-unknown keys anywhere are validation errors naming the offending field.
+Every entry of a number list is a finite JSON number. A key left out takes
+the default of the object it configures; jump_coefs and phi_jumps default
+per jump mark. Every block the task, or one of its verify checks, reads
+must be present (``_TASKS``, ``_CHECK_READS``); unknown keys anywhere are
+validation errors naming the offending field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,17 +69,10 @@ from .market import (
     terminal_values,
 )
 from .measure import doleans_dade, girsanov_shift_check, kazamaki_check, martingale_diagnostic
-from .reporting import Row, RunReport
+from .reporting import SCENARIO_ID, Row, RunReport
 from .risk import axiom_suite, entropic_closed_form, entropic_coherent_static
 
 __all__ = ["ScenarioConfig", "load_config", "apply_overrides", "build_scenario", "run_scenario"]
-
-TASKS = ("simulate", "solve", "risk", "allocate", "verify")
-VERIFY_CHECKS = (
-    "moments", "doleans", "closed_form", "clark_ocone", "axioms",
-    "entropic_identity", "coherent_static",
-)
-_ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 DEFAULT_TOLERANCES = {
     "mean_sigmas": 4.0,
@@ -176,6 +170,11 @@ def apply_overrides(raw: dict, assignments) -> dict:
     return raw
 
 
+def _finite_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class _Block:
     """Cursor into one config object that tracks consumed keys."""
 
@@ -187,20 +186,37 @@ class _Block:
         self.seen: set[str] = set()
 
     KINDS = {float: "a number", int: "an integer", bool: "a boolean",
-             str: "a string", list: "a list", dict: "an object"}
+             str: "a string", list: "a list", dict: "an object",
+             tuple: "a list of finite numbers"}
 
     def take(self, key: str, kind, required: bool = True, default=None):
+        """The value of ``key`` read as ``kind``: float reads a number as a
+        float, tuple a list of finite numbers as a tuple of floats. Booleans
+        are numbers for no kind."""
         self.seen.add(key)
         if key not in self.data:
             if required:
                 raise ConfigValidationError(f"missing required field {self.path}.{key}")
             return default
         value = self.data[key]
+        if kind is tuple:
+            if isinstance(value, list) and all(map(_finite_number, value)):
+                return tuple(float(v) for v in value)
         # bool subclasses int, so only a boolean field accepts true/false
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-            raise ConfigValidationError(f"{self.path}.{key} must be {self.KINDS[kind]}")
-        return float(value) if kind is float else value
+        elif isinstance(value, (int, float) if kind is float else kind) and (
+                kind is bool or not isinstance(value, bool)):
+            return float(value) if kind is float else value
+        raise ConfigValidationError(f"{self.path}.{key} must be {self.KINDS[kind]}")
+
+    def block(self, key: str, required: bool = True):
+        """The object ``key`` as a block, or None when it is optional and absent."""
+        value = self.take(key, dict, required)
+        return None if value is None else _Block(value, f"{self.path}.{key}")
+
+    def blocks(self, key: str, required: bool = True) -> list:
+        """The objects of the list ``key`` as blocks, none when it is absent."""
+        return [_Block(entry, f"{self.path}.{key}[{i}]")
+                for i, entry in enumerate(self.take(key, list, required, default=[]))]
 
     def finish(self):
         unknown = set(self.data) - self.seen
@@ -208,85 +224,65 @@ class _Block:
             name = sorted(unknown)[0]
             raise ConfigValidationError(f"unknown field {self.path}.{name}")
 
+    def build(self, make, required: dict, optional: dict | None = None, **defaults):
+        """make(**keys) on the required keys and the present optional ones,
+        each read by its kind, once the block is known to set no other key.
+        An absent optional key is not passed, so make's own default applies
+        unless ``defaults`` names one. A ValueError from make becomes a
+        validation error naming the block."""
+        keys = {key: self.take(key, kind) for key, kind in required.items()}
+        keys.update((key, self.take(key, kind))
+                    for key, kind in (optional or {}).items() if key in self.data)
+        self.finish()
+        try:
+            return make(**{**defaults, **keys})
+        except ValueError as exc:
+            raise ConfigValidationError(f"{self.path}: {exc}") from exc
+
 
 def _build_model(block: _Block) -> LevyModel:
-    x0 = block.take("x0", float)
-    mu = block.take("mu", float, required=False, default=0.0)
-    sigma = block.take("sigma", float, required=False, default=0.0)
-    jumps = []
-    for i, entry in enumerate(block.take("jumps", list, required=False, default=[])):
-        jb = _Block(entry, f"{block.path}.jumps[{i}]")
-        size = jb.take("size", float)
-        intensity = jb.take("intensity", float)
-        jb.finish()
-        try:
-            jumps.append(JumpMark(size=size, intensity=intensity))
-        except ValueError as exc:
-            raise ConfigValidationError(f"{block.path}.jumps[{i}]: {exc}") from exc
-    block.finish()
-    try:
-        return LevyModel(x0=x0, mu=mu, sigma=sigma, jumps=tuple(jumps))
-    except ValueError as exc:
-        raise ConfigValidationError(f"{block.path}: {exc}") from exc
+    marks = [jb.build(JumpMark, {"size": float, "intensity": float})
+             for jb in block.blocks("jumps", required=False)]
+    return block.build(LevyModel, {"x0": float}, {"mu": float, "sigma": float}, jumps=tuple(marks))
 
 
-def _build_driver(block: _Block, intensities: tuple[float, ...]) -> Driver:
-    mark_count = len(intensities)
+def _build_driver(block: _Block, intensities) -> Driver:
     family = block.take("family", str)
-    try:
-        if family == "entropic":
-            gamma = block.take("gamma", float)
-            block.finish()
-            return make_entropic_driver(gamma, intensities)
-        if family == "qexp":
-            alpha = block.take("alpha", float)
-            z_coef = block.take("z_coef", float, required=False, default=0.0)
-            jump_coefs = block.take("jump_coefs", list, required=False, default=[0.0] * mark_count)
-            const = block.take("const", float, required=False, default=0.0)
-            block.finish()
-            form = LinearForm(z_coef=z_coef, jump_coefs=tuple(float(c) for c in jump_coefs), const=const)
-            return make_qexp_driver(alpha, form, intensities)
-        if family == "sublinear":
-            forms = []
-            for i, entry in enumerate(block.take("forms", list)):
-                fb = _Block(entry, f"{block.path}.forms[{i}]")
-                z_coef = fb.take("z_coef", float, required=False, default=0.0)
-                jump_coefs = fb.take("jump_coefs", list, required=False, default=[0.0] * mark_count)
-                fb.finish()
-                forms.append(LinearForm(z_coef=z_coef, jump_coefs=tuple(float(c) for c in jump_coefs)))
-            block.finish()
-            return make_sublinear_driver(forms, intensities)
-    except ValueError as exc:
-        raise ConfigValidationError(f"{block.path}: {exc}") from exc
+    linear = {"z_coef": float, "jump_coefs": tuple}
+    # the one default that depends on the market: a zero jump coefficient per mark
+    zeros = {"jump_coefs": (0.0,) * len(intensities)}
+    if family == "entropic":
+        return block.build(lambda gamma: make_entropic_driver(gamma, intensities), {"gamma": float})
+    if family == "qexp":
+        return block.build(
+            lambda alpha, **form: make_qexp_driver(alpha, LinearForm(**form), intensities),
+            {"alpha": float}, {**linear, "const": float}, **zeros)
+    if family == "sublinear":
+        forms = [fb.build(LinearForm, {}, linear, **zeros) for fb in block.blocks("forms")]
+        return block.build(lambda: make_sublinear_driver(forms, intensities), {})
     raise ConfigValidationError(
         f"{block.path}.family must be entropic, qexp or sublinear, got {family!r}"
     )
 
 
+_PAYOFF_FAMILIES = {
+    "affine": (AffinePayoff, {"a": float, "b": float}),
+    "exp_affine": (ExpAffinePayoff, {"a": float, "b": float}),
+    "polynomial": (PolynomialPayoff, {"coeffs": tuple}),
+}
+
+
 def _build_single_payoff(block: _Block) -> Payoff:
     family = block.take("family", str)
-    try:
-        if family == "affine":
-            payoff: Payoff = AffinePayoff(a=block.take("a", float), b=block.take("b", float))
-        elif family == "exp_affine":
-            payoff = ExpAffinePayoff(a=block.take("a", float), b=block.take("b", float))
-        elif family == "polynomial":
-            coeffs = block.take("coeffs", list)
-            payoff = PolynomialPayoff(coeffs=tuple(float(c) for c in coeffs))
-        else:
-            raise ConfigValidationError(
-                f"{block.path}.family must be affine, exp_affine or polynomial, got {family!r}"
-            )
-        clip = block.take("clip", dict, required=False)
-        if clip is not None:
-            cb = _Block(clip, f"{block.path}.clip")
-            lo = cb.take("lo", float)
-            hi = cb.take("hi", float)
-            cb.finish()
-            payoff = ClippedPayoff(inner=payoff, lo=lo, hi=hi)
-    except ValueError as exc:
-        raise ConfigValidationError(f"{block.path}: {exc}") from exc
-    return payoff
+    if family not in _PAYOFF_FAMILIES:
+        raise ConfigValidationError(
+            f"{block.path}.family must be affine, exp_affine or polynomial, got {family!r}"
+        )
+    clip = block.block("clip", required=False)
+    payoff = block.build(*_PAYOFF_FAMILIES[family])
+    if clip is None:
+        return payoff
+    return clip.build(ClippedPayoff, {"lo": float, "hi": float}, inner=payoff)
 
 
 def _poly_coeffs(payoff: Payoff) -> tuple[float, ...] | None:
@@ -298,134 +294,95 @@ def _poly_coeffs(payoff: Payoff) -> tuple[float, ...] | None:
 
 
 def _build_payoff(block: _Block) -> Payoff:
-    decomposition = block.take("decomposition", list, required=False)
-    has_family = "family" in block.data
-    if decomposition is None and not has_family:
-        raise ConfigValidationError(f"{block.path} needs a family or a decomposition")
-
-    components = []
-    if decomposition is not None:
-        if not decomposition:
-            raise ConfigValidationError(f"{block.path}.decomposition must be nonempty")
-        for i, entry in enumerate(decomposition):
-            cb = _Block(entry, f"{block.path}.decomposition[{i}]")
-            components.append(_build_single_payoff(cb))
-            cb.finish()
-
-    if has_family:
-        outer = _build_single_payoff(block)
+    if "decomposition" not in block.data:
+        if "family" not in block.data:
+            raise ConfigValidationError(f"{block.path} needs a family or a decomposition")
+        return _build_single_payoff(block)
+    components = [_build_single_payoff(cb) for cb in block.blocks("decomposition")]
+    if not components:
+        raise ConfigValidationError(f"{block.path}.decomposition must be nonempty")
+    if "family" not in block.data:
         block.finish()
-        if decomposition is None:
-            return outer
-        # a stated family alongside a decomposition must agree symbolically
-        outer_coeffs = _poly_coeffs(outer)
-        part_coeffs = [_poly_coeffs(c) for c in components]
-        if outer_coeffs is None or any(pc is None for pc in part_coeffs):
-            raise ConfigValidationError(
-                f"{block.path}: family plus decomposition is only checkable for "
-                "affine/polynomial components; drop the family"
-            )
-        width = max(len(outer_coeffs), *(len(pc) for pc in part_coeffs))
-        total = np.zeros(width)
-        for pc in part_coeffs:
-            total[: len(pc)] += pc
-        stated = np.zeros(width)
-        stated[: len(outer_coeffs)] = outer_coeffs
-        if not np.allclose(total, stated, rtol=0.0, atol=1e-12):
-            raise ConfigValidationError(
-                f"{block.path}.decomposition does not sum to the stated family coefficients"
-            )
         return PortfolioPayoff(parts=tuple(components))
 
-    block.finish()
+    # a stated family alongside a decomposition must agree symbolically
+    stated = _poly_coeffs(_build_single_payoff(block))
+    parts = [_poly_coeffs(c) for c in components]
+    if stated is None or None in parts:
+        raise ConfigValidationError(
+            f"{block.path}: family plus decomposition is only checkable for "
+            "affine/polynomial components; drop the family"
+        )
+    gap = np.polynomial.Polynomial(stated) - sum(map(np.polynomial.Polynomial, parts))
+    if np.abs(gap.coef).max() > 1e-12:
+        raise ConfigValidationError(
+            f"{block.path}.decomposition does not sum to the stated family coefficients"
+        )
     return PortfolioPayoff(parts=tuple(components))
 
 
-def _finite_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+_REGRESSION_KEYS = {"degree": int, "ridge": float, "jump_count_features": bool,
+                    "z_clip": float, "upsilon_clip": float}
 
 
-def _build_method(block: _Block | None) -> MethodOptions:
-    if block is None:
-        return MethodOptions()
-    degree = block.take("degree", int, required=False, default=3)
-    ridge = block.take("ridge", float, required=False, default=1e-8)
-    jump_features = block.take("jump_count_features", bool, required=False, default=False)
-    z_clip = block.take("z_clip", float, required=False, default=10.0)
-    upsilon_clip = block.take("upsilon_clip", float, required=False, default=5.0)
-    fd_step = block.take("fd_step", float, required=False)
-    quad_nodes = block.take("quad_nodes", int, required=False, default=16)
-    tolerances = block.take("tolerances", dict, required=False, default={})
-    block.finish()
-    for name, value in tolerances.items():
+def _method_options(**keys) -> MethodOptions:
+    regression = RegressionConfig(**{key: keys.pop(key) for key in _REGRESSION_KEYS if key in keys})
+    return MethodOptions(regression=regression, **keys)
+
+
+def _build_method(block: _Block) -> MethodOptions:
+    method = block.build(_method_options, {}, {
+        **_REGRESSION_KEYS, "fd_step": float, "quad_nodes": int, "tolerances": dict})
+    for name, value in method.tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigValidationError(f"{block.path}.tolerances.{name} is not a known tolerance")
         if not (_finite_number(value) and value >= 0.0):
             raise ConfigValidationError(f"{block.path}.tolerances.{name} must be a finite number >= 0")
-    if quad_nodes < 1:
+    if method.quad_nodes < 1:
         raise ConfigValidationError(f"{block.path}.quad_nodes must be >= 1")
-    if fd_step is not None and not 0.0 < fd_step < math.inf:
+    if method.fd_step is not None and not 0.0 < method.fd_step < math.inf:
         raise ConfigValidationError(f"{block.path}.fd_step must be positive and finite")
-    try:
-        regression = RegressionConfig(
-            degree=degree, ridge=ridge, jump_count_features=jump_features,
-            z_clip=z_clip, upsilon_clip=upsilon_clip,
-        )
-    except ValueError as exc:
-        raise ConfigValidationError(f"{block.path}: {exc}") from exc
-    return MethodOptions(
-        regression=regression, fd_step=fd_step, quad_nodes=quad_nodes,
-        tolerances=dict(tolerances),
-    )
+    return method
 
 
-def _build_verify(block: _Block | None, mark_count: int) -> VerifyOptions | None:
-    if block is None:
-        return None
-    checks = block.take("checks", list)
-    for i, c in enumerate(checks):
+def _build_verify(block: _Block, mark_count: int) -> VerifyOptions:
+    # the one default that depends on the market: phi_jumps at 0.5 per mark
+    verify = block.build(
+        lambda checks, **keys: VerifyOptions(checks=tuple(checks), **keys), {"checks": list},
+        {"phi_z": float, "phi_jumps": tuple, "level": float, "beta": float},
+        phi_jumps=(0.5,) * mark_count)
+    for i, c in enumerate(verify.checks):
         if c not in VERIFY_CHECKS:
             raise ConfigValidationError(
                 f"{block.path}.checks contains unknown check {c!r}; "
                 f"known: {', '.join(VERIFY_CHECKS)}"
             )
-        if c in checks[:i]:
+        if c in verify.checks[:i]:
             # each check writes its rows once, under quantities no other check uses
             raise ConfigValidationError(f"{block.path}.checks repeats check {c!r}")
-    phi_z = block.take("phi_z", float, required=False, default=0.5)
-    phi_jumps = block.take("phi_jumps", list, required=False, default=[0.5] * mark_count)
-    level = block.take("level", float, required=False, default=0.1)
-    beta = block.take("beta", float, required=False, default=1.0)
-    block.finish()
-    if len(phi_jumps) != mark_count:
+    if len(verify.phi_jumps) != mark_count:
         raise ConfigValidationError(
             f"{block.path}.phi_jumps must have one entry per jump mark ({mark_count})"
         )
-    if not all(_finite_number(p) for p in (phi_z, *phi_jumps)):
-        raise ConfigValidationError(f"{block.path}.phi_z and phi_jumps must be finite numbers")
-    if any(p <= -1.0 for p in phi_jumps):
-        raise ConfigValidationError(f"{block.path}.phi_jumps entries must be > -1, got {phi_jumps}")
-    if not 0.0 < level < math.inf:
+    if any(p <= -1.0 for p in verify.phi_jumps):
+        raise ConfigValidationError(
+            f"{block.path}.phi_jumps entries must be > -1, got {list(verify.phi_jumps)}")
+    if not math.isfinite(verify.phi_z):
+        raise ConfigValidationError(f"{block.path}.phi_z must be a finite number")
+    if not 0.0 < verify.level < math.inf:
         raise ConfigValidationError(f"{block.path}.level must be positive and finite")
-    if not 0.0 <= beta < math.inf:
+    if not 0.0 <= verify.beta < math.inf:
         raise ConfigValidationError(f"{block.path}.beta must be >= 0 and finite")
-    return VerifyOptions(
-        checks=tuple(checks),
-        phi_z=phi_z,
-        phi_jumps=tuple(float(p) for p in phi_jumps),
-        level=level,
-        beta=beta,
-    )
+    return verify
 
 
 def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) -> ScenarioConfig:
     """Validate a parsed config and construct all domain objects."""
     top = _Block(raw, "config")
     scenario_id = top.take("scenario_id", str)
-    if not _ID_PATTERN.match(scenario_id):
+    if not SCENARIO_ID.fullmatch(scenario_id):
         raise ConfigValidationError(
-            "config.scenario_id must match [A-Za-z0-9_.-]+ for stable file names"
+            f"config.scenario_id must match {SCENARIO_ID.pattern} for stable file names"
         )
     config_task = top.take("task", str, required=False)
     effective_task = task or config_task
@@ -438,19 +395,11 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
             f"config.task is {config_task!r} but the {task!r} subcommand was invoked"
         )
 
-    gb = _Block(top.take("grid", dict), "config.grid")
-    horizon = gb.take("horizon", float)
-    steps = gb.take("steps", int)
-    gb.finish()
-    try:
-        grid = build_grid(horizon, steps)
-    except ValueError as exc:
-        raise ConfigValidationError(f"config.grid: {exc}") from exc
+    grid = top.block("grid").build(
+        lambda horizon, steps: build_grid(horizon, steps), {"horizon": float, "steps": int})
 
-    mb = _Block(top.take("mc", dict), "config.mc")
-    paths = mb.take("paths", int)
-    cfg_seed = mb.take("seed", int)
-    mb.finish()
+    paths, cfg_seed = top.block("mc").build(lambda paths, seed: (paths, seed),
+                                            {"paths": int, "seed": int})
     if paths < 2:
         # the terminal variance and every standard error need two paths
         raise ConfigValidationError("config.mc.paths must be >= 2")
@@ -458,50 +407,27 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
     if not 0 <= effective_seed < 2**64:
         raise ConfigValidationError("config.mc.seed must be a 64-bit unsigned integer")
 
-    model = _build_model(_Block(top.take("model", dict), "config.model"))
-    intensities = tuple(float(j.intensity) for j in model.jumps)
-
-    driver_raw = top.take("driver", dict, required=False)
-    driver = None
-    if driver_raw is not None:
-        driver = _build_driver(_Block(driver_raw, "config.driver"), intensities)
-
-    payoff_raw = top.take("payoff", dict, required=False)
-    payoff = None
-    if payoff_raw is not None:
-        payoff = _build_payoff(_Block(payoff_raw, "config.payoff"))
-
-    method_raw = top.take("method", dict, required=False)
-    method = _build_method(
-        _Block(method_raw, "config.method") if method_raw is not None else None)
-    verify_raw = top.take("verify", dict, required=False)
-    verify = _build_verify(
-        _Block(verify_raw, "config.verify") if verify_raw is not None else None,
-        model.mark_count,
-    )
+    model = _build_model(top.block("model"))
+    block = top.block("driver", required=False)
+    driver = None if block is None else _build_driver(block, model.jump_intensities)
+    block = top.block("payoff", required=False)
+    payoff = None if block is None else _build_payoff(block)
+    method = _build_method(top.block("method", required=False) or _Block({}, "config.method"))
+    block = top.block("verify", required=False)
+    verify = None if block is None else _build_verify(block, model.mark_count)
     top.finish()
 
-    # referential completeness per task
-    needs_driver = effective_task in ("solve", "risk", "allocate")
-    needs_payoff = effective_task in ("solve", "risk", "allocate")
-    if effective_task == "verify":
-        if verify is None:
-            raise ConfigValidationError("config.verify block is required for the verify task")
-        driver_checks = {"closed_form", "axioms", "entropic_identity", "coherent_static"}
-        payoff_checks = {"closed_form", "clark_ocone", "axioms",
-                         "entropic_identity", "coherent_static"}
-        needs_driver = bool(driver_checks & set(verify.checks))
-        needs_payoff = bool(payoff_checks & set(verify.checks))
-    if needs_driver and driver is None:
-        raise ConfigValidationError(f"config.driver is required for the {effective_task} task")
-    if needs_payoff and payoff is None:
-        raise ConfigValidationError(f"config.payoff is required for the {effective_task} task")
-    if effective_task == "allocate" and payoff is not None and payoff.components is None:
+    # referential completeness: every block the task, or one of its checks, reads
+    checks = verify.checks if effective_task == "verify" and verify is not None else ()
+    reads = set(_TASKS[effective_task][1]).union(*(_CHECK_READS[c] for c in checks))
+    for name, value in (("verify", verify), ("driver", driver), ("payoff", payoff)):
+        if name in reads and value is None:
+            raise ConfigValidationError(f"config.{name} is required for the {effective_task} task")
+    if effective_task == "allocate" and payoff.components is None:
         raise ConfigValidationError("config.payoff.decomposition is required for the allocate task")
-    if driver is not None and not driver.entropic:
-        for check in ("closed_form", "entropic_identity"):
-            if effective_task == "verify" and check in verify.checks:
-                raise ConfigValidationError(f"verify check {check} requires an entropic driver")
+    entropic = [c for c in checks if "entropic" in _CHECK_READS[c]]
+    if entropic and not driver.entropic:
+        raise ConfigValidationError(f"verify check {entropic[0]} requires an entropic driver")
 
     resolved = json.loads(json.dumps(raw))
     resolved.setdefault("mc", {})["seed"] = effective_seed
@@ -778,19 +704,34 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     return rows
 
 
-_TASK_RUNNERS = {
-    "simulate": _moment_rows,
-    "solve": _task_solve,
-    "risk": _task_risk,
-    "allocate": _task_allocate,
-    "verify": _task_verify,
+# The requirement table. Each task names its runner and the blocks it reads,
+# and each verify check the blocks it reads; the verify task reads the blocks
+# of its checks, and "entropic" marks a check that needs an entropic driver.
+_TASKS = {
+    "simulate": (_moment_rows, ()),
+    "solve": (_task_solve, ("driver", "payoff")),
+    "risk": (_task_risk, ("driver", "payoff")),
+    "allocate": (_task_allocate, ("driver", "payoff")),
+    "verify": (_task_verify, ("verify",)),
 }
+_CHECK_READS = {
+    "moments": (),
+    "doleans": (),
+    "closed_form": ("driver", "payoff", "entropic"),
+    "clark_ocone": ("payoff",),
+    "axioms": ("driver", "payoff"),
+    "entropic_identity": ("driver", "payoff", "entropic"),
+    "coherent_static": ("payoff",),
+}
+TASKS = tuple(_TASKS)
+VERIFY_CHECKS = tuple(_CHECK_READS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the scenario's task pipeline and assemble the report."""
     bundle = simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
-    rows = _TASK_RUNNERS[cfg.task](cfg, bundle)
+    runner, _ = _TASKS[cfg.task]
+    rows = runner(cfg, bundle)
     provenance = {
         "scenario_id": cfg.scenario_id,
         "task": cfg.task,

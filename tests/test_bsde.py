@@ -412,6 +412,17 @@ def test_non_integer_nodes_rejected():
     assert np.array_equal(plain, numpy)
 
 
+def test_densities_fit_within_the_terminal_columns():
+    # each density reads the controls of its own column: at most one per column
+    b = range_bundle(1)
+    driver = br.make_entropic_driver(1.0, b.model.jump_intensities)
+    for densities in (-1, 2, 3):
+        with pytest.raises(ValueError, match="densities must be in 0..1"):
+            br.solve_bsde(b, driver, -b.terminal, nodes=(0,), densities=densities)
+    block = np.column_stack([-b.terminal, b.terminal])
+    assert br.solve_bsde(b, driver, block, nodes=(0,), densities=2).density[0].shape == (1203, 2)
+
+
 def test_mark_count_mismatch_rejected(brownian_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     with pytest.raises(ValueError):

@@ -165,6 +165,24 @@ def test_report_rejects_malformed_rows(tmp_path, capsys, name, text, message):
     assert err.startswith("config-parse-error: ") and message in err, err
 
 
+@pytest.mark.parametrize("scenario_id", ["../escaped", "sub/dir"])
+@pytest.mark.parametrize("name, line", [
+    ("p.csv", "scenario_id,quantity,value,std_error,check,pass\n{id},rho0,1.0,,,\n"),
+    ("p.jsonl", '{{"scenario_id": "{id}", "quantity": "rho0", "value": 1.0, '
+     '"std_error": null, "check": "", "pass": null}}\n'),
+], ids=["csv", "jsonl"])
+def test_report_writes_nothing_outside_out(tmp_path, capsys, scenario_id, name, line):
+    # the first row's scenario id names the re-emitted files, so an id that
+    # is not a file name is a parse error and nothing is written
+    payload = tmp_path / "in" / name
+    payload.parent.mkdir()
+    payload.write_text(line.format(id=scenario_id))
+    assert run_cli("report", "--in", payload, "--out", tmp_path / "out" / "a") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config-parse-error: {payload}: ") and scenario_id in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_env_fallback(config_path, tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("BSDERISK_OUT", str(target))

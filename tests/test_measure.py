@@ -115,6 +115,28 @@ def test_weighted_mean_se_rejects_inadmissible_weights():
     assert mean == pytest.approx(payload[100:].mean(), abs=1e-15)
 
 
+ESTIMATORS = {
+    "entropic_closed_form": lambda b, claim: br.entropic_closed_form(
+        1.0, claim, 0, b, br.RegressionConfig()),
+    "weighted_condexp": lambda b, claim: br.weighted_condexp(
+        b, np.exp(0.1 * b.terminal), claim, 2),
+    "weighted_mean_se": lambda b, claim: weighted_mean_se(np.ones(b.path_count), claim),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_standalone_estimators_reject_a_non_finite_claim(name):
+    # as solve_bsde rejects a non-finite terminal: an error, not NaNs
+    # (condexp_at_node, the bare fit, passes non-finite targets through, as
+    # the reference recursion of test_bsde.py relies on)
+    model = br.LevyModel(x0=0.0, mu=0.1, sigma=0.3, jumps=(br.JumpMark(-0.2, 1.5),))
+    bundle = br.simulate_paths(br.build_grid(1.0, 5), model, 200, 1)
+    claim = bundle.terminal.copy()
+    claim[17] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        ESTIMATORS[name](bundle, claim)
+
+
 def test_reweighted_constant_payload_is_exact(jump_bundle):
     rn = constant_rn(jump_bundle, 0.5, (0.4,))
     payload = np.full(jump_bundle.path_count, 3.5)

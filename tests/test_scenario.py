@@ -389,6 +389,42 @@ def test_verify_driver_needed_only_for_driver_checks():
         build_scenario(raw)
 
 
+NUMBER_LISTS = {
+    "driver.jump_coefs": lambda v: {
+        "driver": {"family": "qexp", "alpha": 1.0, "jump_coefs": [v]}},
+    "driver.forms[0].jump_coefs": lambda v: {
+        "driver": {"family": "sublinear", "forms": [{"z_coef": 0.2, "jump_coefs": [v]}]}},
+    "payoff.coeffs": lambda v: {"payoff": {"family": "polynomial", "coeffs": [0.0, v]}},
+    "verify.phi_jumps": lambda v: {
+        "task": "verify", "verify": {"checks": ["doleans"], "phi_jumps": [v]}},
+}
+
+
+@pytest.mark.parametrize("value", [None, True], ids=["null", "true"])
+@pytest.mark.parametrize("field", sorted(NUMBER_LISTS))
+def test_number_list_element_must_be_a_finite_number(tmp_path, capsys, field, value):
+    # every entry of a number list must be a finite number: null and booleans
+    # are refused, not read as 1.0 or failing in float(None)
+    raw = {**base_config(), **NUMBER_LISTS[field](value)}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main([raw["task"], "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config-validation-error:") and f"config.{field} " in err, err
+
+
+def test_coherent_static_needs_only_a_payoff(tmp_path):
+    # the static coherent measure is a functional of the claim alone
+    raw = base_config(task="verify")
+    del raw["driver"]
+    raw["verify"] = {"checks": ["coherent_static"]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = run_scenario(build_scenario(raw))
+    assert "coherent_rho" in quantities(report.rows) and report.all_passed
+
+
 def test_qexp_driver_built_with_model_intensities():
     raw = base_config()
     raw["driver"] = {"family": "qexp", "alpha": 1.0, "z_coef": 0.2,
