@@ -382,10 +382,11 @@ def solve_bsde(
 
     ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
     and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
-    control targets in a second. Only the value process of the current step
-    is kept; BsdeColumns holds it at ``nodes`` (integers in 0..N, where an
-    integral float names that node), and with ``controls`` also z and
-    upsilon at the nodes below N.
+    control targets in a second. A step holds one (p, M) design: it is freed
+    once the step's fits are done, before the next is built. Only the value
+    process of the current step is kept; BsdeColumns holds it at ``nodes``
+    (integers in 0..N, where an integral float names that node), and with
+    ``controls`` also z and upsilon at the nodes below N.
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
@@ -498,6 +499,9 @@ def solve_bsde(
                 return counts, low, bad + lo
 
             results = _run_ranges(pool, phase_b, ranges)
+            # the design is done with: freed before the read node's copies
+            # and the next step's design are allocated
+            design = None
             for (cz, cu), _, _ in results:
                 clamped_z = clamped_z + cz
                 clamped_u = clamped_u + cu

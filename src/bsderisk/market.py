@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
+# the largest jump count one step of one mark can store: dn is int16
+MAX_STEP_COUNT = int(np.iinfo(np.int16).max)
+# the largest per-step jump rate lambda_k dt a scenario may set: at this rate
+# a count above MAX_STEP_COUNT has probability below exp(-80000)
+MAX_STEP_RATE = 1000.0
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,10 @@ class LevyModel:
 class PathBundle:
     """Simulated increments and states on a grid; treated as immutable.
 
-    dw       Brownian increments, shape (M, N)
-    dn       Poisson jump counts per mark, shape (M, N, K), integer
-    state    X at every node, shape (M, N+1); state[:, 0] == x0
+    dw       Brownian increments, shape (M, N), float64
+    dn       Poisson jump counts per mark and step, shape (M, N, K), int16
+             (at most MAX_STEP_COUNT each)
+    state    X at every node, shape (M, N+1), float64; state[:, 0] == x0
 
     simulate_paths stores the arrays time-major, one contiguous row per date,
     and these fields are transposed views of that storage: the cross-section
@@ -157,8 +163,10 @@ class PathBundle:
 
     @cached_property
     def jump_counts(self) -> np.ndarray:
-        """Cumulative per-mark jump counts, shape (M, N, K): [:, i] counts steps 0..i."""
-        counts = self.dn.transpose(1, 0, 2).copy()  # time-major rows
+        """Cumulative per-mark jump counts, shape (M, N, K), int64: [:, i]
+        counts steps 0..i. A running sum can pass the int16 range of dn, so
+        it is summed in int64."""
+        counts = self.dn.transpose(1, 0, 2).astype(np.int64)  # time-major rows
         for i in range(1, counts.shape[0]):
             counts[i] += counts[i - 1]
         return counts.transpose(1, 0, 2)
@@ -197,6 +205,9 @@ def simulate_paths(
     (numpy's generators and ufuncs release the interpreter lock); the
     increments are then summed in place along time.
 
+    The jump counts are stored as int16: a step's draw above MAX_STEP_COUNT
+    raises ValueError before it is stored, so no count wraps.
+
     Reproducibility contract: identical (grid, model, path_count, seed)
     gives a bit-identical bundle, whatever the number of worker threads;
     increasing path_count alone extends the bundle, leaving existing paths
@@ -215,7 +226,7 @@ def simulate_paths(
 
     # time-major storage: row i is the cross-section at step i
     dw = np.empty((n, m))
-    dn = np.empty((n, m, k), dtype=np.int64)
+    dn = np.empty((n, m, k), dtype=np.int16)
     state = np.empty((n + 1, m))
     state[0] = model.x0
 
@@ -224,7 +235,13 @@ def simulate_paths(
         _stream(seed, 0, i).standard_normal(out=dw[i])
         dw[i] *= root_dt
         for j in range(k):
-            dn[i, :, j] = _stream(seed, 1 + j, i).poisson(rates[j], m)
+            counts = _stream(seed, 1 + j, i).poisson(rates[j], m)
+            top = int(counts.max())
+            if top > MAX_STEP_COUNT:
+                raise ValueError(
+                    f"jump mark {j} draws {top} jumps at step {i}, more than the "
+                    f"{MAX_STEP_COUNT} a step's count can hold")
+            dn[i, :, j] = counts
         inc = np.multiply(dw[i], model.sigma, out=state[i + 1])
         inc += model.mu * dt
         if k:

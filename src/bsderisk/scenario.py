@@ -54,6 +54,7 @@ from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver,
 from .errors import ConfigParseError, ConfigValidationError
 from .malliavin import clark_ocone, gamma_exponential_check
 from .market import (
+    MAX_STEP_RATE,
     AffinePayoff,
     ClippedPayoff,
     ExpAffinePayoff,
@@ -171,8 +172,14 @@ def apply_overrides(raw: dict, assignments) -> dict:
 
 
 def _finite_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number; booleans are not numbers here, nor is an
+    integer beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class _Block:
@@ -185,14 +192,14 @@ class _Block:
         self.path = path
         self.seen: set[str] = set()
 
-    KINDS = {float: "a number", int: "an integer", bool: "a boolean",
+    KINDS = {float: "a finite number", int: "an integer", bool: "a boolean",
              str: "a string", list: "a list", dict: "an object",
              tuple: "a list of finite numbers"}
 
     def take(self, key: str, kind, required: bool = True, default=None):
-        """The value of ``key`` read as ``kind``: float reads a number as a
-        float, tuple a list of finite numbers as a tuple of floats. Booleans
-        are numbers for no kind."""
+        """The value of ``key`` read as ``kind``: float reads a finite number
+        as a float, tuple a list of finite numbers as a tuple of floats.
+        Booleans are numbers for no kind."""
         self.seen.add(key)
         if key not in self.data:
             if required:
@@ -202,10 +209,12 @@ class _Block:
         if kind is tuple:
             if isinstance(value, list) and all(map(_finite_number, value)):
                 return tuple(float(v) for v in value)
+        elif kind is float:
+            if _finite_number(value):
+                return float(value)
         # bool subclasses int, so only a boolean field accepts true/false
-        elif isinstance(value, (int, float) if kind is float else kind) and (
-                kind is bool or not isinstance(value, bool)):
-            return float(value) if kind is float else value
+        elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+            return value
         raise ConfigValidationError(f"{self.path}.{key} must be {self.KINDS[kind]}")
 
     def block(self, key: str, required: bool = True):
@@ -340,7 +349,7 @@ def _build_method(block: _Block) -> MethodOptions:
             raise ConfigValidationError(f"{block.path}.tolerances.{name} must be a finite number >= 0")
     if method.quad_nodes < 1:
         raise ConfigValidationError(f"{block.path}.quad_nodes must be >= 1")
-    if method.fd_step is not None and not 0.0 < method.fd_step < math.inf:
+    if method.fd_step is not None and not method.fd_step > 0.0:
         raise ConfigValidationError(f"{block.path}.fd_step must be positive and finite")
     return method
 
@@ -367,11 +376,9 @@ def _build_verify(block: _Block, mark_count: int) -> VerifyOptions:
     if any(p <= -1.0 for p in verify.phi_jumps):
         raise ConfigValidationError(
             f"{block.path}.phi_jumps entries must be > -1, got {list(verify.phi_jumps)}")
-    if not math.isfinite(verify.phi_z):
-        raise ConfigValidationError(f"{block.path}.phi_z must be a finite number")
-    if not 0.0 < verify.level < math.inf:
+    if not verify.level > 0.0:
         raise ConfigValidationError(f"{block.path}.level must be positive and finite")
-    if not 0.0 <= verify.beta < math.inf:
+    if not verify.beta >= 0.0:
         raise ConfigValidationError(f"{block.path}.beta must be >= 0 and finite")
     return verify
 
@@ -408,6 +415,11 @@ def build_scenario(raw: dict, task: str | None = None, seed: int | None = None) 
         raise ConfigValidationError("config.mc.seed must be a 64-bit unsigned integer")
 
     model = _build_model(top.block("model"))
+    for k, rate in enumerate(model.jump_intensities * grid.dt):
+        if rate > MAX_STEP_RATE:
+            raise ConfigValidationError(
+                f"config.model.jumps[{k}].intensity gives {rate:g} jumps per step, "
+                f"above {MAX_STEP_RATE:g}; use more grid steps")
     block = top.block("driver", required=False)
     driver = None if block is None else _build_driver(block, model.jump_intensities)
     block = top.block("payoff", required=False)

@@ -244,6 +244,32 @@ def test_non_finite_config_value_exits_three(config_path, tmp_path, capsys, comm
     assert err.startswith("config-validation-error:") and field in err, err
 
 
+@pytest.mark.parametrize("override, field", [
+    ('driver={"family": "qexp", "alpha": 2.0, "z_coef": NaN}', "z_coef"),
+    ('driver={"family": "qexp", "alpha": 2.0, "const": Infinity}', "const"),
+    ('driver={"family": "sublinear", "forms": [{"z_coef": NaN}]}', "z_coef"),
+    ('payoff={"family": "affine", "a": 0.0, "b": 1.0, "clip": {"lo": -Infinity, "hi": 1.0}}',
+     "lo"),
+    ("model.x0=1" + "0" * 400, "x0"),  # an integer beyond the float range
+], ids=["qexp-z_coef", "qexp-const", "sublinear-z_coef", "clip-lo", "huge-x0"])
+def test_non_finite_number_exits_three(config_path, tmp_path, capsys, override, field):
+    code = run_cli("risk", "--config", config_path, "--out", tmp_path,
+                   "--set", "mc.paths=200", "--set", "grid.steps=5", "--set", override)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config-validation-error:") and field in err, err
+
+
+def test_jump_rate_above_step_bound_exits_three(config_path, tmp_path, capsys):
+    # 1e5 jumps a year on 50 steps is 2000 a step, above the bound of 1000
+    code = run_cli("risk", "--config", config_path, "--out", tmp_path, "--set", "grid.steps=50",
+                   "--set", 'model.jumps=[{"size": -0.2, "intensity": 1e5}]')
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config-validation-error:")
+    assert "config.model.jumps[0].intensity" in err, err
+
+
 def test_deterministic_solve_passes_its_replay(tmp_path):
     # sigma = 0 and no jumps: the replay's sampling error is exactly 0 and its
     # means are rounding, which the floored standard error lets pass

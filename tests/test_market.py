@@ -92,7 +92,7 @@ def serial_reference(grid, model, path_count, seed):
     m, n, k = path_count, grid.step_count, model.mark_count
     dt = grid.dt
     dw = np.empty((n, m))
-    dn = np.zeros((n, m, k), dtype=np.int64)
+    dn = np.zeros((n, m, k), dtype=np.int16)
     for i in range(n):
         dw[i] = _stream(seed, 0, i).standard_normal(m) * math.sqrt(dt)
         for j in range(k):
@@ -165,6 +165,32 @@ def test_simulation_memory_is_the_bundle():
         tracemalloc.stop()
     nbytes = bundle.dw.nbytes + bundle.dn.nbytes + bundle.state.nbytes
     assert peak <= nbytes + 8 * workers * m * 8
+
+
+def test_bundle_bytes_per_path():
+    # float64 dw and state, int16 jump counts: 8N + 8(N+1) + 2NK bytes a path
+    model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25,
+                         jumps=(br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7)))
+    m, n, k = 7, 3, 2
+    b = br.simulate_paths(br.build_grid(1.0, n), model, m, 2)
+    assert b.dn.dtype == np.int16
+    assert b.dw.nbytes + b.dn.nbytes + b.state.nbytes == m * (8 * n + 8 * (n + 1) + 2 * n * k)
+
+
+def test_step_count_above_int16_raises():
+    model = br.LevyModel(x0=0.0, jumps=(br.JumpMark(0.1, 40_000.0),))
+    with pytest.raises(ValueError, match=r"jump mark 0 draws \d+ jumps at step 0"):
+        br.simulate_paths(br.build_grid(1.0, 1), model, 5, 3)
+
+
+def test_jump_counts_widen_past_int16():
+    # about 10000 jumps a step fit in int16; their running sum does not
+    model = br.LevyModel(x0=0.0, jumps=(br.JumpMark(0.1, 40_000.0),))
+    b = br.simulate_paths(br.build_grid(1.0, 4), model, 5, 3)
+    total = b.dn.sum(axis=1, dtype=np.int64)
+    assert total.min() > np.iinfo(np.int16).max
+    assert b.jump_counts.dtype == np.int64
+    assert np.array_equal(b.jump_counts[:, -1], total)
 
 
 def test_cross_sections_are_contiguous(desk_grid, jump_model):
