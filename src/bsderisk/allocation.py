@@ -22,7 +22,12 @@ driver every claim beta xi has the density of xi, so ``node_count=1`` is the
 coherent, single-density representation.
 
 Every density is read off the sweep (solve_bsde's ``densities``), so every
-one passes the sweep's sign, overflow and uniform Kazamaki guards.
+one passes the sweep's sign, overflow and uniform Kazamaki guards. Every
+reported value is a ``bsde.Estimate`` from one of its three constructors:
+rho and the finite differences are sweep reads (``BsdeColumns.estimate``),
+the measure route and the representation weighted reads
+(``measure.weighted_estimate``), and each Aumann-Shapley part their
+Gauss-Legendre combination (``Estimate.combine``).
 """
 
 from __future__ import annotations
@@ -32,37 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeColumns, RegressionConfig, solve_bsde
+from .bsde import Estimate, RegressionConfig, solve_bsde
 from .drivers import Driver
 from .market import PathBundle, Payoff
-from .measure import weighted_condexp, weighted_mean_se
+from .measure import weighted_estimate
 from .risk import _claim_values
 
 __all__ = [
-    "Estimate",
     "FullAllocationCheck",
     "AllocationReport",
     "convex_representation",
     "build_allocation_report",
 ]
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Scalar estimate with a standard error and its per-path field.
-
-    At node 0 every path carries the same value and ``value`` is exact;
-    at interior nodes the estimate is conditional, ``per_path`` holds the
-    pathwise values and ``value`` is their cross-path mean.
-    """
-
-    value: float
-    se: float
-    per_path: np.ndarray
-
-
-def _collapse(per_path: np.ndarray, node: int) -> float:
-    return float(per_path[0]) if node == 0 else float(per_path.mean())
 
 
 def _unit_legendre(count: int):
@@ -78,45 +64,13 @@ def default_fd_step(xi_values: np.ndarray) -> float:
     return 0.05 * (1.0 + float(np.abs(xi_values).max()))
 
 
-def _quadrature(weights, parts: list[Estimate]) -> Estimate:
-    """Gauss-Legendre combination of per-node estimates; errors add in quadrature."""
-    return Estimate(
-        value=float(sum(w * p.value for w, p in zip(weights, parts))),
-        se=float(math.sqrt(sum((w * p.se) ** 2 for w, p in zip(weights, parts)))),
-        per_path=sum(w * p.per_path for w, p in zip(weights, parts)),
-    )
-
-
-def _fd_estimates(columns: BsdeColumns, first: int, count: int, h: float, node: int):
-    """Central differences of ``count`` leg pairs from column ``first`` on. The
-    standard error is the delta-method one: dispersion of the pathwise
-    differenced value process one step after the averaging node."""
-    probe = max(node, 1)
-    estimates = []
-    for j in range(first, first + 2 * count, 2):
-        per_path = (columns.y[node][:, j] - columns.y[node][:, j + 1]) / (2.0 * h)
-        diffs = (columns.y[probe][:, j] - columns.y[probe][:, j + 1]) / (2.0 * h)
-        se = float(diffs.std() / math.sqrt(diffs.size))
-        estimates.append(Estimate(value=_collapse(per_path, node), se=se, per_path=per_path))
-    return estimates
-
-
-def _weighted_estimate(bundle: PathBundle, weights, payload, node: int, config) -> Estimate:
-    per_path = weighted_condexp(bundle, weights, payload, node, config)
-    _, se = weighted_mean_se(weights, payload)
-    return Estimate(value=_collapse(per_path, node), se=se, per_path=per_path)
-
-
 def _shapley_multi(bundle: PathBundle, densities, directions, node: int, config) -> list[Estimate]:
     """Aumann-Shapley estimates for several directions; column q of
     ``densities`` is L(T) of the claim beta_q * xi at Gauss-Legendre node q."""
     _, weights = _unit_legendre(densities.shape[1])
-    estimates = []
-    for eta_v in directions:
-        parts = [_weighted_estimate(bundle, densities[:, q], -eta_v, node, config)
-                 for q in range(len(weights))]
-        estimates.append(_quadrature(weights, parts))
-    return estimates
+    return [Estimate.combine(weights, [weighted_estimate(bundle, l_q, -eta_v, node, config)
+                                       for l_q in densities.T])
+            for eta_v in directions]
 
 
 def convex_representation(
@@ -140,7 +94,7 @@ def convex_representation(
     scaled = np.column_stack([beta * xi_v for beta in betas])
     columns = solve_bsde(bundle, driver, -scaled, config, nodes=(node,), densities=node_count)
     mix = columns.density[node] @ weights
-    return _weighted_estimate(bundle, mix, -xi_v, node, config)
+    return weighted_estimate(bundle, mix, -xi_v, node, config)
 
 
 @dataclass(frozen=True)
@@ -217,20 +171,13 @@ def build_allocation_report(
     claims = ([xi_v] + [beta * xi_v for beta in betas] + [np.zeros_like(xi_v)]
               + [xi_v + sign * h * eta_v for eta_v in directions for sign in (1.0, -1.0)])
     columns = solve_bsde(bundle, driver, -np.column_stack(claims), config,
-                         nodes={0, node, max(node, 1)}, densities=1 + node_count)
-
-    def risk(j):
-        per_path = columns.y[node][:, j].copy()
-        return Estimate(value=_collapse(per_path, node), se=columns.std_error(node, j),
-                        per_path=per_path)
-
-    rho, rho_zero = risk(0), risk(1 + node_count)
+                         nodes={0, node}, densities=1 + node_count)
+    rho, rho_zero = columns.estimate(node, 0), columns.estimate(node, 1 + node_count)
     density = columns.density[0]
-    measure = tuple(
-        _weighted_estimate(bundle, density[:, 0], -eta_v, node, config)
-        for eta_v in directions
-    )
-    fd = tuple(_fd_estimates(columns, 2 + node_count, len(directions), h, node))
+    measure = tuple(weighted_estimate(bundle, density[:, 0], -eta_v, node, config)
+                    for eta_v in directions)
+    legs = range(2 + node_count, 2 + node_count + 2 * len(directions), 2)
+    fd = tuple(columns.estimate(node, j, j + 1, 2.0 * h) for j in legs)
     shapley = tuple(_shapley_multi(bundle, density[:, 1:], directions, node, config))
     gaps = tuple(abs(f.value - m.value) for f, m in zip(fd, measure))
     check = _full_allocation_check(shapley, rho, rho_zero, tolerance)

@@ -17,8 +17,9 @@ clamped to configured guards against regression outliers.
 ``solve_bsde`` runs this recursion once for a block of terminals and returns
 one result, ``BsdeColumns``: the value process (and optionally densities and
 the controls, the clamped values the driver actually saw) at the nodes the
-caller reads, as copies of the sweep's in-place workspace (node 0 excepted).
-``residual_replay`` checks a one-column solve read at every node.
+caller reads, as copies of the sweep's in-place workspace (node 0 excepted);
+``BsdeColumns.estimate`` is the one place a value read off it gets its
+standard error. ``residual_replay`` checks a one-column solve read at every node.
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure.doleans_dade`` share it and its guards.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ from .market import PathBundle
 
 __all__ = [
     "RegressionConfig",
+    "Estimate",
     "BsdeColumns",
     "ResidualReport",
     "features_at_node",
@@ -216,18 +219,21 @@ def condexp_at_node(
 ):
     """Estimate E[targets | F_{t_node}] pathwise for (M,) or (M, q) targets.
 
-    ``node`` follows the rule of ``solve_bsde``'s nodes.
-    Node N (the horizon) returns the targets unchanged. Other nodes fit as
-    the sweep does (``_coefficients``, then ``_fit_range``), so the sweep's
-    fits and this one agree bit for bit; nodes with degenerate features
-    return the plain cross-path mean. A 2-d fit is returned as the (M, q) transpose of
-    a (q, M) array, so each fitted column is contiguous.
+    ``node`` follows the rule of ``solve_bsde``'s nodes, and a non-finite
+    target raises ValueError. Node N (the horizon) returns the targets
+    unchanged. Other nodes fit as the sweep does (``_coefficients``, then
+    ``_fit_range``), so the sweep's fits and this one agree bit for bit;
+    nodes with degenerate features return the plain cross-path mean. A 2-d
+    fit is the (M, q) transpose of a (q, M) array, so each fitted column is
+    contiguous.
     """
     y = np.asarray(targets, dtype=float)
     m, n = bundle.path_count, bundle.grid.step_count
     node = _grid_node(node, n)
     if y.ndim not in (1, 2) or y.shape[0] != m:
         raise ValueError(f"targets must have shape ({m},) or ({m}, q), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
     if node == n:
         return y
     design = features_at_node(bundle, node, config)
@@ -238,10 +244,36 @@ def condexp_at_node(
 
 
 @dataclass(frozen=True)
+class Estimate:
+    """A reported value, its standard error and its per-path values, from
+    one of three constructors, each the one place of its standard-error
+    rule: a sweep read (``BsdeColumns.estimate``), a weighted read
+    (``measure.weighted_estimate``) and a linear combination (``combine``).
+    """
+
+    value: float
+    se: float
+    per_path: np.ndarray
+
+    @classmethod
+    def at_node(cls, per_path: np.ndarray, se, node: int) -> Estimate:
+        """At node 0 every path carries the value; elsewhere it is the mean."""
+        return cls(float(per_path[0] if node == 0 else per_path.mean()), float(se), per_path)
+
+    @classmethod
+    def combine(cls, weights, parts) -> Estimate:
+        """sum w value, sqrt(sum (w se)^2) and sum w per_path, each from 0."""
+        terms = list(zip(weights, parts))
+        return cls(float(sum(w * p.value for w, p in terms)),
+                   float(math.sqrt(sum((w * p.se) ** 2 for w, p in terms))),
+                   sum(w * p.per_path for w, p in terms))
+
+
+@dataclass(frozen=True)
 class BsdeColumns:
     """One backward sweep over B terminals, read at the requested nodes.
 
-    y        {node: (M, B)} value process
+    y        {node: (M, B)} value process; node 1 too when node 0 is read
     density  {node: (M, D)} L(T)/L(t_node) for the first D columns, L the
              stochastic exponential of the driver's partials at the controls
     z        {node: (M, B)} Brownian control on [t_node, t_node+1), and
@@ -262,11 +294,18 @@ class BsdeColumns:
     clamped_z: np.ndarray
     clamped_upsilon: np.ndarray
 
-    def std_error(self, node: int, column: int = 0) -> float:
-        """Standard error of a column's value at ``node``: the spread of y over
-        the paths at max(node, 1), which the sweep must read, over sqrt(M)."""
-        y = self.y[max(node, 1)][:, column]
-        return float(y.std() / np.sqrt(y.size))
+    def estimate(self, node: int, column: int = 0, minus: int | None = None,
+                 step: float = 1.0) -> Estimate:
+        """y[:, column] at ``node``, or with ``minus`` (y[:, column] -
+        y[:, minus]) / step, as an Estimate whose standard error is the
+        spread of the same per-path values at max(node, 1) over sqrt(M)."""
+
+        def values(at):
+            y = self.y[at]
+            return y[:, column].copy() if minus is None else (y[:, column] - y[:, minus]) / step
+
+        spread = values(max(node, 1))
+        return Estimate.at_node(values(node), spread.std() / math.sqrt(spread.size), node)
 
 
 def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt, work) -> np.ndarray:
@@ -385,8 +424,8 @@ def solve_bsde(
     control targets in a second. A step holds one (p, M) design: it is freed
     once the step's fits are done, before the next is built. Only the value
     process of the current step is kept; BsdeColumns holds it at ``nodes``
-    (integers in 0..N, where an integral float names that node), and with
-    ``controls`` also z and upsilon at the nodes below N.
+    (integers in 0..N, where an integral float names that node; node 1 too
+    if node 0 is read), and with ``controls`` z and upsilon at nodes below N.
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
@@ -418,6 +457,8 @@ def solve_bsde(
     if driver.mark_count != k:
         raise ValueError(f"driver has {driver.mark_count} marks, bundle has {k}")
     reads = {_grid_node(node, n) for node in nodes}
+    # BsdeColumns.estimate takes the spread of a node-0 read at node 1
+    y_reads = reads | {1} if 0 in reads else reads
 
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
@@ -425,7 +466,7 @@ def solve_bsde(
     # overwrites them with Y_i at every step
     cur = xi.reshape(m, -1).T.copy()
     log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
-    y_at = {n: cur.copy().T} if n in reads else {}
+    y_at = {n: cur.copy().T} if n in y_reads else {}
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
     z_at, u_at = {}, {}
     clamped_z = clamped_u = np.zeros(cols, dtype=np.int64)
@@ -510,11 +551,13 @@ def solve_bsde(
                 bad = np.concatenate([paths for *_, paths in results])
                 if bad.size:
                     raise _signed_density(bad)
+            # later steps overwrite the workspace, so a read node keeps
+            # copies; node 0, the last step, keeps the rows themselves
+            rows = np.copy if i else np.asarray
+            if i in y_reads:
+                y_at[i] = rows(cur).T
             if i in reads:
-                # later steps overwrite the workspace, so a read node keeps
-                # copies; node 0, the last step, keeps the rows themselves
-                rows = np.copy if i else np.asarray
-                y_at[i], state_at[i] = rows(cur).T, (log_l.copy(), jump_l.copy())
+                state_at[i] = (log_l.copy(), jump_l.copy())
                 if controls:
                     z_at[i], u_at[i] = rows(fitted[0]).T, rows(fitted[1:]).T
 

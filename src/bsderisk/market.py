@@ -163,10 +163,11 @@ class PathBundle:
 
     @cached_property
     def jump_counts(self) -> np.ndarray:
-        """Cumulative per-mark jump counts, shape (M, N, K), int64: [:, i]
-        counts steps 0..i. A running sum can pass the int16 range of dn, so
-        it is summed in int64."""
-        counts = self.dn.transpose(1, 0, 2).astype(np.int64)  # time-major rows
+        """Cumulative per-mark jump counts, shape (M, N, K): [:, i] counts
+        steps 0..i. A running sum can pass the int16 range of dn: it is int32
+        while N MAX_STEP_COUNT fits (N <= 65538 steps), else int64."""
+        wide = np.int32 if self.dn.shape[1] * MAX_STEP_COUNT <= np.iinfo(np.int32).max else np.int64
+        counts = self.dn.transpose(1, 0, 2).astype(wide)  # time-major rows
         for i in range(1, counts.shape[0]):
             counts[i] += counts[i - 1]
         return counts.transpose(1, 0, 2)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (RegressionConfig, _doleans_step, _exponential, _signed_density,
-                   condexp_at_node)
+from .bsde import (Estimate, RegressionConfig, _doleans_step, _exponential,
+                   _signed_density, condexp_at_node)
 from .errors import EstimatorFailure
 from .market import PathBundle
 
@@ -35,6 +35,7 @@ __all__ = [
     "martingale_diagnostic",
     "weighted_condexp",
     "weighted_mean_se",
+    "weighted_estimate",
     "girsanov_shift_check",
 ]
 
@@ -220,6 +221,16 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     return (float(mean), float(se)) if np.ndim(payload) == 1 else (mean, se)
 
 
+def weighted_estimate(bundle: PathBundle, weights, payload, node: int = 0,
+                      config: RegressionConfig = RegressionConfig()) -> Estimate:
+    """The weighted expectation of ``payload`` at ``node`` as an Estimate:
+    the per-path values of ``weighted_condexp`` and the importance-sampling
+    standard error of ``weighted_mean_se``."""
+    per_path = weighted_condexp(bundle, weights, payload, node, config)
+    _, se = weighted_mean_se(weights, payload)
+    return Estimate.at_node(per_path, se, node)
+
+
 @dataclass(frozen=True)
 class GirsanovReport:
     """Reweighted increment means against their predicted drifts, per step."""
@@ -232,10 +243,11 @@ class GirsanovReport:
 
     @property
     def worst_z(self) -> float:
-        zs = [np.abs(self.dw_gap) / np.where(self.dw_se > 0, self.dw_se, np.inf)]
-        if self.dn_gap.size:
-            zs.append(np.abs(self.dn_gap) / np.where(self.dn_se > 0, self.dn_se, np.inf))
-        return float(max(z.max() for z in zs))
+        """Largest |gap| / SE; a zero SE scores a zero gap 0 and any other inf."""
+        gap = np.abs(np.concatenate([self.dw_gap, self.dn_gap.ravel()]))
+        se = np.concatenate([self.dw_se, self.dn_se.ravel()])
+        z = np.divide(gap, se, out=np.full(gap.shape, np.inf), where=se > 0)
+        return float(np.where(gap == 0.0, 0.0, z).max())
 
     @property
     def passed(self) -> bool:
@@ -253,7 +265,8 @@ def girsanov_shift_check(rn: RNProcess, k_sigma: float = 4.0) -> GirsanovReport:
     b = rn.bundle
     m, n, k = b.path_count, b.grid.step_count, b.mark_count
     dt = b.grid.dt
-    dw_gap, dw_se = weighted_mean_se(rn.terminal, b.dw - rn.phi_z * dt)
+    # time-major like dw, as weighted_mean_se's sums follow the payload's layout
+    dw_gap, dw_se = weighted_mean_se(rn.terminal, np.subtract(b.dw, rn.phi_z * dt, order="F"))
     predicted = b.model.jump_intensities * (1.0 + rn.phi_jump) * dt
     dn_gap, dn_se = weighted_mean_se(rn.terminal, (b.dn - predicted).reshape(m, n * k))
     return GirsanovReport(dw_gap=dw_gap, dw_se=dw_se, dn_gap=dn_gap.reshape(n, k),

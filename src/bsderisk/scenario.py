@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import build_allocation_report
-from .bsde import REPLAY_SE_FLOOR_ULPS, RegressionConfig, residual_replay, solve_bsde
+from .bsde import REPLAY_SE_FLOOR_ULPS, Estimate, RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
 from .errors import ConfigParseError, ConfigValidationError
 from .malliavin import clark_ocone, gamma_exponential_check
@@ -510,8 +510,9 @@ def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
                          nodes=range(n + 1), controls=True)
     sigmas = cfg.method.tolerance("replay_sigmas")
     replay = residual_replay(bundle, cfg.driver, columns, k_sigma=sigmas)
+    y0 = columns.estimate(0)
     return [
-        Row(sid, "y0", float(columns.y[0][0, 0]), columns.std_error(0)),
+        Row(sid, "y0", y0.value, y0.se),
         *_clamp_rows(sid, "y0", columns.clamped_z[0], columns.clamped_upsilon[0]),
         Row(sid, "y0_replay_worst_z", replay.worst_z,
             check=f"replay_within_{sigmas:g}_se", passed=replay.passed),
@@ -532,16 +533,15 @@ def _task_risk(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     xi = terminal_values(bundle, cfg.payoff)
     n = bundle.grid.step_count
-    columns = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, 1, n))
-    y = columns.y
-    rho0 = float(y[0][0, 0])
-    rows = [Row(sid, "rho0", rho0, columns.std_error(0))]
+    columns = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0, n))
+    rho0 = columns.estimate(0)
+    rows = [Row(sid, "rho0", rho0.value, rho0.se)]
     rows += _clamp_rows(sid, "rho0", columns.clamped_z[0], columns.clamped_upsilon[0])
-    terminal_gap = float(np.abs(y[n][:, 0] + xi).max())
+    terminal_gap = float(np.abs(columns.y[n][:, 0] + xi).max())
     rows.append(Row(sid, "terminal_identity_gap", terminal_gap,
                     check="terminal_identity_exact", passed=terminal_gap == 0.0))
     if cfg.driver.entropic:
-        rows += _closed_form_rows(cfg, bundle, xi, rho0)
+        rows += _closed_form_rows(cfg, bundle, xi, rho0.value)
     return rows
 
 
@@ -560,15 +560,12 @@ def _task_allocate(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     gap_sigmas = cfg.method.tolerance("fd_measure_sigmas")
     rows = [Row(sid, "rho0", report.rho.value, report.rho.se),
             Row(sid, "rho0_zero_claim", report.rho_zero.value, report.rho_zero.se)]
-    for i, (fd, mv, shap) in enumerate(zip(report.fd, report.measure, report.shapley)):
-        rows.append(Row(sid, f"alloc_fd_{i}", fd.value, fd.se))
-        rows.append(Row(sid, f"alloc_measure_{i}", mv.value, mv.se))
-        rows.append(Row(sid, f"alloc_shapley_{i}", shap.value, shap.se))
-        pooled = math.sqrt(fd.se**2 + mv.se**2)
-        bound = max(gap_tol, gap_sigmas * pooled)
-        gap = report.fd_measure_gaps[i]
-        rows.append(Row(sid, f"alloc_gap_{i}", gap, pooled,
-                        check=f"fd_vs_measure_{i}", passed=gap <= bound))
+    for i, routes in enumerate(zip(report.fd, report.measure, report.shapley)):
+        rows += [Row(sid, f"alloc_{name}_{i}", est.value, est.se)
+                 for name, est in zip(("fd", "measure", "shapley"), routes)]
+        gap = Estimate.combine((1.0, -1.0), routes[:2])
+        rows.append(Row(sid, f"alloc_gap_{i}", abs(gap.value), gap.se, check=f"fd_vs_measure_{i}",
+                        passed=abs(gap.value) <= max(gap_tol, gap_sigmas * gap.se)))
     rows.append(Row(sid, "allocation_residual", report.check.residual, report.check.pooled_se,
                     check=f"full_allocation_within_{report.check.tolerance:g}",
                     passed=report.check.passed))
@@ -579,11 +576,8 @@ def _verify_doleans(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     v = cfg.verify
     m, n, k = cfg.paths, cfg.grid.step_count, cfg.model.mark_count
-    # full integrand arrays in the bundle's time-major (N, M) and (N, M, K)
-    # storage
-    phi_z = np.full((n, m), v.phi_z)
-    phi_j = np.full((n, m, k), v.phi_jumps)
-    rn = doleans_dade(bundle, phi_z.T, phi_j.transpose(1, 0, 2))
+    # the constant integrands stay broadcast views (doleans_dade)
+    rn = doleans_dade(bundle, v.phi_z, v.phi_jumps)
 
     # closed form for constant integrands, node by node: W(t_i) and the
     # per-mark counts N_k(t_i) are running sums of the bundle's rows

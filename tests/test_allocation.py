@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import bsderisk as br
+from bsderisk.bsde import Estimate
+from bsderisk.measure import weighted_estimate, weighted_mean_se
 
 
 GAMMA = 1.0
@@ -110,6 +112,39 @@ def test_part_rows_do_not_depend_on_the_other_parts(reports, driver, jump_bundle
         got, want = getattr(two, route)[0], getattr(three, route)[1]
         assert got.value == pytest.approx(want.value, rel=0.0, abs=1e-12), route
         assert got.se == pytest.approx(want.se, rel=0.0, abs=1e-12), route
+
+
+def old_weighted_estimate(bundle, weights, payload, node, config):
+    """allocation._weighted_estimate before Estimate: (value, se, per_path)."""
+    per_path = br.weighted_condexp(bundle, weights, payload, node, config)
+    _, se = weighted_mean_se(weights, payload)
+    return (float(per_path[0]) if node == 0 else float(per_path.mean())), se, per_path
+
+
+def old_quadrature(weights, parts):
+    """allocation._quadrature before Estimate.combine: (value, se, per_path)."""
+    return (float(sum(w * p.value for w, p in zip(weights, parts))),
+            float(math.sqrt(sum((w * p.se) ** 2 for w, p in zip(weights, parts)))),
+            sum(w * p.per_path for w, p in zip(weights, parts)))
+
+
+def test_weighted_estimate_and_combine_match_the_old_rules(jump_bundle):
+    config = br.RegressionConfig(jump_count_features=True)
+    x = jump_bundle.terminal
+    _, weights = np.polynomial.legendre.leggauss(3)
+    for node in (0, 25):
+        parts = []
+        for beta in (0.3, 0.7, 1.0):
+            density = np.exp(-beta * x) / np.exp(-beta * x).mean()
+            est = weighted_estimate(jump_bundle, density, -x, node, config)
+            value, se, per_path = old_weighted_estimate(jump_bundle, density, -x, node, config)
+            assert (est.value, est.se) == (value, se), (node, beta)
+            assert np.array_equal(est.per_path, per_path), (node, beta)
+            parts.append(est)
+        combined = Estimate.combine(weights / 2.0, parts)
+        value, se, per_path = old_quadrature(weights / 2.0, parts)
+        assert (combined.value, combined.se) == (value, se), node
+        assert np.array_equal(combined.per_path, per_path), node
 
 
 def test_convex_representation_recovers_risk(driver, jump_bundle):

@@ -227,11 +227,12 @@ def test_solver_noise_shrinks_with_path_count(desk_grid, jump_model):
 
 def reference_sweep(bundle, driver, xi, cfg):
     """The backward recursion with one condexp_at_node call per fit: y, z,
-    upsilon and the per-step counts of clamped z and upsilon values."""
+    upsilon and the per-step counts of clamped z and upsilon values. It stops
+    at the first step with a non-finite value; y stays NaN below that node."""
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     dt = bundle.grid.dt
     lam_dt = bundle.model.jump_intensities * dt
-    y, z, ups = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, k))
+    y, z, ups = np.full((m, n + 1), np.nan), np.zeros((m, n)), np.zeros((m, n, k))
     clamps = np.zeros((n, 2), dtype=int)
     y[:, n] = xi
     for i in range(n - 1, -1, -1):
@@ -246,6 +247,8 @@ def reference_sweep(bundle, driver, xi, cfg):
         z[:, i] = np.clip(z_raw, -cfg.z_clip, cfg.z_clip)
         ups[:, i] = np.clip(u_raw, -cfg.upsilon_clip, cfg.upsilon_clip)
         y[:, i] = y_fit + driver(z[:, i], ups[:, i]) * dt
+        if not np.all(np.isfinite(y[:, i])):
+            break
     return y, z, ups, clamps
 
 
@@ -310,6 +313,58 @@ def test_node_reads_equal_full_solution(jump_bundle, solve_stacked):
     cols = br.solve_bsde(jump_bundle, driver, xi, nodes=nodes)
     for i in nodes:
         assert np.array_equal(cols.y[i][:, 0], full.y[:, i]), i
+
+
+def old_sweep_estimate(columns, node, column, minus=None, h=None):
+    """The rules before Estimate: BsdeColumns.std_error for a column's value
+    and allocation._fd_estimates for a central difference."""
+    probe = max(node, 1)
+    if minus is None:
+        per_path = columns.y[node][:, column].copy()
+        y = columns.y[probe][:, column]
+        se = float(y.std() / np.sqrt(y.size))
+    else:
+        per_path = (columns.y[node][:, column] - columns.y[node][:, minus]) / (2.0 * h)
+        diffs = (columns.y[probe][:, column] - columns.y[probe][:, minus]) / (2.0 * h)
+        se = float(diffs.std() / math.sqrt(diffs.size))
+    value = float(per_path[0]) if node == 0 else float(per_path.mean())
+    return value, se, per_path
+
+
+def test_sweep_estimate_matches_the_old_rules(jump_bundle):
+    x = jump_bundle.terminal
+    h = 0.07
+    terminals = np.column_stack([-x, -(x + h * x * x), -(x - h * x * x)])
+    cols = br.solve_bsde(jump_bundle, br.make_entropic_driver(2.0, (1.5,)), terminals,
+                         nodes=(0, 25))
+    for node in (0, 25):
+        for column, minus, step in ((0, None, 1.0), (2, None, 1.0), (1, 2, 2.0 * h)):
+            est = cols.estimate(node, column, minus, step)
+            value, se, per_path = old_sweep_estimate(cols, node, column, minus, h)
+            assert (est.value, est.se) == (value, se), (node, column)
+            assert np.array_equal(est.per_path, per_path), (node, column)
+            assert est.se > 0.0
+
+
+def test_reading_node_zero_keeps_y_at_node_one(jump_bundle):
+    driver = br.make_entropic_driver(2.0, (1.5,))
+    xi = -jump_bundle.terminal
+    alone = br.solve_bsde(jump_bundle, driver, xi, nodes=(0,), densities=1, controls=True)
+    both = br.solve_bsde(jump_bundle, driver, xi, nodes=(0, 1), densities=1)
+    assert sorted(alone.y) == [0, 1]
+    # only y: the density and the controls stay at the nodes asked for
+    assert list(alone.density) == list(alone.z) == list(alone.upsilon) == [0]
+    assert np.array_equal(alone.y[1], both.y[1])
+    assert alone.estimate(0).se == both.estimate(0).se > 0.0
+    assert sorted(br.solve_bsde(jump_bundle, driver, xi, nodes=(25,)).y) == [25]
+
+
+def test_condexp_rejects_non_finite_targets(jump_bundle):
+    targets = np.column_stack([jump_bundle.terminal, jump_bundle.terminal])
+    targets[17, 1] = np.inf
+    for node in (0, 25, 50):
+        with pytest.raises(ValueError, match="targets must be finite"):
+            condexp_at_node(jump_bundle, node, targets, br.RegressionConfig())
 
 
 def test_solution_rows_are_contiguous(jump_bundle):

@@ -1,5 +1,6 @@
 """Grid, model, path simulation and the payoff family."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -189,8 +190,22 @@ def test_jump_counts_widen_past_int16():
     b = br.simulate_paths(br.build_grid(1.0, 4), model, 5, 3)
     total = b.dn.sum(axis=1, dtype=np.int64)
     assert total.min() > np.iinfo(np.int16).max
-    assert b.jump_counts.dtype == np.int64
+    assert b.jump_counts.dtype == np.int32
     assert np.array_equal(b.jump_counts[:, -1], total)
+
+
+def test_jump_counts_widen_past_int32():
+    # 65539 full steps of one path sum past the int32 range
+    model = br.LevyModel(x0=0.0, jumps=(br.JumpMark(0.1, 1.0),))
+    b = br.simulate_paths(br.build_grid(1.0, 2), model, 1, 3)
+    steps = 65539
+    full = dataclasses.replace(b, dn=np.full((1, steps, 1), market.MAX_STEP_COUNT, np.int16))
+    assert steps * market.MAX_STEP_COUNT > np.iinfo(np.int32).max
+    assert full.jump_counts.dtype == np.int64
+    assert full.jump_counts[0, -1, 0] == steps * market.MAX_STEP_COUNT
+    below = dataclasses.replace(b, dn=full.dn[:, :steps - 1])
+    assert below.jump_counts.dtype == np.int32
+    assert below.jump_counts[0, -1, 0] == (steps - 1) * market.MAX_STEP_COUNT
 
 
 def test_cross_sections_are_contiguous(desk_grid, jump_model):

@@ -1,13 +1,14 @@
 """Discrete stochastic exponentials, admissibility checks, reweighting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import bsderisk as br
 from bsderisk.errors import EstimatorFailure, SignedDensityFailure
-from bsderisk.measure import weighted_mean_se
+from bsderisk.measure import GirsanovReport, weighted_mean_se
 
 
 def constant_rn(bundle, phi_z, phi_jumps):
@@ -126,9 +127,8 @@ ESTIMATORS = {
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_standalone_estimators_reject_a_non_finite_claim(name):
-    # as solve_bsde rejects a non-finite terminal: an error, not NaNs
-    # (condexp_at_node, the bare fit, passes non-finite targets through, as
-    # the reference recursion of test_bsde.py relies on)
+    # as solve_bsde rejects a non-finite terminal and condexp_at_node
+    # non-finite targets: an error, not NaNs
     model = br.LevyModel(x0=0.0, mu=0.1, sigma=0.3, jumps=(br.JumpMark(-0.2, 1.5),))
     bundle = br.simulate_paths(br.build_grid(1.0, 5), model, 200, 1)
     claim = bundle.terminal.copy()
@@ -172,6 +172,26 @@ def test_girsanov_flags_wrong_drift(jump_bundle):
     )
     rep = br.girsanov_shift_check(tampered)
     assert not rep.passed
+
+
+def test_girsanov_zero_se_counts_only_a_zero_gap():
+    # a density on one path: every reweighted mean is that path's value and
+    # every standard error is 0, so a nonzero gap is infinitely many SE away
+    model = br.LevyModel(x0=0.0, mu=0.1, sigma=0.3, jumps=(br.JumpMark(-0.2, 1.5),))
+    b = br.simulate_paths(br.build_grid(1.0, 5), model, 200, 1)
+    m, n, k = b.path_count, b.grid.step_count, b.mark_count
+    lam = np.zeros((m, n + 1))
+    lam[:, 0] = 1.0
+    lam[17, -1] = 1.0
+    rn = br.RNProcess(bundle=b, lam=lam, phi_z=np.zeros((m, n)), phi_jump=np.zeros((m, n, k)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = br.girsanov_shift_check(rn)
+        assert np.all(rep.dw_se == 0.0) and np.abs(rep.dw_gap).max() > 0.0
+        assert rep.worst_z == np.inf and not rep.passed
+        exact = GirsanovReport(dw_gap=np.zeros(n), dw_se=np.zeros(n), dn_gap=np.zeros((n, k)),
+                               dn_se=np.zeros((n, k)), k_sigma=4.0)
+        assert exact.worst_z == 0.0 and exact.passed
 
 
 def test_girsanov_block_matches_per_step_means(two_mark_bundle):
