@@ -15,11 +15,19 @@ read one backward sweep over the 2 + 2D + Q columns
            parts sum to rho(xi) - rho(0), and the zero claim's column gives
            rho(0) for that full-allocation check
 
+Q defaults to ``SHAPLEY_NODES`` = 4. The integrand beta -> E_{Q_beta}[-eta]
+is smooth (analytic in beta for the entropic driver), so the Gauss-Legendre
+error falls geometrically in Q: 4 nodes differ from 8 by less than 1e-3 of
+the largest Shapley SE, and 2 nodes differ from 4 by more.
+
 ``convex_representation`` re-expresses the risk number itself as
 E[-Lambda xi], Lambda the Gauss-Legendre mixture of the densities of the
 scaled claims, all columns of one sweep. For a positively homogeneous
 driver every claim beta xi has the density of xi, so ``node_count=1`` is the
-coherent, single-density representation.
+coherent, single-density representation. It keeps 16 nodes by default: the
+mixture is integrated over beta path by path, before the expectation, where
+the quadrature converges slowly (entropic gamma 2 at 10000 paths: 4 nodes
+lie 5.4e-3 from 16, about one SE).
 
 Every density is read off the sweep (solve_bsde's ``densities``), so every
 one passes the sweep's sign, overflow and uniform Kazamaki guards. Every
@@ -51,6 +59,12 @@ __all__ = [
 ]
 
 
+# Gauss-Legendre nodes of the Aumann-Shapley integral: the smallest Q whose
+# Shapley values differ from those at 2Q by less than 1e-3 of the largest
+# Shapley SE, on the entropic, clipped entropic and qexp desk reports
+SHAPLEY_NODES = 4
+
+
 def _unit_legendre(count: int):
     """Gauss-Legendre nodes and weights mapped to (0, 1); weights sum to 1."""
     if count < 1:
@@ -77,6 +91,7 @@ def convex_representation(
     bundle: PathBundle,
     driver: Driver,
     xi,
+    # the mixture is integrated path by path, where Q converges slowly
     node_count: int = 16,
     node: int = 0,
     config: RegressionConfig = RegressionConfig(),
@@ -146,7 +161,7 @@ def build_allocation_report(
     driver: Driver,
     payoff: Payoff,
     step: float | None = None,
-    node_count: int = 16,
+    node_count: int = SHAPLEY_NODES,
     node: int = 0,
     tolerance: float = 1e-2,
     config: RegressionConfig = RegressionConfig(),

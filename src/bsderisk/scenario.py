@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import build_allocation_report
+from .allocation import SHAPLEY_NODES, build_allocation_report
 from .bsde import REPLAY_SE_FLOOR_ULPS, Estimate, RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
 from .errors import ConfigParseError, ConfigValidationError
@@ -98,7 +98,7 @@ DEFAULT_TOLERANCES = {
 class MethodOptions:
     regression: RegressionConfig = field(default_factory=RegressionConfig)
     fd_step: float | None = None
-    quad_nodes: int = 16
+    quad_nodes: int = SHAPLEY_NODES
     tolerances: dict = field(default_factory=dict)
 
     def tolerance(self, name: str, fallback=None):

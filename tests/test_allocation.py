@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bsderisk as br
+from bsderisk.allocation import SHAPLEY_NODES
 from bsderisk.bsde import Estimate
 from bsderisk.measure import weighted_estimate, weighted_mean_se
 
@@ -40,6 +41,72 @@ def reports(driver, jump_bundle, parts):
     payoff = br.PortfolioPayoff(parts)
     return {q: br.build_allocation_report(jump_bundle, driver, payoff, node_count=q)
             for q in (4, 8, 16)}
+
+
+@pytest.fixture(scope="module")
+def report_bundle(desk_grid, jump_model):
+    """The bundle of the allocate-report benchmark: 10000 desk paths."""
+    return br.simulate_paths(desk_grid, jump_model, 10_000, 20240901)
+
+
+# driver, and the clip of the first part (None: unclipped)
+QUADRATURE_FAMILIES = {
+    "entropic": (br.make_entropic_driver(1.0, (1.5,)), None),
+    "entropic-clipped": (br.make_entropic_driver(2.0, (1.5,)), (-0.15, 0.25)),
+    "qexp": (br.make_qexp_driver(1.0, br.LinearForm(0.2, (0.1,), 0.3), (1.5,)), None),
+}
+
+
+@pytest.mark.parametrize("family", QUADRATURE_FAMILIES)
+def test_default_shapley_nodes_are_the_fewest_within_the_bound(report_bundle, parts, family):
+    # the default Q matches 16 nodes within 1e-3 of the largest 16-node
+    # Shapley SE on every part, and Q/2 misses that on at least one: the
+    # default is the smallest such Q
+    driver, clip = QUADRATURE_FAMILIES[family]
+    claim = parts if clip is None else (br.ClippedPayoff(parts[0], *clip),) + parts[1:]
+    payoff = br.PortfolioPayoff(claim)
+    default = br.build_allocation_report(report_bundle, driver, payoff)
+    q = default.node_count
+    half, full = (br.build_allocation_report(report_bundle, driver, payoff, node_count=count)
+                  for count in (q // 2, 16))
+    bound = 1e-3 * max(est.se for est in full.shapley)
+    gaps = [abs(a.value - b.value) for a, b in zip(default.shapley, full.shapley)]
+    assert max(gaps) <= bound, (q, gaps, bound)
+    gaps = [abs(a.value - b.value) for a, b in zip(half.shapley, full.shapley)]
+    assert max(gaps) > bound, (q // 2, gaps, bound)
+
+
+def test_only_the_shapley_rows_depend_on_the_node_count():
+    # the allocate rows of the allocate-report benchmark at the default Q and
+    # at 16 nodes: the column count changes only how BLAS blocks the sweep's
+    # sums; the Shapley rows move by their quadrature error
+    raw = {"scenario_id": "nodes", "task": "allocate", "grid": {"horizon": 1.0, "steps": 50},
+           "mc": {"paths": 10_000, "seed": 20240901},
+           "model": {"x0": 0.0, "mu": 0.1, "sigma": 0.3,
+                     "jumps": [{"size": -0.2, "intensity": 1.5}]},
+           "driver": {"family": "entropic", "gamma": 1.0},
+           "payoff": {"decomposition": [{"family": "affine", "a": a, "b": b}
+                                        for a, b in ((0.0, 0.5), (0.2, 0.3), (-0.1, 0.2))]}}
+    rows = {}
+    for q in (SHAPLEY_NODES, 16):
+        raw["method"] = {"quad_nodes": q}
+        rows[q] = {row.quantity: row for row in br.run_scenario(br.build_scenario(raw)).rows}
+    few, full = rows[SHAPLEY_NODES], rows[16]
+    assert list(few) == list(full)
+    bound = 1e-3 * max(row.std_error for name, row in full.items()
+                       if name.startswith("alloc_shapley_"))
+    for name, row in few.items():
+        want = full[name]
+        assert row.passed == want.passed, name
+        if name.startswith("alloc_shapley_"):
+            assert abs(row.value - want.value) <= bound, (name, row.value, want.value)
+        elif name != "allocation_residual":
+            # a gap is a difference of its two legs: its rounding is theirs
+            i = name.rpartition("_")[2]
+            scale = (abs(full[f"alloc_fd_{i}"].value) + abs(full[f"alloc_measure_{i}"].value)
+                     if name.startswith("alloc_gap_") else abs(want.value))
+            assert abs(row.value - want.value) <= 1e-12 * scale, (name, row.value, want.value)
+            assert row.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0.0), name
 
 
 def entropic_tilt_gradient(bundle, xi, eta, gamma=GAMMA):
