@@ -35,6 +35,13 @@ work over contiguous path ranges: for large blocks one range per usable
 CPU, on a ``concurrent.futures.ThreadPoolExecutor`` that lives for the
 sweep, else one range on the calling thread. Its results do not depend on
 the number of ranges.
+
+The bundle stores X only at every c-th node (``PathBundle.checkpoints``).
+The sweep keeps c rows of X in its workspace and refills them, bit for bit
+as simulated, each time its backward walk enters the next block of c nodes
+below: ``PathBundle.fill_states`` over the sweep's path ranges, about one
+increment row's work per node. ``condexp_at_node`` reads its node through
+``PathBundle.states``.
 """
 
 from __future__ import annotations
@@ -179,39 +186,52 @@ def _grid_node(node, n: int) -> int:
     return int(node)
 
 
-def _standardize(col: np.ndarray):
-    m = col.mean()
-    s = col.std()
-    if not np.isfinite(s) or s <= 1e-12 * (1.0 + abs(m)):
-        return None
-    return (col - m) / s
+def _scale(row: np.ndarray, mean: float, square: np.ndarray) -> bool:
+    """Divide ``row``, holding x - mean, in place by numpy's std of x,
+    sqrt(sum((x - mean)^2) / M), the squares written into ``square``: the
+    arithmetic of (x - x.mean()) / x.std(), bit for bit. False, with the row
+    left centred, when x is constant to 1e-12 (1 + |mean|)."""
+    np.square(row, out=square)
+    s = math.sqrt(square.sum() / row.size)
+    if not math.isfinite(s) or s <= 1e-12 * (1.0 + abs(mean)):
+        return False
+    row /= s
+    return True
 
 
 def features_at_node(
-    bundle: PathBundle, node: int, config: RegressionConfig
+    bundle: PathBundle, node: int, config: RegressionConfig, state: np.ndarray | None = None
 ) -> np.ndarray | None:
     """Regression design at grid node: the (p, M) basis rows [1, x, ...,
     x^degree] in the standardized state, optionally followed by standardized
     cumulative jump counts, each row contiguous. Returns None when every
-    candidate row is constant (the node carries no cross-path information)."""
-    xs = _standardize(bundle.state[:, node])
-    powers = config.degree if xs is not None else 0
-    counts = []
-    if config.jump_count_features and bundle.mark_count and node > 0:
-        for k in range(bundle.mark_count):
-            ck = _standardize(bundle.jump_counts[:, node - 1, k].astype(float))
-            if ck is not None:
-                counts.append(ck)
-    if not powers and not counts:
-        return None
-    design = np.empty((1 + powers + len(counts), bundle.path_count))
+    candidate row is constant (the node carries no cross-path information).
+    ``state`` is X at the node, (M,), when the caller holds it; else it is
+    read from ``bundle.states``. The rows are built in place in the design."""
+    m, degree = bundle.path_count, config.degree
+    marks = bundle.mark_count if config.jump_count_features and node > 0 else 0
+    design = np.empty((1 + degree + marks, m))
     design[0] = 1.0
-    # x^j = x^(j-1) * x, the multiplication order of np.vander
-    for j in range(1, powers + 1):
-        np.multiply(design[j - 1], xs, out=design[j])
-    for row, c in zip(design[1 + powers:], counts):
-        row[:] = c
-    return design
+    rows = 1
+    # the squares of a row that has no later design row to hold them
+    spare = np.empty(m) if marks or degree == 1 else None
+    if degree:
+        x = bundle.states(node, node + 1)[0] if state is None else state
+        mean = x.mean()
+        np.subtract(x, mean, out=design[1])
+        if _scale(design[1], mean, design[2] if degree > 1 else spare):
+            # x^j = x^(j-1) * x, the multiplication order of np.vander
+            for j in range(2, degree + 1):
+                np.multiply(design[j - 1], design[1], out=design[j])
+            rows += degree
+    for k in range(marks):
+        row = design[rows]
+        np.copyto(row, bundle.jump_counts[:, node - 1, k])
+        mean = row.mean()
+        row -= mean
+        if _scale(row, mean, spare):
+            rows += 1
+    return design[:rows] if rows > 1 else None
 
 
 def condexp_at_node(
@@ -432,7 +452,9 @@ def solve_bsde(
     the driver and ``_doleans_step`` see their transposes, which have the
     shapes of their contracts. These arrays are one workspace, allocated
     once per sweep and written in place, Y_i over the rows of Y_{i+1}; a
-    read node keeps copies of its rows, except node 0, the last step.
+    read node keeps copies of its rows, except node 0, the last step. The
+    workspace also holds X at one block of c = ``bundle.stride`` nodes,
+    recomputed from the bundle's checkpoints when the walk enters the block.
     Each step finds the regression coefficients on the calling thread and
     runs the rest in two per-path phases over contiguous path ranges, one
     thread per usable CPU for blocks of at least ``_SPLIT_FLOOR`` values:
@@ -477,12 +499,21 @@ def solve_bsde(
     # array allocated above the workspace would keep the heap from reusing
     # its memory once the sweep frees it
     y_fit = None
+    # X at the c nodes of one checkpoint block, and the scratch that
+    # recomputes it
+    c = bundle.stride
+    block, block_work = np.empty((c, m)), np.empty((2, m))
     ranges = _path_ranges(m, cols)
     # one thread per range, alive for the sweep; one range needs none
     with (concurrent.futures.ThreadPoolExecutor(len(ranges)) if len(ranges) > 1
           else contextlib.nullcontext()) as pool:
         for i in range(n - 1, -1, -1):
-            design = features_at_node(bundle, i, config)
+            if i == n - 1 or i % c == c - 1:
+                # the walk enters a block: X at its nodes first..i
+                first, rows = i - i % c, block[:i % c + 1]
+                _run_ranges(pool, lambda lo, hi: bundle.fill_states(first, rows, block_work, lo, hi),
+                            ranges)
+            design = features_at_node(bundle, i, config, block[i % c])
             gram = None if design is None else design @ design.T
             y_coef = _coefficients(design, cur, config.ridge, gram)
             dw, dn = bundle.dw[:, i], bundle.dn[:, i]

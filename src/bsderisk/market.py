@@ -34,6 +34,7 @@ __all__ = [
     "ClippedPayoff",
     "PortfolioPayoff",
     "build_grid",
+    "checkpoint_stride",
     "simulate_paths",
     "terminal_values",
 ]
@@ -130,18 +131,35 @@ class LevyModel:
         return rate * horizon
 
 
+def checkpoint_stride(step_count: int) -> int:
+    """Nodes between two stored running sums of a bundle of N steps,
+    floor(sqrt(N + 1)): 7 at N = 50. A bundle keeps (N - 1) // c rows and a
+    backward sweep recomputes c, so a stride near sqrt(N) keeps the two
+    together, about 2 sqrt(N) rows, near their least."""
+    return math.isqrt(step_count + 1)
+
+
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments and states on a grid; treated as immutable.
+    """Simulated increments on a grid and the state they drive; treated as
+    immutable.
 
-    dw       Brownian increments, shape (M, N), float64
-    dn       Poisson jump counts per mark and step, shape (M, N, K), int16
-             (at most MAX_STEP_COUNT each)
-    state    X at every node, shape (M, N+1), float64; state[:, 0] == x0
+    dw           Brownian increments, shape (M, N), float64
+    dn           Poisson jump counts per mark and step, shape (M, N, K), int16
+                 (at most MAX_STEP_COUNT each)
+    checkpoints  the running sum S = X - x0 of the increments at the nodes c,
+                 2c, ... below N, c = checkpoint_stride(N): shape
+                 ((N - 1) // c, M), float64, one contiguous row per node
+    terminal     X at node N, shape (M,), float64
 
-    simulate_paths stores the arrays time-major, one contiguous row per date,
-    and these fields are transposed views of that storage: the cross-section
-    dw[:, i] or state[:, i] that a backward step reads is contiguous. The
+    X at any other node is not stored: ``states`` recomputes it forward
+    from the nearest checkpoint at or below, with the operations and order
+    of ``simulate_paths``, so every row is bit for bit the one the
+    simulation summed. Node 0 is x0 on every path.
+
+    simulate_paths stores dw and dn time-major, one contiguous row per date,
+    and these fields are transposed views of that storage: the
+    cross-section dw[:, i] that a backward step reads is contiguous. The
     arrays are bit-identical for any number of simulation worker threads.
     """
 
@@ -151,15 +169,50 @@ class PathBundle:
     seed: int
     dw: np.ndarray
     dn: np.ndarray
-    state: np.ndarray
+    checkpoints: np.ndarray
+    terminal: np.ndarray
 
     @property
     def mark_count(self) -> int:
         return self.model.mark_count
 
     @property
-    def terminal(self) -> np.ndarray:
-        return self.state[:, -1]
+    def stride(self) -> int:
+        """Nodes between two checkpoints, ``checkpoint_stride(N)``."""
+        return checkpoint_stride(self.grid.step_count)
+
+    def states(self, lo: int, hi: int) -> np.ndarray:
+        """X at nodes lo..hi-1 (0 <= lo < hi <= N + 1) as (hi - lo, M)
+        time-major rows: row r is the contiguous cross-section at node
+        lo + r."""
+        n, m = self.grid.step_count, self.path_count
+        if not 0 <= lo < hi <= n + 1:
+            raise ValueError(f"need 0 <= lo < hi <= {n + 1}, got lo={lo}, hi={hi}")
+        out = np.empty((hi - lo, m))
+        self.fill_states(lo, out, np.empty((2, m)), 0, m)
+        return out
+
+    def fill_states(self, lo: int, out: np.ndarray, work: np.ndarray, a: int, b: int) -> None:
+        """``states`` on paths a..b-1, in place: X at nodes lo..lo+len(out)-1
+        into out[:, a:b], with the two rows work[:, a:b] as scratch. Each
+        path's bits depend only on that path, so any split of the paths
+        gives the same rows."""
+        c, x0 = self.stride, self.model.x0
+        total, jump = work[0, a:b], work[1, a:b]
+        base = min(lo // c, len(self.checkpoints)) * c
+        if base:
+            np.copyto(total, self.checkpoints[base // c - 1, a:b])
+        for node in range(base, lo + len(out)):
+            if node > base:
+                # the increment is formed in a row not yet written: the
+                # node's own, or the first while walking up to lo
+                _add_step(total, out[max(node - lo, 0), a:b], jump, self.dw[a:b, node - 1],
+                          self.dn[a:b, node - 1], self.model, self.grid.dt, node == 1)
+            if node >= lo:
+                if node:
+                    np.add(total, x0, out=out[node - lo, a:b])
+                else:
+                    out[0, a:b] = x0
 
     @cached_property
     def jump_counts(self) -> np.ndarray:
@@ -171,6 +224,29 @@ class PathBundle:
         for i in range(1, counts.shape[0]):
             counts[i] += counts[i - 1]
         return counts.transpose(1, 0, 2)
+
+
+def _add_step(total, inc, jump, dw, dn, model: LevyModel, dt: float, first: bool) -> None:
+    """Add one step's increment sigma dW + mu dt + sum_k zeta_k dN_k to the
+    running sum ``total`` in place, or with ``first`` (step 0) set ``total``
+    to it. dw (m,) and dn (m, K) are the step's rows of m paths; the
+    increment is formed in ``inc`` and its jumps in ``jump``. Every state the
+    package reads is summed with these operations in this order."""
+    if first:
+        inc = total
+    np.multiply(dw, model.sigma, out=inc)
+    inc += model.mu * dt
+    if model.mark_count:
+        # the jumps summed elementwise in mark order, so that a path's bits
+        # do not depend on the path count (dN @ zeta rounds differently for
+        # one path than for a matrix of them)
+        sizes = model.jump_sizes
+        np.multiply(dn[:, 0], sizes[0], out=jump)
+        for j in range(1, sizes.size):
+            jump += dn[:, j] * sizes[j]
+        inc += jump
+    if not first:
+        total += inc
 
 
 def _stream(seed: int, channel: int, step: int) -> np.random.Generator:
@@ -203,8 +279,12 @@ def simulate_paths(
 
     Each step draws from its own streams into its own rows of the bundle, in
     place, and the steps run on a thread pool of one thread per usable CPU
-    (numpy's generators and ufuncs release the interpreter lock); the
-    increments are then summed in place along time.
+    (numpy's generators and ufuncs release the interpreter lock). The same
+    pool then sums the increments along time over contiguous path ranges,
+    one per thread, in the running sum's own rows: it keeps S = X - x0 at
+    every c-th node below N (the bundle's checkpoints) and X at node N,
+    and no other node's state (see ``PathBundle.states``). Everything is
+    built before the function returns.
 
     The jump counts are stored as int16: a step's draw above MAX_STEP_COUNT
     raises ValueError before it is stored, so no count wraps.
@@ -222,17 +302,17 @@ def simulate_paths(
     m, n, k = path_count, grid.step_count, model.mark_count
     dt = grid.dt
     root_dt = math.sqrt(dt)
-    sizes = model.jump_sizes
     rates = model.jump_intensities * dt
+    c = checkpoint_stride(n)
 
     # time-major storage: row i is the cross-section at step i
     dw = np.empty((n, m))
     dn = np.empty((n, m, k), dtype=np.int16)
-    state = np.empty((n + 1, m))
-    state[0] = model.x0
+    checkpoints = np.empty(((n - 1) // c, m))
+    terminal = np.empty(m)
+    work = np.empty((2, m))
 
     def draw(i: int) -> None:
-        # state[i + 1] first holds the increment sigma dW + mu dt + dN zeta
         _stream(seed, 0, i).standard_normal(out=dw[i])
         dw[i] *= root_dt
         for j in range(k):
@@ -243,30 +323,29 @@ def simulate_paths(
                     f"jump mark {j} draws {top} jumps at step {i}, more than the "
                     f"{MAX_STEP_COUNT} a step's count can hold")
             dn[i, :, j] = counts
-        inc = np.multiply(dw[i], model.sigma, out=state[i + 1])
-        inc += model.mu * dt
-        if k:
-            # the jumps summed elementwise in mark order, so that a path's
-            # bits do not depend on the path count (dN @ zeta rounds
-            # differently for one path than for a matrix of them)
-            jump = dn[i, :, 0] * sizes[0]
-            for j in range(1, k):
-                jump += dn[i, :, j] * sizes[j]
-            inc += jump
 
-    # map raises the first exception in step order; leaving the pool waits
-    # for every step that has started
-    with ThreadPoolExecutor(_worker_count(n)) as pool:
+    def running_sum(a: int, b: int) -> None:
+        # S runs in the terminal row; every c-th node below N keeps a copy
+        total = terminal[a:b]
+        for i in range(n):
+            _add_step(total, work[0, a:b], work[1, a:b], dw[i, a:b], dn[i, a:b],
+                      model, dt, i == 0)
+            if (i + 1) % c == 0 and i + 1 < n:
+                checkpoints[(i + 1) // c - 1, a:b] = total
+        total += model.x0
+
+    workers = _worker_count(n)
+    edges = [m * r // workers for r in range(workers + 1)]
+    # map raises the first exception in order; leaving the pool waits for
+    # every piece that has started
+    with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(draw, range(n)):
             pass
+        for _ in pool.map(running_sum, edges[:-1], edges[1:]):
+            pass
 
-    # the running sum over time as row adds, the order np.cumsum adds in but
-    # without its strided walk down each column
-    for i in range(2, n + 1):
-        state[i] += state[i - 1]
-    state[1:] += model.x0
-
-    return PathBundle(grid, model, path_count, seed, dw.T, dn.transpose(1, 0, 2), state.T)
+    return PathBundle(grid, model, path_count, seed, dw.T, dn.transpose(1, 0, 2),
+                      checkpoints, terminal)
 
 
 # --------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def test_allocation_report_interior_node_matches_closed_forms(driver, jump_bundl
     node = 25
     report = br.build_allocation_report(jump_bundle, driver, br.PortfolioPayoff(parts), node=node)
     tau = 1.0 - jump_bundle.grid.nodes[node]
-    x_t = jump_bundle.state[:, node]
+    x_t = jump_bundle.states(node, node + 1)[0]
     a, b = sum(p.a for p in parts), sum(p.b for p in parts)
     th = -GAMMA * b
     kappa = mu * th + sigma**2 * th**2 / 2 + lam * (math.exp(th * zeta) - 1.0)

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import bsderisk as br
 from bsderisk import bsde, market
-from bsderisk.bsde import _standardize, condexp_at_node, features_at_node
+from bsderisk.bsde import condexp_at_node, features_at_node
 from bsderisk.errors import EstimatorFailure, SignedDensityFailure, SolverFailure
 
 
@@ -140,23 +141,50 @@ def test_features_standardized(jump_bundle):
     assert feats[1].std() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+def test_standardized_state_is_numpys_bitwise(jump_bundle, degree):
+    # the design standardizes x in place, in numpy's mean and std arithmetic
+    cfg = br.RegressionConfig(degree=degree)
+    n = jump_bundle.grid.step_count
+    states = jump_bundle.states(0, n + 1)
+    assert features_at_node(jump_bundle, 0, cfg) is None
+    for node in range(1, n + 1):
+        x = states[node]
+        z = (x - x.mean()) / x.std()
+        feats = features_at_node(jump_bundle, node, cfg)
+        assert feats.shape == (1 + degree, jump_bundle.path_count)
+        assert np.array_equal(feats[1], z), node
+        if degree == 3:
+            assert np.array_equal(feats[2], z * z) and np.array_equal(feats[3], z * z * z)
+        assert np.array_equal(features_at_node(jump_bundle, node, cfg, x), feats)
+
+
 def test_jump_count_features_extend_basis(jump_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
     feats = features_at_node(jump_bundle, 25, cfg)
     assert feats.shape == (5, jump_bundle.path_count)
 
 
+def standardize(col):
+    """(col - mean) / std, or None for a constant column: the rule of the
+    design's rows, in numpy's own mean and std."""
+    m, s = col.mean(), col.std()
+    if not np.isfinite(s) or s <= 1e-12 * (1.0 + abs(m)):
+        return None
+    return (col - m) / s
+
+
 def reference_features(bundle, node, config):
     """The (M, p) design as built by re-summing the count increments at every
     node."""
-    xs = _standardize(bundle.state[:, node])
+    xs = standardize(bundle.states(node, node + 1)[0])
     cols = []
     if xs is not None and config.degree >= 1:
         cols.append(np.vander(xs, config.degree + 1, increasing=True)[:, 1:])
     if config.jump_count_features and bundle.mark_count and node > 0:
         counts = bundle.dn[:, :node, :].sum(axis=1)
         for k in range(bundle.mark_count):
-            ck = _standardize(counts[:, k].astype(float))
+            ck = standardize(counts[:, k].astype(float))
             if ck is not None:
                 cols.append(ck[:, None])
     if not cols:
@@ -178,6 +206,36 @@ def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
     assert "jump_counts" not in vars(bundle)
     features_at_node(bundle, 25, br.RegressionConfig(jump_count_features=True))
     assert "jump_counts" in vars(bundle)
+
+
+def test_sweep_memory_is_design_workspace_and_one_state_block(desk_grid, jump_model,
+                                                             monkeypatch):
+    # beyond the bundle a one-column sweep holds its (p, M) design, its
+    # workspace (the value rows and their fit, the 1 + K control targets and
+    # their fit, the compensated jumps, the node-1 copy of a node-0 read)
+    # and c recomputed state rows with their two scratch rows. The bundle
+    # and its sweep stay below a bundle that stored X at every node alone.
+    # Two simulation threads, as each holds a step's draws while it runs.
+    monkeypatch.setattr(market, "_worker_count", lambda n: min(2, n))
+    m, n, k = 20_000, desk_grid.step_count, jump_model.mark_count
+    driver = br.make_entropic_driver(2.0, tuple(jump_model.jump_intensities))
+    tracemalloc.start()
+    try:
+        bundle = br.simulate_paths(desk_grid, jump_model, m, 3)
+        simulated = tracemalloc.get_traced_memory()[1]
+        xi = -bundle.terminal
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        br.solve_bsde(bundle, driver, xi, nodes=[0])
+        swept = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 * m
+    design = (1 + br.RegressionConfig().degree) * row
+    workspace = (2 + 2 * (1 + k) + k + 1) * row
+    states = (bundle.stride + 2) * row
+    assert swept - before <= design + workspace + states + 64 * 1024
+    assert max(simulated, swept) < m * (8 * n + 8 * (n + 1) + 2 * n * k)
 
 
 def test_zero_noise_reduces_to_backward_euler(solve_stacked):

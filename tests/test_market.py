@@ -51,7 +51,7 @@ def test_simulation_reproducible(desk_grid, jump_model):
     b = br.simulate_paths(desk_grid, jump_model, 1000, 123)
     assert np.array_equal(a.dw, b.dw)
     assert np.array_equal(a.dn, b.dn)
-    assert np.array_equal(a.state, b.state)
+    assert np.array_equal(a.states(0, 51), b.states(0, 51))
 
 
 def test_simulation_seed_sensitivity(desk_grid, jump_model):
@@ -67,7 +67,7 @@ def test_path_count_extension_is_prefix(desk_grid, jump_model):
     big = br.simulate_paths(desk_grid, jump_model, 2000, 9)
     assert np.array_equal(big.dw[:500], small.dw)
     assert np.array_equal(big.dn[:500], small.dn)
-    assert np.array_equal(big.state[:500], small.state)
+    assert np.array_equal(big.states(0, 51)[:, :500], small.states(0, 51))
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,7 +84,7 @@ def test_prefix_extension_property(small, extra, steps, marks, seed):
     b = br.simulate_paths(grid, model, small + extra, seed)
     assert np.array_equal(b.dw[:small], a.dw)
     assert np.array_equal(b.dn[:small], a.dn)
-    assert np.array_equal(b.state[:small], a.state)
+    assert np.array_equal(b.states(0, steps + 1)[:, :small], a.states(0, steps + 1))
 
 
 def serial_reference(grid, model, path_count, seed):
@@ -129,9 +129,42 @@ def test_simulation_matches_serial_reference(paths, steps, marks, seed):
                 sys.setswitchinterval(switch)
     assert threading.active_count() == threads
     for bundle in bundles:
-        for got, want in zip((bundle.dw, bundle.dn, bundle.state), expected):
+        states = bundle.states(0, steps + 1).T
+        for got, want in zip((bundle.dw, bundle.dn, states), expected):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        assert np.array_equal(bundle.terminal, expected[2][:, -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(paths=st.integers(1, 200), extra=st.integers(0, 100), steps=st.integers(1, 30),
+       marks=st.integers(0, 2), x0=st.floats(-5.0, 5.0).filter(bool),
+       seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 30), span=st.integers(1, 31),
+       cut=st.integers(0, 300))
+# 12 steps have checkpoints at nodes 3, 6 and 9: nodes 2..4 straddle one
+@example(paths=5, extra=3, steps=12, marks=2, x0=-1.5, seed=7, lo=2, span=3, cut=4)
+def test_states_match_serial_reference(paths, extra, steps, marks, x0, seed, lo, span, cut):
+    # any block of rows recomputed from the checkpoints is the serial
+    # simulation's, bit for bit, for any split of the paths into ranges
+    jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
+    model = br.LevyModel(x0=x0, mu=0.1, sigma=0.25, jumps=jumps)
+    grid = br.build_grid(1.0, steps)
+    m = paths + extra
+    lo = min(lo, steps)
+    hi, cut = min(lo + span, steps + 1), min(cut, m)
+    want = serial_reference(grid, model, m, seed)[2].T[lo:hi]
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market, "_worker_count", lambda n, w=workers: min(w, n))
+            bundle = br.simulate_paths(grid, model, m, seed)
+        assert np.array_equal(bundle.states(lo, hi), want)
+        rows, work = np.empty((hi - lo, m)), np.empty((2, m))
+        bundle.fill_states(lo, rows, work, 0, cut)
+        bundle.fill_states(lo, rows, work, cut, m)
+        assert np.array_equal(rows, want)
+    # prefix extension: the first paths of a larger bundle give the same rows
+    small = br.simulate_paths(grid, model, paths, seed)
+    assert np.array_equal(small.states(lo, hi), want[:, :paths])
 
 
 def test_worker_failure_reaches_the_caller(monkeypatch):
@@ -164,18 +197,29 @@ def test_simulation_memory_is_the_bundle():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nbytes = bundle.dw.nbytes + bundle.dn.nbytes + bundle.state.nbytes
-    assert peak <= nbytes + 8 * workers * m * 8
+    assert peak <= bundle_bytes(bundle) + 8 * workers * m * 8
+
+
+def bundle_bytes(bundle):
+    return sum(a.nbytes for a in (bundle.dw, bundle.dn, bundle.checkpoints, bundle.terminal))
 
 
 def test_bundle_bytes_per_path():
-    # float64 dw and state, int16 jump counts: 8N + 8(N+1) + 2NK bytes a path
+    # float64 dw, int16 jump counts, and float64 state rows at the
+    # (N - 1) // c checkpoints and at node N: 8N + 2NK + 8 ((N - 1) // c + 1)
+    # bytes a path, c = floor(sqrt(N + 1))
     model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25,
                          jumps=(br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7)))
-    m, n, k = 7, 3, 2
-    b = br.simulate_paths(br.build_grid(1.0, n), model, m, 2)
-    assert b.dn.dtype == np.int16
-    assert b.dw.nbytes + b.dn.nbytes + b.state.nbytes == m * (8 * n + 8 * (n + 1) + 2 * n * k)
+    m, k = 7, 2
+    for n in (1, 3, 50):
+        b = br.simulate_paths(br.build_grid(1.0, n), model, m, 2)
+        c = math.isqrt(n + 1)
+        assert b.stride == market.checkpoint_stride(n) == c
+        assert b.dn.dtype == np.int16
+        assert b.checkpoints.shape == ((n - 1) // c, m) and b.terminal.shape == (m,)
+        assert bundle_bytes(b) == m * (8 * n + 2 * n * k + 8 * ((n - 1) // c + 1))
+    # desk scale, N = 50 and K = 1: 7 checkpoints, 564 bytes a path
+    assert 8 * 50 + 2 * 50 + 8 * (49 // market.checkpoint_stride(50) + 1) == 564
 
 
 def test_step_count_above_int16_raises():
@@ -213,12 +257,13 @@ def test_cross_sections_are_contiguous(desk_grid, jump_model):
     # as one contiguous row
     b = br.simulate_paths(desk_grid, jump_model, 300, 4)
     assert b.dw.shape == (300, 50) and b.dn.shape == (300, 50, 1)
-    assert b.state.shape == (300, 51)
+    states = b.states(0, 51)
+    assert states.shape == (51, 300)
     for i in (0, 17, 49):
         assert b.dw[:, i].flags.c_contiguous
         assert b.dn[:, i].flags.c_contiguous
-        assert b.state[:, i].flags.c_contiguous
-    assert b.state[:, 50].flags.c_contiguous
+        assert states[i].flags.c_contiguous
+    assert b.checkpoints[3].flags.c_contiguous and b.terminal.flags.c_contiguous
 
 
 def test_state_accumulates_increments(desk_grid, jump_model):
@@ -228,8 +273,14 @@ def test_state_accumulates_increments(desk_grid, jump_model):
     manual = m.x0 + np.cumsum(
         m.mu * dt + m.sigma * b.dw + b.dn[:, :, 0] * m.jumps[0].size, axis=1
     )
-    np.testing.assert_allclose(b.state[:, 1:], manual, rtol=0.0, atol=1e-12)
-    assert np.all(b.state[:, 0] == m.x0)
+    states = b.states(0, 51).T
+    np.testing.assert_allclose(states[:, 1:], manual, rtol=0.0, atol=1e-12)
+    assert np.all(states[:, 0] == m.x0)
+    assert np.array_equal(b.terminal, states[:, -1])
+    with pytest.raises(ValueError, match="lo < hi"):
+        b.states(3, 3)
+    with pytest.raises(ValueError, match="lo < hi"):
+        b.states(0, 52)
 
 
 def test_terminal_moments_match_analytic(jump_bundle, jump_model):

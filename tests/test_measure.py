@@ -199,8 +199,9 @@ def test_girsanov_block_matches_per_step_means(two_mark_bundle):
     b = two_mark_bundle
     m, n, k = b.path_count, b.grid.step_count, b.mark_count
     dt = b.grid.dt
-    pz = 0.4 * np.tanh(b.state[:, :-1])
-    pj = np.stack([0.3 * np.cos(b.state[:, :-1]), -0.2 * np.sin(b.state[:, :-1])], axis=2)
+    x = b.states(0, n).T
+    pz = 0.4 * np.tanh(x)
+    pj = np.stack([0.3 * np.cos(x), -0.2 * np.sin(x)], axis=2)
     rn = br.doleans_dade(b, pz, pj)
     rep = br.girsanov_shift_check(rn)
     lam = b.model.jump_intensities

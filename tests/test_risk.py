@@ -65,7 +65,7 @@ def test_entropic_closed_form_interior_node(jump_bundle):
     est = br.entropic_closed_form(gamma, xi, node, jump_bundle)
     remaining = 1.0 - t
     exact = (
-        -jump_bundle.state[:, node]
+        -jump_bundle.states(node, node + 1)[0]
         - MU * remaining
         + gamma * SIGMA**2 * remaining / 2
         + (LAM * remaining / gamma) * (math.exp(-gamma * ZETA) - 1.0)

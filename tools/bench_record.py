@@ -16,7 +16,11 @@ sublinear driver of acceptance criterion 05, one CLI process per side and
 driver. Beside it, two desk-scale tasks that no perfbench workload runs at
 that size, one CLI process per side: ``solve`` on the ``risk-desk``
 scenario and ``verify`` on the ``verify-battery`` scenario, both at 200000
-paths. Last it times the Tier-1 suite and criterion 05 alone, one pytest
+paths. Each CLI run records the sha256 of its payload (the scenario's CSV)
+and of its stdout, and ``same_payload`` says per task whether both are
+byte-identical on the two sides; one more CLI process per side and workload
+at the workload's own path count records the same for the three perfbench
+workloads. Last it times the Tier-1 suite and criterion 05 alone, one pytest
 process per side. Each of these processes records its wall time, user and
 system CPU time and peak RSS.
 
@@ -30,10 +34,12 @@ change won and the ratio of the medians.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -112,45 +118,66 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def timed(cmd: list[str], tree: Path, log: Path) -> dict:
-    """Wall time, user and system CPU time, peak RSS, exit code and last
-    output line of one process run in ``tree``; its output goes to ``log``.
-    The CPU times count every thread of the process, BLAS threads that
-    spin-wait between calls included."""
+def sha256(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+
+def timed(cmd: list[str], tree: Path, log: Path, cwd: Path | None = None) -> dict:
+    """Wall time, user and system CPU time, peak RSS, exit code, last output
+    line and stdout sha256 of one process that imports the package of
+    ``tree``, run in ``cwd`` (default ``tree``); its stdout goes to ``log``
+    and its stderr beside it. The CPU times count every thread of the
+    process, BLAS threads that spin-wait between calls included."""
     log.parent.mkdir(parents=True, exist_ok=True)
-    with open(log, "wb") as out:
+    err_log = log.with_suffix(".err")
+    with open(log, "wb") as out, open(err_log, "wb") as err:
         start = time.monotonic()
-        proc = subprocess.Popen(cmd, cwd=tree, env=env_for(tree), stdout=out,
-                                stderr=subprocess.STDOUT)
+        proc = subprocess.Popen(cmd, cwd=cwd or tree, env=env_for(tree), stdout=out,
+                                stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.monotonic() - start
-    lines = log.read_text(errors="replace").strip().splitlines()
+    code = os.waitstatus_to_exitcode(status)
+    # a failure's last line is the end of its traceback, on stderr
+    lines = ((code and err_log.read_text(errors="replace").strip().splitlines())
+             or log.read_text(errors="replace").strip().splitlines())
     return {"wall_s": wall, "user_s": usage.ru_utime, "sys_s": usage.ru_stime,
-            "exit_code": os.waitstatus_to_exitcode(status),
-            "peak_rss_mb": usage.ru_maxrss / 1024.0, "last_line": lines[-1] if lines else ""}
+            "exit_code": code,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0, "last_line": lines[-1] if lines else "",
+            "stdout_sha256": sha256(log)}
 
 
-def desk_run(tree: Path, workload: str, task: str, driver: dict | None,
-             scratch: Path) -> dict:
-    """A perfbench workload's scenario at 200000 paths as one CLI ``task``
-    process."""
+def desk_run(tree: Path, workload: str, task: str | None, driver: dict | None,
+             scratch: Path, paths: int | None = 200_000) -> dict:
+    """A perfbench workload's scenario at ``paths`` paths (None: its own
+    count) as one CLI ``task`` process (None: the workload's task), run in
+    ``scratch`` with relative paths, so that its stdout does not name the
+    side; with the sha256 of its payload."""
     sys.path.insert(0, str(tree / "perfbench"))
     try:
         import run as bench
         config = json.loads(json.dumps(bench.WORKLOADS[workload]["config"]))
+        task = task or bench.WORKLOADS[workload]["task"]
     finally:
         sys.path.pop(0)
         for name in ("run", "reference", "tracing"):
             sys.modules.pop(name, None)
-    config["mc"]["paths"] = 200_000
+    if paths is not None:
+        config["mc"]["paths"] = paths
     if driver is not None:
         config["driver"] = driver
     scratch.mkdir(parents=True, exist_ok=True)
-    cfg_file = scratch / "desk.json"
-    cfg_file.write_text(json.dumps(config, indent=2))
-    cmd = [sys.executable, "-m", "bsderisk.cli", task, "--config", str(cfg_file),
-           "--out", str(scratch / "out")]
-    return timed(cmd, tree, scratch / "desk.log")
+    shutil.rmtree(scratch / "out", ignore_errors=True)
+    (scratch / "desk.json").write_text(json.dumps(config, indent=2))
+    cmd = [sys.executable, "-m", "bsderisk.cli", task, "--config", "desk.json", "--out", "out"]
+    run = timed(cmd, tree, scratch / "desk.log", cwd=scratch)
+    run["payload_sha256"] = sha256(scratch / "out" / f"{config['scenario_id']}.csv")
+    return run
+
+
+def same_payload(base: dict, change: dict) -> bool:
+    """Both runs wrote a payload, and their payloads and stdouts are equal."""
+    return (base["payload_sha256"] is not None
+            and all(base[key] == change[key] for key in ("payload_sha256", "stdout_sha256")))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -227,12 +254,22 @@ def record(label: str, base: str, scratch: Path) -> None:
         rec["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
         save()
 
+    same = rec["same_payload"] = {}
+    rec["workload_payloads"] = {}
+    for workload in WORKLOADS:
+        runs = {side: desk_run(sides[side], workload, None, None,
+                               scratch / f"{workload}-{side}", paths=None)
+                for side in ("base", "change")}
+        same[workload] = same_payload(runs["base"], runs["change"])
+        print(f"{workload}: {runs}", flush=True)
+        rec["workload_payloads"][workload] = runs
     desk = {}
     for name, driver in (("entropic", None), ("sublinear_c05", SUBLINEAR_DRIVER)):
         for side in ("base", "change"):
             desk[f"{name}.{side}"] = desk_run(sides[side], "allocate-report", "allocate",
                                               driver, scratch / f"desk-{side}")
             print(f"desk {name} {side}: {desk[f'{name}.{side}']}", flush=True)
+        same[f"desk_allocate.{name}"] = same_payload(desk[f"{name}.base"], desk[f"{name}.change"])
     rec["desk_allocate_200000_paths"] = desk
     for workload, task in (("risk-desk", "solve"), ("verify-battery", "verify")):
         runs = {}
@@ -241,6 +278,7 @@ def record(label: str, base: str, scratch: Path) -> None:
                                   scratch / f"{task}-{side}")
             print(f"desk {task} {side}: {runs[side]}", flush=True)
         rec[f"desk_{task}_200000_paths"] = runs
+        same[f"desk_{task}"] = same_payload(runs["base"], runs["change"])
     save()
 
     tests = {}
