@@ -23,25 +23,20 @@ standard error. ``residual_replay`` checks a one-column solve read at every node
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure.doleans_dade`` share it and its guards.
 
-Every fit, in the sweep or standalone (``condexp_at_node``), is the same
-two steps on the (p, M) basis rows of ``features_at_node``: ``_coefficients``
-finds the coefficients on the calling thread with F Y^T summed over path
-chunks in path order, and ``_fit_range`` forms the fitted values chunk by
-chunk, each chunk's product at most 2^17 multiply-adds. Two calls span the
-whole bundle: the Gram F F^T (about p^2 M / 2 multiply-adds) and, at ridge
-0, ``lstsq`` on the (M, p) design; forming the Gram from path chunks is open
-(ROADMAP.md, "The serial part of a sweep"). The sweep runs its per-path
-work over contiguous path ranges: for large blocks one range per usable
-CPU, on a ``concurrent.futures.ThreadPoolExecutor`` that lives for the
-sweep, else one range on the calling thread. Its results do not depend on
-the number of ranges.
-
-The bundle stores X only at every c-th node (``PathBundle.checkpoints``).
-The sweep keeps c rows of X in its workspace and refills them, bit for bit
-as simulated, each time its backward walk enters the next block of c nodes
-below: ``PathBundle.fill_states`` over the sweep's path ranges, about one
-increment row's work per node. ``condexp_at_node`` reads its node through
-``PathBundle.states``.
+Every fit, in the sweep or standalone (``condexp_at_nodes`` and its
+one-node case ``condexp_at_node``), reads X at its node through
+``PathBundle.walk`` and is the same two steps on the (p, M) basis rows of
+``features_at_node``: ``_coefficients`` finds the coefficients on the
+calling thread with F Y^T summed over path chunks in path order, and
+``_fit_range`` forms the fitted values chunk by chunk, each chunk's product
+at most 2^17 multiply-adds. Two calls span the whole bundle: the Gram F F^T
+(about p^2 M / 2 multiply-adds) and, at ridge 0, ``lstsq`` on the (M, p)
+design; forming the Gram from path chunks is open (ROADMAP.md, "The serial
+part of a sweep"). The sweep runs its per-path work over contiguous path
+ranges: for large blocks one range per usable CPU, on a
+``concurrent.futures.ThreadPoolExecutor`` that lives for the sweep, else
+one range on the calling thread. Its results do not depend on the number of
+ranges.
 """
 
 from __future__ import annotations
@@ -65,6 +60,7 @@ __all__ = [
     "BsdeColumns",
     "ResidualReport",
     "features_at_node",
+    "condexp_at_nodes",
     "condexp_at_node",
     "solve_bsde",
     "residual_replay",
@@ -200,14 +196,14 @@ def _scale(row: np.ndarray, mean: float, square: np.ndarray) -> bool:
 
 
 def features_at_node(
-    bundle: PathBundle, node: int, config: RegressionConfig, state: np.ndarray | None = None
+    bundle: PathBundle, node: int, config: RegressionConfig, state: np.ndarray
 ) -> np.ndarray | None:
     """Regression design at grid node: the (p, M) basis rows [1, x, ...,
     x^degree] in the standardized state, optionally followed by standardized
     cumulative jump counts, each row contiguous. Returns None when every
     candidate row is constant (the node carries no cross-path information).
-    ``state`` is X at the node, (M,), when the caller holds it; else it is
-    read from ``bundle.states``. The rows are built in place in the design."""
+    ``state`` is X at the node, (M,), as ``PathBundle.walk`` yields it. The
+    rows are built in place in the design."""
     m, degree = bundle.path_count, config.degree
     marks = bundle.mark_count if config.jump_count_features and node > 0 else 0
     design = np.empty((1 + degree + marks, m))
@@ -216,9 +212,8 @@ def features_at_node(
     # the squares of a row that has no later design row to hold them
     spare = np.empty(m) if marks or degree == 1 else None
     if degree:
-        x = bundle.states(node, node + 1)[0] if state is None else state
-        mean = x.mean()
-        np.subtract(x, mean, out=design[1])
+        mean = state.mean()
+        np.subtract(state, mean, out=design[1])
         if _scale(design[1], mean, design[2] if degree > 1 else spare):
             # x^j = x^(j-1) * x, the multiplication order of np.vander
             for j in range(2, degree + 1):
@@ -234,33 +229,44 @@ def features_at_node(
     return design[:rows] if rows > 1 else None
 
 
-def condexp_at_node(
-    bundle: PathBundle, node: int, targets: np.ndarray, config: RegressionConfig
+def condexp_at_nodes(
+    bundle: PathBundle, nodes, targets: np.ndarray, config: RegressionConfig
 ):
-    """Estimate E[targets | F_{t_node}] pathwise for (M,) or (M, q) targets.
+    """Yield (node, E[targets | F_{t_node}]) pathwise for (M,) or (M, q)
+    targets at each of ``nodes`` in turn, reading X through one
+    ``PathBundle.walk``.
 
-    ``node`` follows the rule of ``solve_bsde``'s nodes, and a non-finite
-    target raises ValueError. Node N (the horizon) returns the targets
-    unchanged. Other nodes fit as the sweep does (``_coefficients``, then
-    ``_fit_range``), so the sweep's fits and this one agree bit for bit;
-    nodes with degenerate features return the plain cross-path mean. A 2-d
-    fit is the (M, q) transpose of a (q, M) array, so each fitted column is
-    contiguous.
+    ``nodes`` follow the rule of ``solve_bsde``'s nodes, and a non-finite
+    target raises ValueError, before the first fit. Node N (the horizon)
+    gives the targets unchanged. Other nodes fit as the sweep does
+    (``_coefficients``, then ``_fit_range``), so the sweep's fits and these
+    agree bit for bit; nodes with degenerate features give the plain
+    cross-path mean. A 2-d fit is the (M, q) transpose of a (q, M) array, so
+    each fitted column is contiguous.
     """
     y = np.asarray(targets, dtype=float)
     m, n = bundle.path_count, bundle.grid.step_count
-    node = _grid_node(node, n)
+    nodes = [_grid_node(node, n) for node in nodes]
     if y.ndim not in (1, 2) or y.shape[0] != m:
         raise ValueError(f"targets must have shape ({m},) or ({m}, q), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    if node == n:
-        return y
-    design = features_at_node(bundle, node, config)
     rows = y.reshape(m, -1).T
-    fit = np.empty(rows.shape)
-    _fit_range(_coefficients(design, rows, config.ridge), design, fit, 0, m)
-    return fit.T if y.ndim == 2 else fit[0]
+    for node, x in bundle.walk(nodes):
+        if node == n:
+            yield node, y
+            continue
+        design = features_at_node(bundle, node, config, x)
+        fit = np.empty(rows.shape)
+        _fit_range(_coefficients(design, rows, config.ridge), design, fit, 0, m)
+        yield node, fit.T if y.ndim == 2 else fit[0]
+
+
+def condexp_at_node(
+    bundle: PathBundle, node: int, targets: np.ndarray, config: RegressionConfig
+):
+    """``condexp_at_nodes`` at one node: E[targets | F_{t_node}]."""
+    return next(condexp_at_nodes(bundle, (node,), targets, config))[1]
 
 
 @dataclass(frozen=True)
@@ -452,16 +458,16 @@ def solve_bsde(
     the driver and ``_doleans_step`` see their transposes, which have the
     shapes of their contracts. These arrays are one workspace, allocated
     once per sweep and written in place, Y_i over the rows of Y_{i+1}; a
-    read node keeps copies of its rows, except node 0, the last step. The
-    workspace also holds X at one block of c = ``bundle.stride`` nodes,
-    recomputed from the bundle's checkpoints when the walk enters the block.
-    Each step finds the regression coefficients on the calling thread and
-    runs the rest in two per-path phases over contiguous path ranges, one
-    thread per usable CPU for blocks of at least ``_SPLIT_FLOOR`` values:
-    (A) the fit of Y_{i+1} and the control targets, (B) the fitted controls,
-    the clamps, the driver, the value update (a non-finite Y_i raises
-    SolverFailure) and the Doleans-Dade step. The results, and which failure
-    is raised, do not depend on the number of ranges.
+    read node keeps copies of its rows, except node 0, the last step. X at
+    each node comes from one ``PathBundle.walk`` of nodes N-1..0, whose
+    refills run over the sweep's path ranges. Each step finds the
+    regression coefficients on the calling thread and runs the rest in two
+    per-path phases over contiguous path ranges, one thread per usable CPU
+    for blocks of at least ``_SPLIT_FLOOR`` values: (A) the fit of Y_{i+1}
+    and the control targets, (B) the fitted controls, the clamps, the
+    driver, the value update (a non-finite Y_i raises SolverFailure) and the
+    Doleans-Dade step. The results, and which failure is raised, do not
+    depend on the number of ranges.
     The first ``densities`` columns also run ``_doleans_step`` on the driver's
     partials at their controls and return L(T)/L(t_node), under its guards
     and the uniform Kazamaki bound: a dg/du_k below -1 + 1e-12 at any step
@@ -499,21 +505,13 @@ def solve_bsde(
     # array allocated above the workspace would keep the heap from reusing
     # its memory once the sweep frees it
     y_fit = None
-    # X at the c nodes of one checkpoint block, and the scratch that
-    # recomputes it
-    c = bundle.stride
-    block, block_work = np.empty((c, m)), np.empty((2, m))
     ranges = _path_ranges(m, cols)
     # one thread per range, alive for the sweep; one range needs none
     with (concurrent.futures.ThreadPoolExecutor(len(ranges)) if len(ranges) > 1
           else contextlib.nullcontext()) as pool:
-        for i in range(n - 1, -1, -1):
-            if i == n - 1 or i % c == c - 1:
-                # the walk enters a block: X at its nodes first..i
-                first, rows = i - i % c, block[:i % c + 1]
-                _run_ranges(pool, lambda lo, hi: bundle.fill_states(first, rows, block_work, lo, hi),
-                            ranges)
-            design = features_at_node(bundle, i, config, block[i % c])
+        for i, x in bundle.walk(range(n - 1, -1, -1),
+                                lambda fill: _run_ranges(pool, fill, ranges)):
+            design = features_at_node(bundle, i, config, x)
             gram = None if design is None else design @ design.T
             y_coef = _coefficients(design, cur, config.ridge, gram)
             dw, dn = bundle.dw[:, i], bundle.dn[:, i]

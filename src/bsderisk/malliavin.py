@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import RegressionConfig, condexp_at_node
+from .bsde import RegressionConfig, condexp_at_nodes
 from .errors import EstimatorFailure, UnsupportedPayoff
 from .market import PathBundle, Payoff, terminal_values
 from .measure import doleans_dade
@@ -46,17 +46,8 @@ class MalliavinField:
     jump      (M, K) f(X(T) + zeta_k) - f(X(T)) per mark
     """
 
-    bundle: PathBundle
-    payoff: Payoff
     brownian: np.ndarray
     jump: np.ndarray
-
-    def project(self, node: int, config: RegressionConfig = RegressionConfig()):
-        """Conditional projections (E[D xi | F_t], E[D_k xi | F_t]) at a node."""
-        k = self.bundle.mark_count
-        targets = np.column_stack([self.brownian] + [self.jump[:, j] for j in range(k)])
-        fitted = condexp_at_node(self.bundle, node, targets, config)
-        return fitted[:, 0], fitted[:, 1:]
 
 
 def malliavin_derivative(bundle: PathBundle, payoff: Payoff) -> MalliavinField:
@@ -72,7 +63,7 @@ def malliavin_derivative(bundle: PathBundle, payoff: Payoff) -> MalliavinField:
     base = payoff.value(x_t)
     for j in range(k):
         jump[:, j] = payoff.value(x_t + bundle.model.jumps[j].size) - base
-    return MalliavinField(bundle=bundle, payoff=payoff, brownian=brownian, jump=jump)
+    return MalliavinField(brownian=brownian, jump=jump)
 
 
 @dataclass(frozen=True)
@@ -111,19 +102,20 @@ def clark_ocone(
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     xi = terminal_values(bundle, payoff)
 
+    # the conditional projections (E[D xi | F_t], E[D_k xi | F_t]), read at
+    # every node in one walk
+    targets = np.column_stack([field.brownian, field.jump])
     # time-major storage: row i holds the step-i integrands of every path
     u = np.empty((n, m))
     v = np.empty((n, m, k))
     recon = np.full(m, xi.mean())
-    for i in range(n):
-        u_i, v_i = field.project(i, config)
-        u[i] = u_i
-        v[i] = v_i
+    for i, fitted in condexp_at_nodes(bundle, range(n), targets, config):
+        u[i], v[i] = fitted[:, 0], fitted[:, 1:]
         dw_c = bundle.dw[:, i] - bundle.dw[:, i].mean()
-        recon += u_i * dw_c
+        recon += u[i] * dw_c
         for j in range(k):
             dn_c = bundle.dn[:, i, j] - bundle.dn[:, i, j].mean()
-            recon += v_i[:, j] * dn_c
+            recon += v[i, :, j] * dn_c
 
     scale = float(np.sqrt(np.mean(xi * xi)))
     err = float(np.sqrt(np.mean((recon - xi) ** 2)))
@@ -198,26 +190,18 @@ def entropic_controls(
     c0 = float(xi.min())
     w = np.exp(-gamma * beta * (xi - c0))
 
-    shifted = np.empty((m, k))
-    shifts = np.empty(k)
-    for j in range(k):
-        s = xi + field.jump[:, j]
-        shifts[j] = float(s.min())
-        shifted[:, j] = np.exp(-gamma * beta * (s - shifts[j]))
-
-    targets = np.column_stack(
-        [w, w * field.brownian]
-        + [shifted[:, j] for j in range(k)]
-        + [w * field.jump[:, j] for j in range(k)]
-    )
+    # xi + D_k xi per mark, each shifted by its own minimum
+    jumped = xi[:, None] + field.jump
+    shifts = jumped.min(axis=0)
+    shifted = np.exp(-gamma * beta * (jumped - shifts))
+    targets = np.column_stack([w, w * field.brownian, shifted, w[:, None] * field.jump])
 
     # time-major storage: row i holds the step-i controls of every path
     z = np.empty((n, m))
     ups = np.empty((n, m, k))
     ups_lin = np.empty((n, m, k))
     normalizer = np.empty((n, m))
-    for i in range(n):
-        fitted = condexp_at_node(bundle, i, targets, config)
+    for i, fitted in condexp_at_nodes(bundle, range(n), targets, config):
         den = normalizer[i] = fitted[:, 0]
         bad = np.flatnonzero(den <= 0.0)
         if bad.size:

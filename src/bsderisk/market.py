@@ -8,6 +8,13 @@ driven by one Brownian motion and K independent Poisson processes with
 intensities lambda_k, i.e. a discrete finite-activity Levy measure
 nu = sum_k lambda_k delta_{zeta_k}. Every jump integral downstream is a
 finite sum over the K marks.
+
+A path bundle keeps X only at every c-th node and at N (``PathBundle``).
+Every fit reads X through ``PathBundle.walk``: one block of c rows,
+refilled from the checkpoints, bit for bit as simulated, only when the walk
+reaches a node outside it; a backward sweep refills it once per block of c
+nodes, over its path ranges. ``PathBundle.states`` materializes rows for a
+caller that keeps them. No other module knows the stride.
 """
 
 from __future__ import annotations
@@ -152,9 +159,9 @@ class PathBundle:
                  ((N - 1) // c, M), float64, one contiguous row per node
     terminal     X at node N, shape (M,), float64
 
-    X at any other node is not stored: ``states`` recomputes it forward
-    from the nearest checkpoint at or below, with the operations and order
-    of ``simulate_paths``, so every row is bit for bit the one the
+    X at any other node is not stored: ``walk`` and ``states`` recompute it
+    forward from the nearest checkpoint at or below, with the operations and
+    order of ``simulate_paths``, so every row is bit for bit the one the
     simulation summed. Node 0 is x0 on every path.
 
     simulate_paths stores dw and dn time-major, one contiguous row per date,
@@ -191,6 +198,30 @@ class PathBundle:
         out = np.empty((hi - lo, m))
         self.fill_states(lo, out, np.empty((2, m)), 0, m)
         return out
+
+    def walk(self, nodes, run=None):
+        """Yield (node, X at node) for each of ``nodes``, integers in 0..N in
+        any order, repeats allowed: the reader of X for a fit. Like
+        ``fill_states`` it trusts its caller to name valid nodes (``states``
+        checks them).
+
+        The walk holds one block of c rows, X at the nodes of one checkpoint
+        block, and refills it (``fill_states``) only when a node lies
+        outside it, from the block's first node up to the highest of
+        ``nodes`` in the block; node N is ``terminal``. A yielded row is a
+        view that a later refill overwrites. ``run(fill)`` calls fill(a, b)
+        on path ranges that cover 0..M-1 (default: 0..M on the calling
+        thread). Every row is ``states``' row, bit for bit."""
+        n, m, c = self.grid.step_count, self.path_count, self.stride
+        nodes, run = list(nodes), run or (lambda fill: fill(0, m))
+        block, work = np.empty((c, m)), np.empty((2, m))
+        base = None
+        for node in nodes:
+            if node < n and node - node % c != base:
+                base = node - node % c
+                top = max(v for v in nodes if base <= v < min(base + c, n))
+                run(lambda a, b: self.fill_states(base, block[:top - base + 1], work, a, b))
+            yield node, self.terminal if node == n else block[node - base]
 
     def fill_states(self, lo: int, out: np.ndarray, work: np.ndarray, a: int, b: int) -> None:
         """``states`` on paths a..b-1, in place: X at nodes lo..lo+len(out)-1

@@ -201,10 +201,13 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     standard error sqrt(sum v_m^2 (h_m - mean)^2), v = w / sum w.
 
     An (M,) payload gives two floats; an (M, q) payload gives two (q,) arrays,
-    one entry per column. Unless the weights are finite and nonnegative with
-    a positive sum (exact zeros allowed) EstimatorFailure is raised, listing
-    the negative or non-finite ones; a non-finite payload raises ValueError."""
+    one entry per column. The payload is read column-major, so that the sums
+    run in one order and give the same bits whatever its memory layout.
+    Unless the weights are finite and nonnegative with a positive sum (exact
+    zeros allowed) EstimatorFailure is raised, listing the negative or
+    non-finite ones; a non-finite payload raises ValueError."""
     w = np.asarray(weights, dtype=float)
+    payload = np.asarray(payload, dtype=float, order="F")
     if not np.all(np.isfinite(payload)):
         raise ValueError("payload values must be finite")
     total = w.sum()
@@ -217,7 +220,9 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
         )
     v = w / total
     mean = v @ payload
-    se = np.sqrt((v * v) @ ((payload - mean) ** 2))
+    # squared in place: a copied payload and one temporary, no more
+    spread = payload - mean
+    se = np.sqrt((v * v) @ np.square(spread, out=spread))
     return (float(mean), float(se)) if np.ndim(payload) == 1 else (mean, se)
 
 
@@ -265,8 +270,7 @@ def girsanov_shift_check(rn: RNProcess, k_sigma: float = 4.0) -> GirsanovReport:
     b = rn.bundle
     m, n, k = b.path_count, b.grid.step_count, b.mark_count
     dt = b.grid.dt
-    # time-major like dw, as weighted_mean_se's sums follow the payload's layout
-    dw_gap, dw_se = weighted_mean_se(rn.terminal, np.subtract(b.dw, rn.phi_z * dt, order="F"))
+    dw_gap, dw_se = weighted_mean_se(rn.terminal, b.dw - rn.phi_z * dt)
     predicted = b.model.jump_intensities * (1.0 + rn.phi_jump) * dt
     dn_gap, dn_se = weighted_mean_se(rn.terminal, (b.dn - predicted).reshape(m, n * k))
     return GirsanovReport(dw_gap=dw_gap, dw_se=dw_se, dn_gap=dn_gap.reshape(n, k),

@@ -134,7 +134,7 @@ def test_condexp_reads_nodes_as_the_sweep_does(jump_bundle):
 
 
 def test_features_standardized(jump_bundle):
-    feats = features_at_node(jump_bundle, 25, br.RegressionConfig())
+    feats = features_at_node(jump_bundle, 25, br.RegressionConfig(), jump_bundle.states(25, 26)[0])
     assert feats.shape == (4, jump_bundle.path_count)
     np.testing.assert_allclose(feats[0], 1.0)
     assert abs(feats[1].mean()) < 1e-12
@@ -147,21 +147,20 @@ def test_standardized_state_is_numpys_bitwise(jump_bundle, degree):
     cfg = br.RegressionConfig(degree=degree)
     n = jump_bundle.grid.step_count
     states = jump_bundle.states(0, n + 1)
-    assert features_at_node(jump_bundle, 0, cfg) is None
+    assert features_at_node(jump_bundle, 0, cfg, states[0]) is None
     for node in range(1, n + 1):
         x = states[node]
         z = (x - x.mean()) / x.std()
-        feats = features_at_node(jump_bundle, node, cfg)
+        feats = features_at_node(jump_bundle, node, cfg, x)
         assert feats.shape == (1 + degree, jump_bundle.path_count)
         assert np.array_equal(feats[1], z), node
         if degree == 3:
             assert np.array_equal(feats[2], z * z) and np.array_equal(feats[3], z * z * z)
-        assert np.array_equal(features_at_node(jump_bundle, node, cfg, x), feats)
 
 
 def test_jump_count_features_extend_basis(jump_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
-    feats = features_at_node(jump_bundle, 25, cfg)
+    feats = features_at_node(jump_bundle, 25, cfg, jump_bundle.states(25, 26)[0])
     assert feats.shape == (5, jump_bundle.path_count)
 
 
@@ -195,16 +194,18 @@ def reference_features(bundle, node, config):
 def test_jump_count_basis_matches_direct_sums(two_mark_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
     for node in range(two_mark_bundle.grid.step_count + 1):
-        feats = features_at_node(two_mark_bundle, node, cfg)
+        feats = features_at_node(two_mark_bundle, node, cfg,
+                                 two_mark_bundle.states(node, node + 1)[0])
         ref = reference_features(two_mark_bundle, node, cfg)
         assert (feats is None and ref is None) or np.array_equal(feats, ref.T), node
 
 
 def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
     bundle = br.simulate_paths(desk_grid, jump_model, 500, 9)
-    features_at_node(bundle, 25, br.RegressionConfig())
+    x = bundle.states(25, 26)[0]
+    features_at_node(bundle, 25, br.RegressionConfig(), x)
     assert "jump_counts" not in vars(bundle)
-    features_at_node(bundle, 25, br.RegressionConfig(jump_count_features=True))
+    features_at_node(bundle, 25, br.RegressionConfig(jump_count_features=True), x)
     assert "jump_counts" in vars(bundle)
 
 
@@ -812,6 +813,42 @@ def test_single_node_reads_equal_a_read_of_every_node(workers):
     for j, (name, node, a) in enumerate(arrays):
         for other, other_node, c in arrays[j + 1:]:
             assert not np.shares_memory(a, c), (name, node, other, other_node)
+
+
+@settings(max_examples=25, deadline=None)
+@given(paths=st.integers(2, 300), steps=st.integers(1, 20), marks=st.integers(0, 2),
+       degree=st.integers(1, 3), counts=st.booleans(), workers=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), picks=st.lists(st.integers(0, 20), min_size=1,
+                                                      max_size=12))
+def test_multi_node_fits_equal_one_node_fits_and_the_sweeps(paths, steps, marks, degree,
+                                                            counts, workers, seed, picks):
+    # one walk over nodes in any order, with repeats and N, fits what a
+    # standalone fit at each node gives, bit for bit; with a zero driver the
+    # sweep's Y_i is its fit of Y_{i+1}, so the sweep's fits are the same too
+    jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
+    model = br.LevyModel(x0=0.2, mu=0.1, sigma=0.3, jumps=jumps)
+    b = br.simulate_paths(br.build_grid(1.0, steps), model, paths, seed)
+    cfg = br.RegressionConfig(degree=degree, jump_count_features=counts)
+    x = b.terminal
+    nodes = [min(node, steps) for node in picks]
+    for targets in (np.sin(x), np.column_stack([x * x, np.cos(x)])):
+        fits = list(bsde.condexp_at_nodes(b, nodes, targets, cfg))
+        assert [node for node, _ in fits] == nodes
+        for node, fit in fits:
+            assert np.array_equal(fit, condexp_at_node(b, node, targets, cfg)), node
+    zero = br.make_sublinear_driver((br.LinearForm(0.0, (0.0,) * marks),),
+                                    b.model.jump_intensities)
+    y = sweep_on(workers, b, zero, np.sin(x), cfg, nodes=range(steps + 1)).y
+    for node in range(steps):
+        want = condexp_at_node(b, node, y[node + 1][:, 0], cfg)
+        assert np.array_equal(y[node][:, 0], want), node
+
+
+def test_condexp_at_node_zero_recomputes_no_increment(jump_bundle, monkeypatch):
+    calls = []
+    monkeypatch.setattr(market, "_add_step", lambda *args: calls.append(args))
+    condexp_at_node(jump_bundle, 0, jump_bundle.terminal, br.RegressionConfig())
+    assert not calls
 
 
 def test_signed_density_names_the_same_paths_on_any_number_of_threads():

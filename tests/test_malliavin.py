@@ -35,7 +35,10 @@ def test_derivative_rejects_foreign_callables(jump_bundle):
 
 def test_projection_at_terminal_node_is_identity(jump_bundle):
     field = br.malliavin_derivative(jump_bundle, br.ExpAffinePayoff(1.0, 0.5))
-    u, v = field.project(jump_bundle.grid.step_count)
+    fitted = br.condexp_at_node(jump_bundle, jump_bundle.grid.step_count,
+                                np.column_stack([field.brownian, field.jump]),
+                                br.RegressionConfig())
+    u, v = fitted[:, 0], fitted[:, 1:]
     assert np.allclose(u, field.brownian, atol=1e-12)
     assert np.allclose(v, field.jump, atol=1e-12)
 
@@ -144,3 +147,24 @@ def test_per_step_fields_are_contiguous(jump_bundle):
     scalar = br.doleans_dade(b, 0.3, 0.2)
     assert scalar.phi_z.strides == (0, 0) and scalar.phi_jump.strides == (0, 0, 0)
     assert np.array_equal(scalar.lam, rn.lam)
+
+
+@pytest.mark.parametrize("read", [
+    lambda b: br.clark_ocone(b, br.ExpAffinePayoff(1.0, 0.5)),
+    lambda b: br.entropic_controls(b, br.ExpAffinePayoff(1.0, 0.5), 1.5),
+], ids=["clark_ocone", "entropic_controls"])
+def test_per_node_loops_refill_once_per_checkpoint_block(jump_bundle, monkeypatch, read):
+    # all N nodes are read in one walk: X is recomputed once per block of
+    # checkpoint_stride(N) nodes (8 blocks at N = 50), not once per node
+    fills = []
+    fill_states = br.PathBundle.fill_states
+
+    def counted(self, *args):
+        fills.append(args[0])
+        return fill_states(self, *args)
+
+    monkeypatch.setattr(br.PathBundle, "fill_states", counted)
+    read(jump_bundle)
+    assert len(jump_bundle.checkpoints) + 1 == 8
+    assert len(fills) <= 8
+    assert sorted(fills) == list(range(0, 50, jump_bundle.stride))

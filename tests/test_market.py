@@ -167,6 +167,36 @@ def test_states_match_serial_reference(paths, extra, steps, marks, x0, seed, lo,
     assert np.array_equal(small.states(lo, hi), want[:, :paths])
 
 
+@settings(max_examples=40, deadline=None)
+@given(paths=st.integers(1, 200), steps=st.integers(1, 30), marks=st.integers(0, 2),
+       x0=st.floats(-5.0, 5.0).filter(bool), seed=st.integers(0, 2**64 - 1),
+       picks=st.lists(st.integers(0, 30), min_size=1, max_size=25),
+       cuts=st.lists(st.integers(0, 200), max_size=3))
+# 12 steps have checkpoints at nodes 3, 6 and 9 and N % c == 0: the nodes
+# cross checkpoints, repeat, come back to a block and include N
+@example(paths=7, steps=12, marks=2, x0=-1.5, seed=7,
+         picks=[12, 2, 4, 3, 3, 11, 0, 12, 9, 10, 2], cuts=[3, 5])
+def test_walk_yields_the_rows_of_states(paths, steps, marks, x0, seed, picks, cuts):
+    # every row the walk yields is states' row at its node, bit for bit, in
+    # the order asked, for any node list and any split of the paths
+    jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
+    model = br.LevyModel(x0=x0, mu=0.1, sigma=0.25, jumps=jumps)
+    bundle = br.simulate_paths(br.build_grid(1.0, steps), model, paths, seed)
+    nodes = [min(node, steps) for node in picks]
+    edges = [0, *sorted(min(cut, paths) for cut in cuts), paths]
+
+    def run(fill):
+        for a, b in zip(edges[:-1], edges[1:]):
+            fill(a, b)
+
+    for walk in (bundle.walk(nodes), bundle.walk(nodes, run)):
+        seen = []
+        for node, x in walk:
+            seen.append(node)
+            assert np.array_equal(x, bundle.states(node, node + 1)[0]), node
+        assert seen == nodes
+
+
 def test_worker_failure_reaches_the_caller(monkeypatch):
     def failing(seed, channel, step):
         if step == 4:

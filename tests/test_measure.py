@@ -116,6 +116,21 @@ def test_weighted_mean_se_rejects_inadmissible_weights():
     assert mean == pytest.approx(payload[100:].mean(), abs=1e-15)
 
 
+def test_weighted_mean_se_does_not_depend_on_the_payload_layout():
+    # the same values stored row-major, column-major, as a transposed view
+    # or as a strided column give the same bits
+    rng = np.random.default_rng(5)
+    weights = rng.exponential(size=20_000)
+    payload = rng.standard_normal((20_000, 50))
+    results = [weighted_mean_se(weights, p) for p in
+               (payload, np.asfortranarray(payload), np.ascontiguousarray(payload.T).T)]
+    for mean, se in results[1:]:
+        assert mean.tobytes() == results[0][0].tobytes()
+        assert se.tobytes() == results[0][1].tobytes()
+    column = weighted_mean_se(weights, payload[:, 7])
+    assert column == weighted_mean_se(weights, payload[:, 7].copy())
+
+
 ESTIMATORS = {
     "entropic_closed_form": lambda b, claim: br.entropic_closed_form(
         1.0, claim, 0, b, br.RegressionConfig()),

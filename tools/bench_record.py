@@ -26,14 +26,17 @@ system CPU time and peak RSS.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
 (``nproc``, CPU, BLAS, numpy and Python versions), the line count of
-``src/bsderisk/*.py`` on each side, every result line of every run, and per
-workload and metric the median and quartiles of each side, the pairs the
-change won and the ratio of the medians.
+``src/bsderisk/*.py`` on each side (``src_lines``, every line, and
+``src_code_lines``, without blank, comment-only and docstring lines), every
+result line of every run, and per workload and metric the median and
+quartiles of each side, the pairs the change won and the ratio of the
+medians.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -46,6 +49,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +108,33 @@ def machine() -> dict:
 def src_lines(tree: Path) -> int:
     """Lines of the package's modules, as ``wc -l src/bsderisk/*.py`` counts them."""
     return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "bsderisk").glob("*.py"))
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold code: a line that some token other than
+    a comment or a line break touches (a multi-line string touches each of
+    its lines), outside the docstrings of the module, its classes and its
+    functions."""
+    code = set()
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skip:
+            code.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                code.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(code)
+
+
+def src_code_lines(tree: Path) -> int:
+    """``code_lines`` summed over ``src/bsderisk/*.py``: the package without
+    its blank, comment-only and docstring lines."""
+    return sum(code_lines(path.read_text())
                for path in (tree / "src" / "bsderisk").glob("*.py"))
 
 
@@ -230,6 +261,7 @@ def record(label: str, base: str, scratch: Path) -> None:
         "change": git("rev-parse", "HEAD") + (" + uncommitted changes" if status else ""),
         "machine": machine(),
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
+        "src_code_lines": {side: src_code_lines(tree) for side, tree in sides.items()},
         "perfbench": f"perfbench/run.py --seconds {SECONDS:g} --trace 0, "
                      f"seeds {FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, alternating order",
         "workloads": {},
