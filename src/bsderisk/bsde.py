@@ -117,7 +117,8 @@ def _coefficients(design, rows: np.ndarray, ridge: float, gram=None) -> np.ndarr
     range: the (p, q) ridge coefficients, or the q cross-path means when
     ``design`` is None.
 
-    The penalty is not applied to a constant first basis row. F Y^T is
+    The first basis row is the constant intercept, as ``features_at_node``
+    writes it; the penalty is not applied to it. F Y^T is
     summed over path chunks in path order (see ``_chunk_length``), so the
     coefficients do not depend on how the fitted values are split. ``gram``
     is design design^T when the caller has already formed it. With ridge = 0
@@ -135,8 +136,7 @@ def _coefficients(design, rows: np.ndarray, ridge: float, gram=None) -> np.ndarr
             )
         return beta
     penalty = np.full(p, ridge)
-    if np.all(design[0] == design[0, 0]):
-        penalty[0] = 0.0
+    penalty[0] = 0.0
     chunk = _chunk_length(rows.shape[0], p)
     moments = design[:, :chunk] @ rows[:, :chunk].T
     for lo in range(chunk, m, chunk):
@@ -200,8 +200,10 @@ def features_at_node(
 ) -> np.ndarray | None:
     """Regression design at grid node: the (p, M) basis rows [1, x, ...,
     x^degree] in the standardized state, optionally followed by standardized
-    cumulative jump counts, each row contiguous. Returns None when every
-    candidate row is constant (the node carries no cross-path information).
+    cumulative jump counts, each row contiguous. Row 0 is always the constant
+    intercept, which ``_coefficients`` leaves unpenalized. Returns None when
+    every candidate row is constant (the node carries no cross-path
+    information).
     ``state`` is X at the node, (M,), as ``PathBundle.walk`` yields it. The
     rows are built in place in the design."""
     m, degree = bundle.path_count, config.degree

@@ -12,6 +12,13 @@ projections of these fields as integrands; the entropic value process
 Gamma(t) = E[e^{-gamma beta xi} | F_t] yields closed-form controls that
 cross-check the backward solver and the stochastic-exponential identity
 Gamma(t)/Gamma(0) = DoleansDade(gamma Z^{beta xi}, e^{gamma Ups} - 1)(t).
+
+Each route reads its N nodes in one forward walk of conditional
+expectations (``bsde.condexp_at_nodes``). ``clark_ocone`` and
+``entropic_controls`` store what they fit as time-major (N, M) fields;
+``gamma_exponential_check`` consumes the entropic controls row by row as
+the walk yields them and steps its densities alongside, so it holds (M,)
+rows, not fields, and reports only per-node gaps.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import RegressionConfig, condexp_at_nodes
+from .bsde import (RegressionConfig, _doleans_step, _exponential, _signed_density,
+                   condexp_at_nodes)
 from .errors import EstimatorFailure, UnsupportedPayoff
 from .market import PathBundle, Payoff, terminal_values
-from .measure import doleans_dade
 
 __all__ = [
     "MalliavinField",
@@ -150,6 +157,64 @@ class EntropicControls:
     normalizer: np.ndarray
 
 
+def _entropic_rows(
+    bundle: PathBundle, payoff: Payoff, gamma: float, beta: float, config: RegressionConfig
+):
+    """Yield (i, normalizer, z, upsilon, upsilon_linearized) at nodes
+    i = 0..N-1 in turn: the step-i rows (M,), (M,), (M, K) and (M, K) of
+    ``EntropicControls``, fitted in one ``condexp_at_nodes`` walk. A
+    non-positive normalizer or shifted numerator raises EstimatorFailure at
+    its node. beta = 0 yields ones and zeros without evaluating the payoff;
+    those rows are shared between nodes.
+    """
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if beta < 0.0 or not math.isfinite(beta):
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    if beta == 0.0:
+        ones, zeros, jump_zeros = np.ones(m), np.zeros(m), np.zeros((m, k))
+        for i in range(n):
+            yield i, ones, zeros, jump_zeros, jump_zeros
+        return
+
+    field = malliavin_derivative(bundle, payoff)
+    xi = terminal_values(bundle, payoff)
+    c0 = float(xi.min())
+    w = np.exp(-gamma * beta * (xi - c0))
+
+    # xi + D_k xi per mark, each shifted by its own minimum
+    jumped = xi[:, None] + field.jump
+    shifts = jumped.min(axis=0)
+    shifted = np.exp(-gamma * beta * (jumped - shifts))
+    targets = np.column_stack([w, w * field.brownian, shifted, w[:, None] * field.jump])
+    # the walk holds the target block, not the (M,) and (M, K) arrays it is built from
+    del field, xi, w, jumped, shifted
+
+    for i, fitted in condexp_at_nodes(bundle, range(n), targets, config):
+        den = fitted[:, 0]
+        bad = np.flatnonzero(den <= 0.0)
+        if bad.size:
+            raise EstimatorFailure(
+                f"non-positive entropic normalizer at node {i} on {bad.size} paths",
+                paths=bad,
+            )
+        z = -beta * fitted[:, 1] / den
+        log_den = np.log(den)
+        ups, ups_lin = np.empty((m, k)), np.empty((m, k))
+        for j in range(k):
+            num = fitted[:, 2 + j]
+            bad = np.flatnonzero(num <= 0.0)
+            if bad.size:
+                raise EstimatorFailure(
+                    f"non-positive shifted entropic numerator at node {i}, mark {j}",
+                    paths=bad,
+                )
+            ups[:, j] = (np.log(num) - log_den - gamma * beta * (shifts[j] - c0)) / gamma
+            ups_lin[:, j] = -beta * fitted[:, 2 + k + j] / den
+        yield i, den, z, ups, ups_lin
+
+
 def entropic_controls(
     bundle: PathBundle,
     payoff: Payoff,
@@ -168,61 +233,19 @@ def entropic_controls(
     while the linearized variant replaces the ratio with the first-order
     tilt -beta E[e^{-g b xi} D_k xi | F_t] / E[e^{-g b xi} | F_t]; they agree
     only for small jumps. Exponentials are shifted before regression for
-    overflow safety; shifts cancel in log space. beta = 0 short-circuits to
-    identically zero controls.
+    overflow safety; shifts cancel in log space. beta = 0 gives identically
+    zero controls. The controls are the rows of one node-by-node walk, which
+    ``gamma_exponential_check`` consumes without storing them; this stacks
+    them into time-major fields.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if beta < 0.0 or not math.isfinite(beta):
-        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
-    if beta == 0.0:
-        return EntropicControls(
-            gamma=gamma, beta=0.0,
-            z=np.zeros((n, m)).T,
-            upsilon=np.zeros((n, m, k)).transpose(1, 0, 2),
-            upsilon_linearized=np.zeros((n, m, k)).transpose(1, 0, 2),
-            normalizer=np.ones((n, m)).T,
-        )
-
-    field = malliavin_derivative(bundle, payoff)
-    xi = terminal_values(bundle, payoff)
-    c0 = float(xi.min())
-    w = np.exp(-gamma * beta * (xi - c0))
-
-    # xi + D_k xi per mark, each shifted by its own minimum
-    jumped = xi[:, None] + field.jump
-    shifts = jumped.min(axis=0)
-    shifted = np.exp(-gamma * beta * (jumped - shifts))
-    targets = np.column_stack([w, w * field.brownian, shifted, w[:, None] * field.jump])
-
     # time-major storage: row i holds the step-i controls of every path
     z = np.empty((n, m))
     ups = np.empty((n, m, k))
     ups_lin = np.empty((n, m, k))
     normalizer = np.empty((n, m))
-    for i, fitted in condexp_at_nodes(bundle, range(n), targets, config):
-        den = normalizer[i] = fitted[:, 0]
-        bad = np.flatnonzero(den <= 0.0)
-        if bad.size:
-            raise EstimatorFailure(
-                f"non-positive entropic normalizer at node {i} on {bad.size} paths",
-                paths=bad,
-            )
-        z[i] = -beta * fitted[:, 1] / den
-        log_den = np.log(den)
-        for j in range(k):
-            num = fitted[:, 2 + j]
-            bad = np.flatnonzero(num <= 0.0)
-            if bad.size:
-                raise EstimatorFailure(
-                    f"non-positive shifted entropic numerator at node {i}, mark {j}",
-                    paths=bad,
-                )
-            ups[i, :, j] = (
-                np.log(num) - log_den - gamma * beta * (shifts[j] - c0)
-            ) / gamma
-            ups_lin[i, :, j] = -beta * fitted[:, 2 + k + j] / den
+    for i, den, z_i, ups_i, ups_lin_i in _entropic_rows(bundle, payoff, gamma, beta, config):
+        normalizer[i], z[i], ups[i], ups_lin[i] = den, z_i, ups_i, ups_lin_i
     return EntropicControls(gamma=gamma, beta=beta, z=z.T, upsilon=ups.transpose(1, 0, 2),
                             upsilon_linearized=ups_lin.transpose(1, 0, 2),
                             normalizer=normalizer.T)
@@ -232,17 +255,54 @@ def entropic_controls(
 class GammaExponentialReport:
     """Node-by-node agreement of Gamma(t)/Gamma(0) with its stochastic exponential.
 
-    gaps holds the cross-path mean absolute difference per node for the
-    exact jump control; gaps_linearized the same for the linearized
-    variant (equal to gaps when there are no marks). controls are the
-    estimated entropic controls the exponential was built from.
+    gaps holds the cross-path mean absolute difference per node, 0..N, for
+    the exact jump control; gaps_linearized the same for the linearized
+    variant (equal to gaps when there are no marks). The report holds only
+    these (N+1,) gaps: the controls and densities they come from are rows of
+    a walk, dropped node by node.
     """
 
-    controls: EntropicControls
     gaps: np.ndarray
     gaps_linearized: np.ndarray
     max_gap: float
     max_gap_linearized: float
+
+
+class _StreamedDensity:
+    """One stochastic exponential stepped node by node with ``doleans_dade``'s
+    arithmetic, its gap to the Gamma ratio at each node, and its failure.
+
+    The failure is held back for the caller to raise once the walk is done,
+    and it is ``doleans_dade``'s: ValueError if an integrand row was ever
+    non-finite, else the first step's SignedDensityFailure or overflow. The
+    density stops at its first failure."""
+
+    def __init__(self, m: int, n: int):
+        self.log_l, self.jump_l = np.zeros((m, 1)), np.ones((m, 1))
+        self.work = (np.empty((m, 1)), np.empty((m, 1)))
+        self.lam = np.ones(m)
+        self.gaps = np.empty(n + 1)
+        self.failure: Exception | None = None
+
+    def gap(self, i: int, ratio: np.ndarray) -> None:
+        if self.failure is None:
+            self.gaps[i] = np.abs(self.lam - ratio).mean()
+
+    def step(self, phi_z, phi_jump, dw, dn, dt, lam_dt) -> None:
+        if not (np.all(np.isfinite(phi_z)) and np.all(np.isfinite(phi_jump))):
+            # doleans_dade checks every integrand before its first step
+            self.failure = ValueError("integrands must be finite")
+        if self.failure is not None:
+            return
+        bad = _doleans_step(self.log_l, self.jump_l, phi_z[:, None], phi_jump[:, None, :],
+                            dw, dn, dt, lam_dt, self.work)
+        if bad.size:
+            self.failure = _signed_density(bad)
+            return
+        try:
+            self.lam = _exponential(self.log_l, self.jump_l)[:, 0]
+        except EstimatorFailure as failure:
+            self.failure = failure
 
 
 def gamma_exponential_check(
@@ -251,6 +311,7 @@ def gamma_exponential_check(
     gamma: float,
     beta: float = 1.0,
     config: RegressionConfig = RegressionConfig(),
+    each_node=None,
 ) -> GammaExponentialReport:
     """Check Gamma(t)/Gamma(0) = stochastic exponential of the control integrands.
 
@@ -260,30 +321,49 @@ def gamma_exponential_check(
     regression that normalized those controls at every node. With exact
     controls the discrete identity is exact even with jumps, so the reported
     gap is pure estimation error.
+
+    The check walks the nodes forward once, as ``entropic_controls`` fits
+    them, and steps both densities as it goes, so it holds a few (M,) rows
+    rather than (M, N) fields; its gaps are those of ``entropic_controls``,
+    ``doleans_dade`` and the Gamma ratio, bit for bit. ``each_node(i, z,
+    upsilon)``, when given, sees the step-i control rows before they are
+    dropped. Failures are theirs in their order: a failing fit raises at
+    its node; the densities' failures (``doleans_dade``'s, the exact
+    density's before the linearized one's) are raised once the walk is done.
     """
-    controls = entropic_controls(bundle, payoff, gamma, beta, config)
-    n, k = bundle.grid.step_count, bundle.mark_count
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    dt = bundle.grid.dt
+    lam_dt = bundle.model.jump_intensities * dt
+    # the exact density, then the linearized one when there are marks
+    densities = [_StreamedDensity(m, n) for _ in range(2 if k else 1)]
+    gamma0 = None
+    for i, normalizer, z, ups, ups_lin in _entropic_rows(bundle, payoff, gamma, beta, config):
+        if each_node is not None:
+            each_node(i, z, ups)
+        if gamma0 is None:
+            gamma0 = normalizer.copy()
+        # Gamma-hat(t_i) / Gamma-hat(0)
+        ratio = normalizer / gamma0
+        phi_z = gamma * z
+        for density, upsilon in zip(densities, (ups, ups_lin)):
+            density.gap(i, ratio)
+            # an overflow here is the non-finite integrand step() fails on
+            with np.errstate(over="ignore"):
+                phi_jump = np.exp(gamma * upsilon) - 1.0
+            density.step(phi_z, phi_jump, bundle.dw[:, i], bundle.dn[:, i], dt, lam_dt)
 
+    # Gamma(T) is the shifted exponential itself
     xi = terminal_values(bundle, payoff)
-    # Gamma-hat(t_i) / Gamma-hat(0), one row per node; Gamma(T) is the
-    # shifted exponential itself
-    ratio = np.empty((n + 1, bundle.path_count))
-    ratio[:n] = controls.normalizer.T
-    ratio[n] = np.exp(-gamma * beta * (xi - xi.min()))
-    ratio /= ratio[0].copy()
-
-    def gaps_for(upsilon: np.ndarray) -> np.ndarray:
-        phi_jump = np.exp(gamma * upsilon) - 1.0
-        rn = doleans_dade(bundle, gamma * controls.z, phi_jump)
-        return np.abs(rn.lam.T - ratio).mean(axis=1)
-
-    gaps = gaps_for(controls.upsilon)
-    if k:
-        gaps_lin = gaps_for(controls.upsilon_linearized)
-    else:
-        gaps_lin = gaps.copy()
+    ratio = np.exp(-gamma * beta * (xi - xi.min()))
+    ratio /= gamma0
+    for density in densities:
+        density.gap(n, ratio)
+    for density in densities:
+        if density.failure is not None:
+            raise density.failure
+    gaps = densities[0].gaps
+    gaps_lin = densities[-1].gaps if k else gaps.copy()
     return GammaExponentialReport(
-        controls=controls,
         gaps=gaps,
         gaps_linearized=gaps_lin,
         max_gap=float(gaps.max()),

@@ -51,7 +51,7 @@ from . import __version__
 from .allocation import SHAPLEY_NODES, build_allocation_report
 from .bsde import REPLAY_SE_FLOOR_ULPS, Estimate, RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
-from .errors import ConfigParseError, ConfigValidationError
+from .errors import BsdeRiskError, ConfigParseError, ConfigValidationError
 from .malliavin import clark_ocone, gamma_exponential_check
 from .market import (
     MAX_STEP_RATE,
@@ -611,6 +611,55 @@ def _verify_doleans(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     ]
 
 
+class _PairwiseSum:
+    """np.add.reduce of a contiguous float64 array of ``size`` values, bit for
+    bit, fed as consecutive pieces of ``piece`` values each through ``add``.
+
+    numpy sums a contiguous array pairwise: a block of at most 128 values in
+    eight interleaved partial sums, a longer one as the sum of its halves,
+    split at a multiple of 8. A block inside one piece is summed when the
+    piece arrives; the few blocks that straddle pieces gather their values
+    first. So the mean of a node-major field needs one of its rows at a time.
+    """
+
+    def __init__(self, size: int, piece: int):
+        self.piece = piece
+        self.tasks = [[] for _ in range(-(-size // piece))]
+        self.sums = {}
+        self.pieces = 0
+        self.tree = self._plan(0, size)
+
+    def _plan(self, start: int, n: int):
+        first, last = start // self.piece, (start + n - 1) // self.piece
+        if first == last or n <= 128:
+            gather = None if first == last else np.empty(n)
+            for p in range(first, last + 1):
+                self.tasks[p].append((start, n, gather))
+            return start
+        half = n // 2
+        half -= half % 8
+        return self._plan(start, half), self._plan(start + half, n - half)
+
+    def add(self, values: np.ndarray) -> None:
+        values = np.ravel(values)
+        offset = self.pieces * self.piece
+        for start, n, gather in self.tasks[self.pieces]:
+            lo, hi = max(start, offset), min(start + n, offset + self.piece)
+            if gather is None:
+                self.sums[start] = np.add.reduce(values[lo - offset:hi - offset])
+                continue
+            gather[lo - start:hi - start] = values[lo - offset:hi - offset]
+            if hi == start + n:
+                self.sums[start] = np.add.reduce(gather)
+        self.tasks[self.pieces] = None
+        self.pieces += 1
+
+    def total(self) -> float:
+        def value(node):
+            return self.sums[node] if isinstance(node, int) else value(node[0]) + value(node[1])
+        return float(value(self.tree))
+
+
 def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     gamma = cfg.driver.alpha
@@ -619,25 +668,39 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
         "identity_gap", 3e-2 if cfg.model.mark_count == 0 else 5e-2)
     ctl_tol = cfg.method.tolerance("control_formulas")
     reg = cfg.method.regression
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
 
-    report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
-    xi = terminal_values(bundle, cfg.payoff)
-    n = bundle.grid.step_count
-    columns = solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=range(n), controls=True)
-    # time-major stacks viewed as (M, N) and (M, N, K), the storage of the
-    # closed-form controls they are compared with
-    z = np.stack([columns.z[i][:, 0] for i in range(n)]).T
-    z_gap = float(np.sqrt(np.mean((z - report.controls.z) ** 2)))
+    # the solver's controls at every node, compared with the closed form's
+    # as the check's walk reaches them, so the solve runs first
+    try:
+        xi = terminal_values(bundle, cfg.payoff)
+        columns = solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=range(n), controls=True)
+    except (BsdeRiskError, ValueError):
+        # a failure of the check itself still comes first
+        gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
+        raise
+    columns.y.clear()  # only the controls are compared
+    # the L2 gaps are np.mean over the time-major (N, M) and (N, M, K)
+    # fields, bit for bit
+    z_sq = _PairwiseSum(m * n, m)
+    ups_sq = _PairwiseSum(m * n * k, m * k) if k else None
+
+    def compare(i, z, upsilon):
+        z_sq.add((columns.z.pop(i)[:, 0] - z) ** 2)
+        if k:
+            ups_sq.add((columns.upsilon.pop(i)[:, 0] - upsilon) ** 2)
+
+    report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg, each_node=compare)
+    z_gap = math.sqrt(z_sq.total() / (m * n))
     rows = [
         Row(sid, "gamma_exponential_gap", report.max_gap,
             check=f"gamma_exponential_within_{gap_tol:g}", passed=report.max_gap <= gap_tol),
         Row(sid, "controls_z_l2_gap", z_gap,
             check=f"controls_z_within_{ctl_tol:g}", passed=z_gap <= ctl_tol),
     ]
-    if cfg.model.mark_count:
+    if k:
         rows.append(Row(sid, "gamma_exponential_gap_linearized", report.max_gap_linearized))
-        ups = np.stack([columns.upsilon[i][:, 0] for i in range(n)]).transpose(1, 0, 2)
-        u_gap = float(np.sqrt(np.mean((ups - report.controls.upsilon) ** 2)))
+        u_gap = math.sqrt(ups_sq.total() / (m * n * k))
         rows.append(Row(sid, "controls_upsilon_l2_gap", u_gap,
                         check=f"controls_upsilon_within_{ctl_tol:g}",
                         passed=u_gap <= ctl_tol))
@@ -671,7 +734,22 @@ def _verify_coherent_static(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row
     return rows
 
 
+def _verify_closed_form(cfg: ScenarioConfig, bundle: PathBundle, axioms) -> Row:
+    """The closed-form gap row, against the axiom suite's rho(xi) when there
+    is one, else against a solve of xi read at node 0."""
+    xi = terminal_values(bundle, cfg.payoff)
+    if axioms is not None:
+        rho0 = axioms.rho
+    else:
+        y = solve_bsde(bundle, cfg.driver, -xi, cfg.method.regression, nodes=(0,)).y
+        rho0 = float(y[0][0, 0])
+    return _closed_form_rows(cfg, bundle, xi, rho0)[1]
+
+
 def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
+    """The rows of each verify check in turn. A check's arrays, such as
+    clark_ocone's (M, N) integrands, are dropped once its rows are written,
+    so no check runs beside an earlier one's fields."""
     sid = cfg.scenario_id
     reg = cfg.method.regression
     rows: list[Row] = []
@@ -684,20 +762,14 @@ def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
         elif check == "doleans":
             rows.extend(_verify_doleans(cfg, bundle))
         elif check == "closed_form":
-            xi = terminal_values(bundle, cfg.payoff)
             if "axioms" in cfg.verify.checks:
                 axioms = axioms or axiom_suite(bundle, cfg.driver, cfg.payoff, config=reg)
-                rho0 = axioms.rho
-            else:
-                y = solve_bsde(bundle, cfg.driver, -xi, reg, nodes=(0,)).y
-                rho0 = float(y[0][0, 0])
-            rows.append(_closed_form_rows(cfg, bundle, xi, rho0)[1])
+            rows.append(_verify_closed_form(cfg, bundle, axioms))
         elif check == "clark_ocone":
-            co = clark_ocone(bundle, cfg.payoff, reg)
+            residual = clark_ocone(bundle, cfg.payoff, reg).residual
             tol = cfg.method.tolerance("clark_ocone")
-            rows.append(Row(sid, "clark_ocone_residual", co.residual,
-                            check=f"clark_ocone_within_{tol:g}",
-                            passed=co.residual <= tol))
+            rows.append(Row(sid, "clark_ocone_residual", residual,
+                            check=f"clark_ocone_within_{tol:g}", passed=residual <= tol))
         elif check == "axioms":
             axioms = axioms or axiom_suite(bundle, cfg.driver, cfg.payoff, config=reg)
             for row in axioms.rows:

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,3 +66,20 @@ def _solve_stacked(bundle, driver, terminal, config=br.RegressionConfig()):
 @pytest.fixture(scope="session")
 def solve_stacked():
     return _solve_stacked
+
+
+def _traced_peak(call, *args, **kwargs):
+    """Run ``call(*args, **kwargs)`` with tracemalloc on and return its result
+    and the peak of the memory it allocated, in bytes (numpy's arrays
+    included; what was allocated before the call does not count)."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak

@@ -250,6 +250,17 @@ def test_c09_entropic_value_process(brownian_desk, jump_desk, solve_stacked):
           f"tol=5e-2; control L2 gaps z={z_gap:.2e} ups={u_gap:.2e} tol=3e-2")
 
 
+def test_c09_full_position_fails_on_its_normalizer(jump_desk):
+    # the beta = 1 case c09 avoids: the cubic fit of the normalizer goes
+    # non-positive on one path at node 46, and the check raises that fit's
+    # typed failure
+    with pytest.raises(br.EstimatorFailure) as failure:
+        br.gamma_exponential_check(jump_desk, br.AffinePayoff(0.0, 1.0), 1.0, 1.0)
+    assert type(failure.value) is br.EstimatorFailure
+    assert str(failure.value) == "non-positive entropic normalizer at node 46 on 1 paths"
+    assert failure.value.paths.tolist() == [191962]
+
+
 def brute_force_coherent(level, xi, lo=1e-4, hi=50.0):
     p_sorted = np.sort(xi)
 

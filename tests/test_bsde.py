@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -210,7 +209,7 @@ def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
 
 
 def test_sweep_memory_is_design_workspace_and_one_state_block(desk_grid, jump_model,
-                                                             monkeypatch):
+                                                             monkeypatch, traced_peak):
     # beyond the bundle a one-column sweep holds its (p, M) design, its
     # workspace (the value rows and their fit, the 1 + K control targets and
     # their fit, the compensated jumps, the node-1 copy of a node-0 read)
@@ -220,23 +219,16 @@ def test_sweep_memory_is_design_workspace_and_one_state_block(desk_grid, jump_mo
     monkeypatch.setattr(market, "_worker_count", lambda n: min(2, n))
     m, n, k = 20_000, desk_grid.step_count, jump_model.mark_count
     driver = br.make_entropic_driver(2.0, tuple(jump_model.jump_intensities))
-    tracemalloc.start()
-    try:
-        bundle = br.simulate_paths(desk_grid, jump_model, m, 3)
-        simulated = tracemalloc.get_traced_memory()[1]
-        xi = -bundle.terminal
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        br.solve_bsde(bundle, driver, xi, nodes=[0])
-        swept = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, simulated = traced_peak(br.simulate_paths, desk_grid, jump_model, m, 3)
+    xi = -bundle.terminal
+    _, swept = traced_peak(br.solve_bsde, bundle, driver, xi, nodes=[0])
     row = 8 * m
     design = (1 + br.RegressionConfig().degree) * row
     workspace = (2 + 2 * (1 + k) + k + 1) * row
     states = (bundle.stride + 2) * row
-    assert swept - before <= design + workspace + states + 64 * 1024
-    assert max(simulated, swept) < m * (8 * n + 8 * (n + 1) + 2 * n * k)
+    assert swept <= design + workspace + states + 64 * 1024
+    held = sum(a.nbytes for a in (bundle.dw, bundle.dn, bundle.checkpoints, bundle.terminal, xi))
+    assert max(simulated, held + swept) < m * (8 * n + 8 * (n + 1) + 2 * n * k)
 
 
 def test_zero_noise_reduces_to_backward_euler(solve_stacked):

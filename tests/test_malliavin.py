@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bsderisk as br
+from bsderisk import malliavin
 
 
 def test_affine_fields_are_exact_constants(jump_bundle):
@@ -118,6 +119,129 @@ def test_gamma_exponential_identity_jumps(jump_bundle):
     # affine claim: the jump field is constant, so the linearized control
     # coincides with the exact one and so do the gaps
     assert report.max_gap_linearized == pytest.approx(report.max_gap, rel=1e-6)
+
+
+def _full_field_check(bundle, payoff, gamma, beta, config=br.RegressionConfig()):
+    """The identity's controls and gaps from whole fields: entropic_controls,
+    doleans_dade of each jump control, and the (N+1, M) Gamma ratio."""
+    controls = br.entropic_controls(bundle, payoff, gamma, beta, config)
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    xi = br.terminal_values(bundle, payoff)
+    ratio = np.empty((n + 1, m))
+    ratio[:n] = controls.normalizer.T
+    ratio[n] = np.exp(-gamma * beta * (xi - xi.min()))
+    ratio /= ratio[0].copy()
+
+    def gaps_for(upsilon):
+        with np.errstate(over="ignore"):
+            phi_jump = np.exp(gamma * upsilon) - 1.0
+        rn = br.doleans_dade(bundle, gamma * controls.z, phi_jump)
+        return np.abs(rn.lam.T - ratio).mean(axis=1)
+
+    gaps = gaps_for(controls.upsilon)
+    return controls, gaps, gaps_for(controls.upsilon_linearized) if k else gaps
+
+
+@pytest.mark.parametrize("fixture, payoff, gamma, beta, config", [
+    ("brownian_bundle", br.AffinePayoff(0.0, 1.0), 1.0, 1.0, br.RegressionConfig()),
+    ("jump_bundle", br.ExpAffinePayoff(1.0, 0.5), 1.0, 0.5, br.RegressionConfig()),
+    ("two_mark_bundle", br.ClippedPayoff(br.ExpAffinePayoff(1.0, 1.0), 0.0, 3.0), 1.0, 0.5,
+     br.RegressionConfig(jump_count_features=True)),
+    ("two_mark_bundle", br.AffinePayoff(0.0, 1.0), 2.0, 0.0, br.RegressionConfig()),
+], ids=["brownian", "one_mark", "two_marks", "beta_zero"])
+def test_streamed_gaps_equal_the_full_field_formula(request, fixture, payoff, gamma, beta,
+                                                    config):
+    bundle = request.getfixturevalue(fixture)
+    controls, gaps, gaps_lin = _full_field_check(bundle, payoff, gamma, beta, config)
+    seen = []
+    report = br.gamma_exponential_check(
+        bundle, payoff, gamma, beta, config,
+        each_node=lambda i, z, ups: seen.append((i, z.copy(), ups.copy())))
+    assert np.array_equal(report.gaps, gaps)
+    assert np.array_equal(report.gaps_linearized, gaps_lin)
+    assert (report.max_gap, report.max_gap_linearized) == (gaps.max(), gaps_lin.max())
+    # each_node sees the controls entropic_controls stacks, node by node
+    assert [i for i, _, _ in seen] == list(range(bundle.grid.step_count))
+    for i, z, ups in seen:
+        assert np.array_equal(z, controls.z[:, i])
+        assert np.array_equal(ups, controls.upsilon[:, i])
+    if beta == 0.0:
+        assert not gaps.any()
+
+
+def _edit_fits(monkeypatch, edits):
+    """Make the entropic walk apply edits[node] to the (M, q) fit of each
+    node it names, in place, before the controls are formed from it."""
+    walk = malliavin.condexp_at_nodes
+
+    def edited(*args):
+        for node, fitted in walk(*args):
+            if node in edits:
+                edits[node](fitted)
+            yield node, fitted
+
+    monkeypatch.setattr(malliavin, "condexp_at_nodes", edited)
+
+
+# the fit columns with one mark: normalizer, Brownian numerator, the exact
+# jump control's shifted numerator and the linearized one's numerator
+def _signed(fitted):
+    fitted[:, 2] *= 1e-30  # e^{gamma Ups} rounds -1 + e^{...} to -1
+
+
+def _non_finite(fitted):
+    fitted[:5, 1] = np.inf  # z = -inf
+
+
+def _overflow(fitted):
+    fitted[:, 2] *= 1e200  # (1 + phi)^2 overflows where the mark fires twice
+
+
+def _negative_normalizer(fitted):
+    fitted[:3, 0] = -1.0
+
+
+def _linearized_signed(fitted):
+    fitted[:, 3] = 1e3 * fitted[:, 0]
+
+
+@pytest.mark.parametrize("edits", [
+    {3: _signed},
+    {2: _non_finite},
+    {4: _overflow},
+    {3: _signed, 7: _non_finite},
+    {2: _non_finite, 40: _negative_normalizer},
+    {5: _linearized_signed},
+    {5: _linearized_signed, 9: _signed},
+], ids=["signed", "non_finite_held_back", "overflow", "non_finite_after_signed",
+        "fit_failure_after_held_back", "linearized_signed", "exact_before_linearized"])
+def test_streamed_check_raises_the_full_field_failure(jump_bundle, monkeypatch, edits):
+    # the walk holds the densities' failures back until its end, so a fit
+    # failure at any node comes first, then the exact density's (a
+    # non-finite integrand before its first step failure), then the
+    # linearized one's: the order of entropic_controls, then doleans_dade
+    _edit_fits(monkeypatch, edits)
+    payoff = br.AffinePayoff(0.0, 1.0)
+    with pytest.raises(Exception) as expected:
+        _full_field_check(jump_bundle, payoff, 0.5, 1.0)
+    with pytest.raises(Exception) as streamed:
+        br.gamma_exponential_check(jump_bundle, payoff, 0.5, 1.0)
+    assert type(streamed.value) is type(expected.value)
+    assert str(streamed.value) == str(expected.value)
+    if hasattr(expected.value, "paths"):
+        assert np.array_equal(streamed.value.paths, expected.value.paths)
+
+
+def test_identity_check_holds_rows_not_fields(jump_bundle, traced_peak):
+    # beyond the walk's c rows of X and their two scratch rows, the check
+    # holds a fixed number of (M,) rows at any N: the target block, the
+    # design and its fit, a node's controls and integrands, and two
+    # densities. Whole (M, N) fields of controls, integrands and densities
+    # would take about 500 rows here.
+    _, peak = traced_peak(br.gamma_exponential_check, jump_bundle,
+                          br.AffinePayoff(0.0, 1.0), 0.5)
+    rows = jump_bundle.stride + 2 + 44
+    assert peak <= rows * 8 * jump_bundle.path_count
 
 
 def test_per_step_fields_are_contiguous(jump_bundle):

@@ -5,7 +5,6 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +211,7 @@ def test_worker_failure_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_simulation_memory_is_the_bundle():
+def test_simulation_memory_is_the_bundle(traced_peak):
     # each step writes its own rows in place: no whole-bundle temporaries,
     # only a few rows per worker thread
     model = br.LevyModel(x0=0.3, mu=0.1, sigma=0.25,
@@ -220,13 +219,7 @@ def test_simulation_memory_is_the_bundle():
     grid = br.build_grid(1.0, 40)
     m = 20_000
     workers = min(os.cpu_count() or 1, grid.step_count)  # at least the thread count
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        bundle = br.simulate_paths(grid, model, m, 11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, peak = traced_peak(br.simulate_paths, grid, model, m, 11)
     assert peak <= bundle_bytes(bundle) + 8 * workers * m * 8
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -645,22 +646,65 @@ def test_verify_solves_claim_once(monkeypatch, checks):
 
 
 def test_verify_entropic_identity_estimates_controls_once(monkeypatch):
+    # the controls are fitted in one walk of the per-node fit, which both the
+    # identity's gaps and the control gaps read
     import bsderisk.malliavin as malliavin
-    import bsderisk.scenario as scenario
 
     calls = []
-    original = malliavin.entropic_controls
+    original = malliavin.condexp_at_nodes
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    # count calls through every binding the task pipeline could use
-    monkeypatch.setattr(malliavin, "entropic_controls", counted)
-    monkeypatch.setattr(scenario, "entropic_controls", counted, raising=False)
+    monkeypatch.setattr(malliavin, "condexp_at_nodes", counted)
     raw = base_config(task="verify")
     raw["driver"] = {"family": "entropic", "gamma": 1.0}
     raw["verify"] = {"checks": ["entropic_identity"], "beta": 0.5}
     report = run_scenario(build_scenario(raw))
     assert "controls_z_l2_gap" in quantities(report.rows)
     assert len(calls) == 1
+
+
+def test_verify_entropic_identity_raises_the_checks_failure_before_the_solves(monkeypatch):
+    # the solve runs before the check's walk, but a failure of the check
+    # itself still comes before a failure of the solve
+    import bsderisk.malliavin as malliavin
+    import bsderisk.scenario as scenario
+
+    def failing_solve(*args, **kwargs):
+        raise br.SolverFailure("solve failed")
+
+    monkeypatch.setattr(scenario, "solve_bsde", failing_solve)
+    raw = base_config(task="verify")
+    raw["driver"] = {"family": "entropic", "gamma": 1.0}
+    raw["verify"] = {"checks": ["entropic_identity"], "beta": 0.5}
+    cfg = build_scenario(raw)
+    with pytest.raises(br.SolverFailure, match="solve failed"):
+        run_scenario(cfg)
+    walk = malliavin.condexp_at_nodes
+
+    def failing_fit(*args):
+        for node, fitted in walk(*args):
+            fitted[:2, 0] = -1.0
+            yield node, fitted
+
+    monkeypatch.setattr(malliavin, "condexp_at_nodes", failing_fit)
+    with pytest.raises(br.EstimatorFailure, match="normalizer at node 0 on 2 paths"):
+        run_scenario(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes=st.integers(1, 12), paths=st.integers(1, 400), marks=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), path_major=st.booleans())
+def test_pairwise_sum_of_rows_is_numpys_mean(nodes, paths, marks, seed, path_major):
+    # fed one (M, K) row at a time, in either memory order, the sum gives
+    # np.mean of the whole (M, N, K) view of time-major storage bit for bit
+    from bsderisk.scenario import _PairwiseSum
+
+    rng = np.random.default_rng(seed)
+    field = rng.standard_normal((nodes, paths, marks)) ** 2
+    total = _PairwiseSum(field.size, paths * marks)
+    for row in field:
+        total.add(np.asfortranarray(row) if path_major else row)
+    assert total.total() / field.size == np.mean(field.transpose(1, 0, 2))
