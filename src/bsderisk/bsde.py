@@ -21,7 +21,7 @@ caller reads, as copies of the sweep's in-place workspace (node 0 excepted);
 ``BsdeColumns.estimate`` is the one place a value read off it gets its
 standard error. ``residual_replay`` checks a one-column solve read at every node.
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
-sweep and ``measure.doleans_dade`` share it and its guards.
+sweep and ``measure._ForwardDensity`` share it and its guards.
 
 Every fit, in the sweep or standalone (``condexp_at_nodes`` and its
 one-node case ``condexp_at_node``), reads X at its node through

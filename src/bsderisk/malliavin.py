@@ -17,8 +17,9 @@ Each route reads its N nodes in one forward walk of conditional
 expectations (``bsde.condexp_at_nodes``). ``clark_ocone`` and
 ``entropic_controls`` store what they fit as time-major (N, M) fields;
 ``gamma_exponential_check`` consumes the entropic controls row by row as
-the walk yields them and steps its densities alongside, so it holds (M,)
-rows, not fields, and reports only per-node gaps.
+the walk yields them and steps its densities alongside with
+``measure._ForwardDensity``, the stepper of ``measure.doleans_dade``, so it
+holds (M,) rows, not fields, and reports only per-node gaps.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (RegressionConfig, _doleans_step, _exponential, _signed_density,
-                   condexp_at_nodes)
+from .bsde import RegressionConfig, condexp_at_nodes
 from .errors import EstimatorFailure, UnsupportedPayoff
 from .market import PathBundle, Payoff, terminal_values
+from .measure import _ForwardDensity
 
 __all__ = [
     "MalliavinField",
@@ -58,18 +59,29 @@ class MalliavinField:
 
 
 def malliavin_derivative(bundle: PathBundle, payoff: Payoff) -> MalliavinField:
-    """Evaluate both derivative fields for a payoff in the closed family."""
+    """Evaluate both derivative fields for a payoff in the closed family.
+
+    A field that is not finite on some path (the payoff, its slope or its
+    jump-shifted value overflowed there) raises UnsupportedPayoff naming
+    those paths."""
     if not isinstance(payoff, Payoff):
         raise UnsupportedPayoff(
             f"malliavin_derivative needs a Payoff from the closed family, got {type(payoff)!r}"
         )
     x_t = bundle.terminal
-    brownian = payoff.slope(x_t) * bundle.model.sigma
     k = bundle.mark_count
     jump = np.empty((bundle.path_count, k))
-    base = payoff.value(x_t)
-    for j in range(k):
-        jump[:, j] = payoff.value(x_t + bundle.model.jumps[j].size) - base
+    # the finiteness guard below turns any overflow into a typed failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        brownian = payoff.slope(x_t) * bundle.model.sigma
+        base = payoff.value(x_t)
+        for j in range(k):
+            jump[:, j] = payoff.value(x_t + bundle.model.jumps[j].size) - base
+    bad = np.flatnonzero(~(np.isfinite(brownian) & np.isfinite(jump).all(axis=1)))
+    if bad.size:
+        raise UnsupportedPayoff(
+            f"payoff derivative fields are non-finite on {bad.size} paths (first: {bad[:5]})"
+        )
     return MalliavinField(brownian=brownian, jump=jump)
 
 
@@ -268,43 +280,6 @@ class GammaExponentialReport:
     max_gap_linearized: float
 
 
-class _StreamedDensity:
-    """One stochastic exponential stepped node by node with ``doleans_dade``'s
-    arithmetic, its gap to the Gamma ratio at each node, and its failure.
-
-    The failure is held back for the caller to raise once the walk is done,
-    and it is ``doleans_dade``'s: ValueError if an integrand row was ever
-    non-finite, else the first step's SignedDensityFailure or overflow. The
-    density stops at its first failure."""
-
-    def __init__(self, m: int, n: int):
-        self.log_l, self.jump_l = np.zeros((m, 1)), np.ones((m, 1))
-        self.work = (np.empty((m, 1)), np.empty((m, 1)))
-        self.lam = np.ones(m)
-        self.gaps = np.empty(n + 1)
-        self.failure: Exception | None = None
-
-    def gap(self, i: int, ratio: np.ndarray) -> None:
-        if self.failure is None:
-            self.gaps[i] = np.abs(self.lam - ratio).mean()
-
-    def step(self, phi_z, phi_jump, dw, dn, dt, lam_dt) -> None:
-        if not (np.all(np.isfinite(phi_z)) and np.all(np.isfinite(phi_jump))):
-            # doleans_dade checks every integrand before its first step
-            self.failure = ValueError("integrands must be finite")
-        if self.failure is not None:
-            return
-        bad = _doleans_step(self.log_l, self.jump_l, phi_z[:, None], phi_jump[:, None, :],
-                            dw, dn, dt, lam_dt, self.work)
-        if bad.size:
-            self.failure = _signed_density(bad)
-            return
-        try:
-            self.lam = _exponential(self.log_l, self.jump_l)[:, 0]
-        except EstimatorFailure as failure:
-            self.failure = failure
-
-
 def gamma_exponential_check(
     bundle: PathBundle,
     payoff: Payoff,
@@ -323,8 +298,9 @@ def gamma_exponential_check(
     gap is pure estimation error.
 
     The check walks the nodes forward once, as ``entropic_controls`` fits
-    them, and steps both densities as it goes, so it holds a few (M,) rows
-    rather than (M, N) fields; its gaps are those of ``entropic_controls``,
+    them, and steps both densities as it goes with ``doleans_dade``'s
+    stepper, ``measure._ForwardDensity``, so it holds a few (M,) rows rather
+    than (M, N) fields; its gaps are those of ``entropic_controls``,
     ``doleans_dade`` and the Gamma ratio, bit for bit. ``each_node(i, z,
     upsilon)``, when given, sees the step-i control rows before they are
     dropped. Failures are theirs in their order: a failing fit raises at
@@ -332,10 +308,16 @@ def gamma_exponential_check(
     density's before the linearized one's) are raised once the walk is done.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
-    dt = bundle.grid.dt
-    lam_dt = bundle.model.jump_intensities * dt
-    # the exact density, then the linearized one when there are marks
-    densities = [_StreamedDensity(m, n) for _ in range(2 if k else 1)]
+    # the exact density, then the linearized one when there are marks, each
+    # with its row L(t_i) and its failure, held back until the walk is done.
+    # The failure is doleans_dade's, which checks every integrand before its
+    # first step: ValueError if an integrand row was ever non-finite, else
+    # the first step's failure, after which the density stops
+    count = 2 if k else 1
+    densities = [_ForwardDensity(bundle) for _ in range(count)]
+    lam = [np.ones(m)] * count
+    gaps = np.empty((count, n + 1))
+    failures: list[Exception | None] = [None] * count
     gamma0 = None
     for i, normalizer, z, ups, ups_lin in _entropic_rows(bundle, payoff, gamma, beta, config):
         if each_node is not None:
@@ -345,27 +327,28 @@ def gamma_exponential_check(
         # Gamma-hat(t_i) / Gamma-hat(0)
         ratio = normalizer / gamma0
         phi_z = gamma * z
-        for density, upsilon in zip(densities, (ups, ups_lin)):
-            density.gap(i, ratio)
-            # an overflow here is the non-finite integrand step() fails on
+        for d, upsilon in enumerate((ups, ups_lin)[:count]):
+            gaps[d, i] = np.abs(lam[d] - ratio).mean()
+            # an overflow here is a non-finite integrand
             with np.errstate(over="ignore"):
                 phi_jump = np.exp(gamma * upsilon) - 1.0
-            density.step(phi_z, phi_jump, bundle.dw[:, i], bundle.dn[:, i], dt, lam_dt)
+            if not (np.all(np.isfinite(phi_z)) and np.all(np.isfinite(phi_jump))):
+                failures[d] = ValueError("integrands must be finite")
+            elif failures[d] is None:
+                try:
+                    lam[d] = densities[d].step(i, phi_z, phi_jump)
+                except EstimatorFailure as failure:
+                    failures[d] = failure
+    for failure in failures:
+        if failure is not None:
+            raise failure
 
     # Gamma(T) is the shifted exponential itself
     xi = terminal_values(bundle, payoff)
     ratio = np.exp(-gamma * beta * (xi - xi.min()))
     ratio /= gamma0
-    for density in densities:
-        density.gap(n, ratio)
-    for density in densities:
-        if density.failure is not None:
-            raise density.failure
-    gaps = densities[0].gaps
-    gaps_lin = densities[-1].gaps if k else gaps.copy()
-    return GammaExponentialReport(
-        gaps=gaps,
-        gaps_linearized=gaps_lin,
-        max_gap=float(gaps.max()),
-        max_gap_linearized=float(gaps_lin.max()),
-    )
+    for d in range(count):
+        gaps[d, n] = np.abs(lam[d] - ratio).mean()
+    return GammaExponentialReport(gaps=gaps[0], gaps_linearized=gaps[-1].copy(),
+                                  max_gap=float(gaps[0].max()),
+                                  max_gap_linearized=float(gaps[-1].max()))

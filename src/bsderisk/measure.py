@@ -8,7 +8,10 @@ density process is the exact per-step Doleans-Dade factorization
 
 whose one-step conditional expectation is exactly 1, so L is a discrete-time
 martingale by construction and E[L(T)] = 1 up to sampling noise only; the
-step is bsde._doleans_step, shared with the backward sweep. Expectations
+step is bsde._doleans_step, shared with the backward sweep. Forward in time
+it is taken in one place, ``_ForwardDensity``: ``doleans_dade`` steps it
+through whole integrand fields, and ``malliavin.gamma_exponential_check``
+through the rows of a walk of nodes, holding one (M,) density row. Expectations
 under the new measure are estimated with self-normalized importance
 weights: divide by the sample (or conditional) mean of L(T) rather than
 trusting raw weights.
@@ -76,6 +79,32 @@ def _time_major(values, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
 
 
+class _ForwardDensity:
+    """One stochastic exponential of int phi_z dW + sum_k int phi_k dN~_k on
+    ``bundle``, stepped forward from L(0) = 1 one node at a time.
+
+    ``step(i, phi_z, phi_jump)`` takes the step-i integrand rows (M,) and
+    (M, K), which must be finite, and returns L at node i+1 as an (M,) row. A
+    factor 1 + phi_k <= 0 at a realized jump raises SignedDensityFailure
+    naming that step's paths, and an overflow EstimatorFailure; the density
+    is then left as it was before the step."""
+
+    def __init__(self, bundle: PathBundle):
+        m = bundle.path_count
+        self.bundle = bundle
+        self.lam_dt = bundle.model.jump_intensities * bundle.grid.dt
+        self.log_l, self.jump_l = np.zeros((m, 1)), np.ones((m, 1))
+        self.work = (np.empty((m, 1)), np.empty((m, 1)))
+
+    def step(self, i: int, phi_z: np.ndarray, phi_jump: np.ndarray) -> np.ndarray:
+        b = self.bundle
+        bad = _doleans_step(self.log_l, self.jump_l, phi_z[:, None], phi_jump[:, None, :],
+                            b.dw[:, i], b.dn[:, i], b.grid.dt, self.lam_dt, self.work)
+        if bad.size:
+            raise _signed_density(bad)
+        return _exponential(self.log_l, self.jump_l)[:, 0]
+
+
 def doleans_dade(
     bundle: PathBundle, phi_z: np.ndarray, phi_jump: np.ndarray | None = None
 ) -> RNProcess:
@@ -84,29 +113,23 @@ def doleans_dade(
     Integrands must be adapted: the value at step i is the one in force on
     [t_i, t_{i+1}). Full (M, N) and (M, N, K) integrands are read from
     time-major storage (see RNProcess): a path-major array costs one
-    transposing copy, a transposed view of time-major rows none. A factor
-    1 + phi_k <= 0 at a realized jump makes the density signed and raises
-    SignedDensityFailure (naming the paths of the first such step); an
-    overflow raises EstimatorFailure.
+    transposing copy, a transposed view of time-major rows none. Non-finite
+    integrands anywhere raise ValueError before the first step; the steps
+    are ``_ForwardDensity``'s, so a factor 1 + phi_k <= 0 at a realized jump
+    makes the density signed and raises SignedDensityFailure (naming the
+    paths of the first such step), and an overflow raises EstimatorFailure.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
-    dt = bundle.grid.dt
     pz = _time_major(phi_z, (m, n))
     pj = _time_major(0.0 if phi_jump is None else phi_jump, (m, n, k))
     if not (np.all(np.isfinite(pz)) and np.all(np.isfinite(pj))):
         raise ValueError("integrands must be finite")
 
-    lam_dt = bundle.model.jump_intensities * dt
     lam = np.empty((n + 1, m))
     lam[0] = 1.0
-    log_l, jump_l = np.zeros((m, 1)), np.ones((m, 1))
-    work = (np.empty((m, 1)), np.empty((m, 1)))
+    density = _ForwardDensity(bundle)
     for i in range(n):
-        bad = _doleans_step(log_l, jump_l, pz[:, i, None], pj[:, i, None, :], bundle.dw[:, i],
-                            bundle.dn[:, i], dt, lam_dt, work)
-        if bad.size:
-            raise _signed_density(bad)
-        lam[i + 1] = _exponential(log_l, jump_l)[:, 0]
+        lam[i + 1] = density.step(i, pz[:, i], pj[:, i])
     return RNProcess(bundle=bundle, lam=lam.T, phi_z=pz, phi_jump=pj)
 
 

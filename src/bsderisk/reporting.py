@@ -164,7 +164,7 @@ def read_report(path) -> RunReport:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read report {p}: {exc}") from exc
     rows: list[Row] = []
     if p.suffix == ".csv":

@@ -139,7 +139,7 @@ def load_config(path) -> dict:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -611,55 +611,6 @@ def _verify_doleans(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     ]
 
 
-class _PairwiseSum:
-    """np.add.reduce of a contiguous float64 array of ``size`` values, bit for
-    bit, fed as consecutive pieces of ``piece`` values each through ``add``.
-
-    numpy sums a contiguous array pairwise: a block of at most 128 values in
-    eight interleaved partial sums, a longer one as the sum of its halves,
-    split at a multiple of 8. A block inside one piece is summed when the
-    piece arrives; the few blocks that straddle pieces gather their values
-    first. So the mean of a node-major field needs one of its rows at a time.
-    """
-
-    def __init__(self, size: int, piece: int):
-        self.piece = piece
-        self.tasks = [[] for _ in range(-(-size // piece))]
-        self.sums = {}
-        self.pieces = 0
-        self.tree = self._plan(0, size)
-
-    def _plan(self, start: int, n: int):
-        first, last = start // self.piece, (start + n - 1) // self.piece
-        if first == last or n <= 128:
-            gather = None if first == last else np.empty(n)
-            for p in range(first, last + 1):
-                self.tasks[p].append((start, n, gather))
-            return start
-        half = n // 2
-        half -= half % 8
-        return self._plan(start, half), self._plan(start + half, n - half)
-
-    def add(self, values: np.ndarray) -> None:
-        values = np.ravel(values)
-        offset = self.pieces * self.piece
-        for start, n, gather in self.tasks[self.pieces]:
-            lo, hi = max(start, offset), min(start + n, offset + self.piece)
-            if gather is None:
-                self.sums[start] = np.add.reduce(values[lo - offset:hi - offset])
-                continue
-            gather[lo - start:hi - start] = values[lo - offset:hi - offset]
-            if hi == start + n:
-                self.sums[start] = np.add.reduce(gather)
-        self.tasks[self.pieces] = None
-        self.pieces += 1
-
-    def total(self) -> float:
-        def value(node):
-            return self.sums[node] if isinstance(node, int) else value(node[0]) + value(node[1])
-        return float(value(self.tree))
-
-
 def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     gamma = cfg.driver.alpha
@@ -680,18 +631,17 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
         gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
         raise
     columns.y.clear()  # only the controls are compared
-    # the L2 gaps are np.mean over the time-major (N, M) and (N, M, K)
-    # fields, bit for bit
-    z_sq = _PairwiseSum(m * n, m)
-    ups_sq = _PairwiseSum(m * n * k, m * k) if k else None
+    # the sums of squared control gaps, added node by node
+    z_sq = ups_sq = 0.0
 
     def compare(i, z, upsilon):
-        z_sq.add((columns.z.pop(i)[:, 0] - z) ** 2)
+        nonlocal z_sq, ups_sq
+        z_sq += float(np.square(columns.z.pop(i)[:, 0] - z).sum())
         if k:
-            ups_sq.add((columns.upsilon.pop(i)[:, 0] - upsilon) ** 2)
+            ups_sq += float(np.square(columns.upsilon.pop(i)[:, 0] - upsilon).sum())
 
     report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg, each_node=compare)
-    z_gap = math.sqrt(z_sq.total() / (m * n))
+    z_gap = math.sqrt(z_sq / (m * n))
     rows = [
         Row(sid, "gamma_exponential_gap", report.max_gap,
             check=f"gamma_exponential_within_{gap_tol:g}", passed=report.max_gap <= gap_tol),
@@ -700,7 +650,7 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
     ]
     if k:
         rows.append(Row(sid, "gamma_exponential_gap_linearized", report.max_gap_linearized))
-        u_gap = math.sqrt(ups_sq.total() / (m * n * k))
+        u_gap = math.sqrt(ups_sq / (m * n * k))
         rows.append(Row(sid, "controls_upsilon_l2_gap", u_gap,
                         check=f"controls_upsilon_within_{ctl_tol:g}",
                         passed=u_gap <= ctl_tol))

@@ -205,6 +205,19 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config-parse-error:")
 
 
+@pytest.mark.parametrize("argv, kind, name, data", [
+    (["risk", "--config"], "config", "bad.json", b"\xff\xfe{}"),
+    (["report", "--in"], "report", "bad.csv",
+     b"scenario_id,quantity,value,std_error,check,pass\n\xff,rho0,1,,,\n"),
+], ids=["config", "report"])
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys, argv, kind, name, data):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    assert run_cli(*argv, bad, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config-parse-error: cannot read {kind} {bad}: "), err
+
+
 def test_validation_error_exits_three(config_path, tmp_path, capsys):
     code = run_cli("risk", "--config", config_path, "--out", tmp_path,
                    "--set", "model.sigma=-1")
@@ -309,6 +322,22 @@ def test_unsupported_payoff_exits_three(config_path, tmp_path, capsys):
                    'payoff={"family": "exp_affine", "a": 1.0, "b": 1000.0}')
     assert code == 3
     assert capsys.readouterr().err.startswith("unsupported-payoff:")
+
+
+@pytest.mark.parametrize("check", ["clark_ocone", "entropic_identity"])
+def test_overflowing_jump_field_exits_three(config_path, tmp_path, capsys, check):
+    # exp(700 x) is finite at X(T) near 0.9 but overflows after the jump of 0.3
+    code = run_cli(
+        "verify", "--config", config_path, "--out", tmp_path, "--set", "task=verify",
+        "--set", 'model={"x0": 0.9, "mu": 0.0, "sigma": 0.01, '
+                 '"jumps": [{"size": 0.3, "intensity": 1e-6}]}',
+        "--set", "mc.seed=7",
+        "--set", 'payoff={"family": "exp_affine", "a": 1.0, "b": 700.0}',
+        "--set", f'verify={{"checks": ["{check}"]}}',
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported-payoff: payoff derivative fields are non-finite"), err
 
 
 def test_task_mismatch_exits_three(config_path, tmp_path, capsys):

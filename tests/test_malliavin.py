@@ -1,5 +1,7 @@
 """Derivative fields, predictable representation, entropic control formulas."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ def test_jump_field_is_nonlinear_difference(jump_bundle):
 def test_derivative_rejects_foreign_callables(jump_bundle):
     with pytest.raises(br.UnsupportedPayoff):
         br.malliavin_derivative(jump_bundle, lambda x: x**2)
+
+
+def test_overflowing_jump_field_is_an_unsupported_payoff():
+    # exp(591.5 x) overflows after the jump of 0.3 on the paths ending above
+    # 709.78 / 591.5 - 0.3, about half of them: every reader of the fields
+    # names those paths rather than regress on infinities
+    model = br.LevyModel(x0=0.9, mu=0.0, sigma=0.01, jumps=(br.JumpMark(0.3, 1e-6),))
+    bundle = br.simulate_paths(br.build_grid(1.0, 10), model, 2000, 7)
+    payoff = br.ExpAffinePayoff(1.0, 591.5)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(np.isinf(payoff.value(bundle.terminal + 0.3)))
+    assert 0 < bad.size < bundle.path_count
+    message = re.escape(f"non-finite on {bad.size} paths (first: {bad[:5]})")
+    for read in (br.malliavin_derivative, br.clark_ocone,
+                 lambda b, f: br.entropic_controls(b, f, 1.0),
+                 lambda b, f: br.gamma_exponential_check(b, f, 1.0)):
+        with pytest.raises(br.UnsupportedPayoff, match=message):
+            read(bundle, payoff)
 
 
 def test_projection_at_terminal_node_is_identity(jump_bundle):

@@ -694,17 +694,28 @@ def test_verify_entropic_identity_raises_the_checks_failure_before_the_solves(mo
         run_scenario(cfg)
 
 
-@settings(max_examples=40, deadline=None)
-@given(nodes=st.integers(1, 12), paths=st.integers(1, 400), marks=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1), path_major=st.booleans())
-def test_pairwise_sum_of_rows_is_numpys_mean(nodes, paths, marks, seed, path_major):
-    # fed one (M, K) row at a time, in either memory order, the sum gives
-    # np.mean of the whole (M, N, K) view of time-major storage bit for bit
-    from bsderisk.scenario import _PairwiseSum
-
-    rng = np.random.default_rng(seed)
-    field = rng.standard_normal((nodes, paths, marks)) ** 2
-    total = _PairwiseSum(field.size, paths * marks)
-    for row in field:
-        total.add(np.asfortranarray(row) if path_major else row)
-    assert total.total() / field.size == np.mean(field.transpose(1, 0, 2))
+@pytest.mark.parametrize("jumps", [[], [{"size": -0.2, "intensity": 1.5}]],
+                         ids=["brownian", "one_mark"])
+def test_verify_control_gaps_are_the_whole_field_rms(jumps):
+    # summed node by node, the control gaps are the root mean square of the
+    # difference of the solver's whole control fields and entropic_controls'
+    raw = base_config(task="verify")
+    raw["model"]["jumps"] = jumps
+    raw["driver"] = {"family": "entropic", "gamma": 1.0}
+    raw["verify"] = {"checks": ["entropic_identity"], "beta": 0.5}
+    cfg = build_scenario(raw)
+    rows = {r.quantity: r.value for r in run_scenario(cfg).rows}
+    bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
+    n, reg = bundle.grid.step_count, cfg.method.regression
+    xi = br.terminal_values(bundle, cfg.payoff)
+    cols = br.solve_bsde(bundle, cfg.driver, -0.5 * xi, reg, nodes=range(n), controls=True)
+    closed = br.entropic_controls(bundle, cfg.payoff, 1.0, 0.5, reg)
+    z = np.stack([cols.z[i][:, 0] for i in range(n)], axis=1)
+    assert rows["controls_z_l2_gap"] == pytest.approx(
+        np.sqrt(np.mean((z - closed.z) ** 2)), rel=1e-12, abs=0.0)
+    if not jumps:
+        assert "controls_upsilon_l2_gap" not in rows
+        return
+    ups = np.stack([cols.upsilon[i][:, 0] for i in range(n)], axis=1)
+    assert rows["controls_upsilon_l2_gap"] == pytest.approx(
+        np.sqrt(np.mean((ups - closed.upsilon) ** 2)), rel=1e-12, abs=0.0)

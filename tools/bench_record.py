@@ -21,8 +21,9 @@ and of its stdout, and ``same_payload`` says per task whether both are
 byte-identical on the two sides; one more CLI process per side and workload
 at the workload's own path count records the same for the three perfbench
 workloads. Last it times the Tier-1 suite and criterion 05 alone, one pytest
-process per side. Each of these processes records its wall time, user and
-system CPU time and peak RSS.
+process per side, and keeps the ``FAILED ...`` lines of each log (pytest
+``-rf``) as ``failed_tests``. Each of these processes records its wall time,
+user and system CPU time and peak RSS.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: the machine
 (``nproc``, CPU, BLAS, numpy and Python versions), the line count of
@@ -318,9 +319,13 @@ def record(label: str, base: str, scratch: Path) -> None:
               "c05": ["tests/test_acceptance.py::test_c05_sublinear_homogeneity"]}
     for name, extra in suites.items():
         for side in ("base", "change"):
-            cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra]
-            tests[f"{name}.{side}"] = timed(cmd, sides[side], scratch / f"{name}-{side}.log")
-            print(f"{name} {side}: {tests[f'{name}.{side}']}", flush=True)
+            log = scratch / f"{name}-{side}.log"
+            cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *extra]
+            run = tests[f"{name}.{side}"] = timed(cmd, sides[side], log)
+            # the log goes with the temporary directory: keep what names a failure
+            run["failed_tests"] = [line for line in log.read_text(errors="replace").splitlines()
+                                   if line.startswith("FAILED ")]
+            print(f"{name} {side}: {run}", flush=True)
     rec["tests"] = tests
     save()
 
