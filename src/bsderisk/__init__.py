@@ -42,11 +42,9 @@ from .bsde import (
     solve_bsde,
 )
 from .measure import (
-    RNProcess,
+    DoleansReport,
+    doleans_check,
     doleans_dade,
-    girsanov_shift_check,
-    kazamaki_check,
-    martingale_diagnostic,
     weighted_condexp,
 )
 from .risk import (
@@ -101,11 +99,9 @@ __all__ = [
     "condexp_at_node",
     "residual_replay",
     "solve_bsde",
-    "RNProcess",
+    "DoleansReport",
+    "doleans_check",
     "doleans_dade",
-    "girsanov_shift_check",
-    "kazamaki_check",
-    "martingale_diagnostic",
     "weighted_condexp",
     "axiom_suite",
     "dynamic_risk",

@@ -348,27 +348,29 @@ def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt, work) -> n
     Returns the rows (paths) where a per-jump factor 1 + phi_k is
     non-positive at a realized jump, in order; jump_l is then left as it
     was. An empty array when there are none."""
-    step, drift = work
-    np.multiply(phi_z, dw[:, None], out=step)
-    # phi_z^2 dt / 2, multiplied in the order of 0.5 * phi_z * phi_z * dt
-    np.multiply(phi_z, 0.5, out=drift)
-    drift *= phi_z
-    drift *= dt
-    step -= drift
-    if lam_dt.size:
-        # the compensator sum_k phi_k lambda_k dt, added in mark order as
-        # ndarray.sum over the mark axis does
-        np.multiply(phi_jump[..., 0], lam_dt[0], out=drift)
-        for k in range(1, lam_dt.size):
-            drift += phi_jump[..., k] * lam_dt[k]
+    # an overflow is left to _exponential's guard: a log-drift beyond the
+    # float range gives log_l -inf, a zero density, or NaN, a typed failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, drift = work
+        np.multiply(phi_z, dw[:, None], out=step)
+        # phi_z^2 dt / 2, multiplied in the order of 0.5 * phi_z * phi_z * dt
+        np.multiply(phi_z, 0.5, out=drift)
+        drift *= phi_z
+        drift *= dt
         step -= drift
-    log_l += step
-    # the per-jump factors 1 + phi_k enter only on paths where a mark fired
-    jumped = np.flatnonzero(dn.any(axis=1))
-    factors, jumps = 1.0 + phi_jump[jumped], dn[jumped, None, :]
-    bad = jumped[((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))]
-    if not bad.size:
-        with np.errstate(over="ignore", invalid="ignore"):
+        if lam_dt.size:
+            # the compensator sum_k phi_k lambda_k dt, added in mark order as
+            # ndarray.sum over the mark axis does
+            np.multiply(phi_jump[..., 0], lam_dt[0], out=drift)
+            for k in range(1, lam_dt.size):
+                drift += phi_jump[..., k] * lam_dt[k]
+            step -= drift
+        log_l += step
+        # the per-jump factors 1 + phi_k enter only on paths where a mark fired
+        jumped = np.flatnonzero(dn.any(axis=1))
+        factors, jumps = 1.0 + phi_jump[jumped], dn[jumped, None, :]
+        bad = jumped[((factors <= 0.0) & (jumps > 0)).any(axis=(1, 2))]
+        if not bad.size:
             jump_l[jumped] *= (factors ** jumps).prod(axis=2)
     return bad
 

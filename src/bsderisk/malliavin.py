@@ -18,7 +18,7 @@ expectations (``bsde.condexp_at_nodes``). ``clark_ocone`` and
 ``entropic_controls`` store what they fit as time-major (N, M) fields;
 ``gamma_exponential_check`` consumes the entropic controls row by row as
 the walk yields them and steps its densities alongside with
-``measure._ForwardDensity``, the stepper of ``measure.doleans_dade``, so it
+``measure._ForwardDensity``, the one forward Doleans-Dade stepper, so it
 holds (M,) rows, not fields, and reports only per-node gaps.
 """
 
@@ -298,14 +298,15 @@ def gamma_exponential_check(
     gap is pure estimation error.
 
     The check walks the nodes forward once, as ``entropic_controls`` fits
-    them, and steps both densities as it goes with ``doleans_dade``'s
-    stepper, ``measure._ForwardDensity``, so it holds a few (M,) rows rather
-    than (M, N) fields; its gaps are those of ``entropic_controls``,
-    ``doleans_dade`` and the Gamma ratio, bit for bit. ``each_node(i, z,
-    upsilon)``, when given, sees the step-i control rows before they are
-    dropped. Failures are theirs in their order: a failing fit raises at
-    its node; the densities' failures (``doleans_dade``'s, the exact
-    density's before the linearized one's) are raised once the walk is done.
+    them, and steps both densities as it goes with
+    ``measure._ForwardDensity``, so it holds a few (M,) rows rather than
+    (M, N) fields; its gaps are those of ``entropic_controls``, the
+    reference stepper ``measure.doleans_dade`` on its whole fields and the
+    Gamma ratio, bit for bit. ``each_node(i, z, upsilon)``, when given, sees
+    the step-i control rows before they are dropped. Failures are theirs in
+    their order: a failing fit raises at its node; the densities' failures
+    (``doleans_dade``'s, the exact density's before the linearized one's)
+    are raised once the walk is done.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     # the exact density, then the linearized one when there are marks, each

@@ -9,16 +9,19 @@ density process is the exact per-step Doleans-Dade factorization
 whose one-step conditional expectation is exactly 1, so L is a discrete-time
 martingale by construction and E[L(T)] = 1 up to sampling noise only; the
 step is bsde._doleans_step, shared with the backward sweep. Forward in time
-it is taken in one place, ``_ForwardDensity``: ``doleans_dade`` steps it
-through whole integrand fields, and ``malliavin.gamma_exponential_check``
-through the rows of a walk of nodes, holding one (M,) density row. Expectations
-under the new measure are estimated with self-normalized importance
-weights: divide by the sample (or conditional) mean of L(T) rather than
-trusting raw weights.
+it is taken in one place, ``_ForwardDensity``, which holds one (M,) density
+row: ``doleans_check`` steps it with constant integrands and checks the
+density against its closed form, its martingale property and the Girsanov
+shift it makes; ``malliavin.gamma_exponential_check`` steps it through the
+rows of a walk of nodes; ``doleans_dade`` loops it into a whole (N+1, M)
+path, a reference for tests. Expectations under the new measure are
+estimated with self-normalized importance weights: divide by the sample (or
+conditional) mean of L(T) rather than trusting raw weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,54 +32,13 @@ from .errors import EstimatorFailure
 from .market import PathBundle
 
 __all__ = [
-    "RNProcess",
-    "KazamakiReport",
-    "MartingaleReport",
-    "GirsanovReport",
+    "DoleansReport",
+    "doleans_check",
     "doleans_dade",
-    "kazamaki_check",
-    "martingale_diagnostic",
     "weighted_condexp",
     "weighted_mean_se",
     "weighted_estimate",
-    "girsanov_shift_check",
 ]
-
-
-@dataclass(frozen=True)
-class RNProcess:
-    """Candidate Radon-Nikodym density path with its integrands.
-
-    lam      (M, N+1) density path, lam[:, 0] == 1
-    phi_z    (M, N)   Brownian integrand on [t_i, t_{i+1})
-    phi_jump (M, N, K) per-mark jump integrands
-
-    Each field is time-major: lam, and any integrand given as a full array,
-    is the transposed view of (N+1, M), (N, M) or (N, M, K) storage, like the
-    bundle's, so the step-i slice lam[:, i], phi_z[:, i] or phi_jump[:, i] is
-    contiguous; an integrand given as a scalar or another broadcastable shape
-    is a broadcast view.
-    """
-
-    bundle: PathBundle
-    lam: np.ndarray
-    phi_z: np.ndarray
-    phi_jump: np.ndarray
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.lam[:, -1]
-
-
-def _time_major(values, shape: tuple[int, ...]) -> np.ndarray:
-    """``values`` as a float array of ``shape`` (M, N, ...) whose step-i slice
-    [:, i] is contiguous: a full array is the transposed view of (N, M, ...)
-    storage, copied once if it is stored otherwise; anything that broadcasts
-    to ``shape`` stays a broadcast view."""
-    a = np.asarray(values, dtype=float)
-    if a.shape != shape:
-        return np.broadcast_to(a, shape)
-    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 class _ForwardDensity:
@@ -105,79 +67,121 @@ class _ForwardDensity:
         return _exponential(self.log_l, self.jump_l)[:, 0]
 
 
-def doleans_dade(
-    bundle: PathBundle, phi_z: np.ndarray, phi_jump: np.ndarray | None = None
-) -> RNProcess:
-    """Build the stochastic exponential of int phi_z dW + sum_k int phi_k dN~_k.
+def doleans_dade(bundle: PathBundle, phi_z, phi_jump=None) -> np.ndarray:
+    """The stochastic exponential of int phi_z dW + sum_k int phi_k dN~_k as
+    an (N+1, M) path, row i holding L at node i: ``_ForwardDensity`` looped
+    over every step, a reference for tests.
 
-    Integrands must be adapted: the value at step i is the one in force on
-    [t_i, t_{i+1}). Full (M, N) and (M, N, K) integrands are read from
-    time-major storage (see RNProcess): a path-major array costs one
-    transposing copy, a transposed view of time-major rows none. Non-finite
-    integrands anywhere raise ValueError before the first step; the steps
-    are ``_ForwardDensity``'s, so a factor 1 + phi_k <= 0 at a realized jump
-    makes the density signed and raises SignedDensityFailure (naming the
-    paths of the first such step), and an overflow raises EstimatorFailure.
+    Integrands broadcast to (M, N) and (M, N, K) and must be adapted: the
+    value at step i is the one in force on [t_i, t_{i+1}). Non-finite
+    integrands anywhere raise ValueError before the first step; a factor
+    1 + phi_k <= 0 at a realized jump raises SignedDensityFailure (naming the
+    paths of the first such step), and an overflow EstimatorFailure.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
-    pz = _time_major(phi_z, (m, n))
-    pj = _time_major(0.0 if phi_jump is None else phi_jump, (m, n, k))
+    pz = np.broadcast_to(np.asarray(phi_z, dtype=float), (m, n))
+    pj = np.broadcast_to(np.asarray(0.0 if phi_jump is None else phi_jump, dtype=float),
+                         (m, n, k))
     if not (np.all(np.isfinite(pz)) and np.all(np.isfinite(pj))):
         raise ValueError("integrands must be finite")
-
-    lam = np.empty((n + 1, m))
-    lam[0] = 1.0
+    lam = np.ones((n + 1, m))
     density = _ForwardDensity(bundle)
     for i in range(n):
         lam[i + 1] = density.step(i, pz[:, i], pj[:, i])
-    return RNProcess(bundle=bundle, lam=lam.T, phi_z=pz, phi_jump=pj)
+    return lam
 
 
 @dataclass(frozen=True)
-class KazamakiReport:
-    """Uniform lower-bound check on jump integrands: phi_k >= -1 + delta."""
+class DoleansReport:
+    """What ``doleans_check`` measures of the density L of constant integrands.
 
-    delta: float
-    worst_margin: float
-    passed: bool
-
-
-def kazamaki_check(rn: RNProcess, delta: float = 1e-6) -> KazamakiReport:
-    """Check the jump integrands stay uniformly above -1 + delta.
-
-    The bound is what certifies the stochastic exponential as a true
-    martingale for this jump structure; vacuously true with no marks.
+    closed_form_gap     max over paths and nodes of |L - its closed form|
+    kazamaki_margin     min_k phi_k - (-1 + 1e-6), inf with no marks: the
+                        uniform bound that certifies L as a true martingale
+    means, std_errors   (N+1,) cross-path mean of L at each node and its SE
+    shift_gap, shift_se (N, 1+K) per step, the L(T)-weighted mean of
+                        dW_i - phi_z dt (column 0) and of
+                        dN_{k,i} - lambda_k (1 + phi_k) dt (column 1+k), and
+                        its importance-sampling SE
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if rn.phi_jump.size == 0:
-        return KazamakiReport(delta=delta, worst_margin=np.inf, passed=True)
-    worst = float(rn.phi_jump.min() - (-1.0 + delta))
-    return KazamakiReport(delta=delta, worst_margin=worst, passed=worst >= 0.0)
 
-
-@dataclass(frozen=True)
-class MartingaleReport:
-    """Cross-path mean of the density at every node, against 1."""
-
+    closed_form_gap: float
+    kazamaki_margin: float
     means: np.ndarray
     std_errors: np.ndarray
-    k_sigma: float
+    shift_gap: np.ndarray
+    shift_se: np.ndarray
 
     @property
-    def flagged(self) -> np.ndarray:
-        return np.flatnonzero(np.abs(self.means - 1.0) > self.k_sigma * self.std_errors)
+    def worst_z(self) -> float:
+        """Largest |shift gap| / SE; a zero SE scores a zero gap 0 and any other inf."""
+        gap, se = np.abs(self.shift_gap), self.shift_se
+        z = np.divide(gap, se, out=np.full(gap.shape, np.inf), where=se > 0)
+        return float(np.where(gap == 0.0, 0.0, z).max())
 
-    @property
-    def passed(self) -> bool:
-        return self.flagged.size == 0
 
+def doleans_check(bundle: PathBundle, phi_z: float, phi_jumps) -> DoleansReport:
+    """Check the stochastic exponential of the constant integrands phi_z and
+    phi_k (one per mark), holding (M,) rows, not fields.
 
-def martingale_diagnostic(rn: RNProcess, k_sigma: float = 3.0) -> MartingaleReport:
-    m = rn.bundle.path_count
-    means = rn.lam.mean(axis=0)
-    ses = rn.lam.std(axis=0) / np.sqrt(m)
-    return MartingaleReport(means=means, std_errors=ses, k_sigma=k_sigma)
+    One forward walk of ``_ForwardDensity`` compares L at every node with the
+    closed form
+
+      L(t_i) = exp(phi_z W(t_i) - phi_z^2 t_i / 2
+                   + sum_k N_k(t_i) log(1 + phi_k) - phi_k lambda_k t_i),
+
+    whose W and counts N_k are running sums of the bundle's rows, and records
+    the mean of L and its SE. Then, weighting by L(T), one pass over the
+    steps checks the Girsanov shift: under the new measure E[dW_i] = phi_z dt
+    and E[dN_{k,i}] = lambda_k (1 + phi_k) dt, both exactly at the discrete
+    level, estimated with ``weighted_mean_se``.
+
+    Non-finite integrands raise ValueError; the walk raises
+    ``_ForwardDensity``'s failures. A drift phi_z^2 dt / 2 beyond the float
+    range makes L(T) zero on every path, which ``weighted_mean_se`` rejects.
+    """
+    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    phi_z, phi_jumps = float(phi_z), tuple(map(float, phi_jumps))
+    if not all(map(math.isfinite, (phi_z, *phi_jumps))):
+        raise ValueError("integrands must be finite")
+    dt, lam = bundle.grid.dt, bundle.model.jump_intensities
+    # inf, not an OverflowError, beyond the float range; the walk raises
+    # SignedDensityFailure at the first jump where 1 + phi_k <= 0
+    half_sq = 0.5 * phi_z * phi_z
+    log_factors = [math.log1p(p) if p > -1.0 else math.nan for p in phi_jumps]
+    z_row = np.broadcast_to(phi_z, (m,))
+    jump_row = np.broadcast_to(np.array(phi_jumps), (m, k))
+
+    density = _ForwardDensity(bundle)
+    w, counts = np.zeros(m), np.zeros((k, m))
+    means, ses = np.ones(n + 1), np.zeros(n + 1)
+    gaps = np.zeros(n + 1)  # L(0) = 1 is its closed form exactly
+    # the closed form of a density driven to 0 or past the float range is
+    # inf or NaN; the density's own guards and weighted_mean_se report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            row = density.step(i, z_row, jump_row)
+            w += bundle.dw[:, i]
+            counts += bundle.dn[:, i].T
+            t = dt * (i + 1)
+            ref = phi_z * w
+            ref -= half_sq * t
+            for j in range(k):
+                ref += counts[j] * log_factors[j] - phi_jumps[j] * lam[j] * t
+            # |L - exp(ref)|, in place
+            np.subtract(row, np.exp(ref, out=ref), out=ref)
+            gaps[i + 1] = np.abs(ref, out=ref).max()
+            means[i + 1], ses[i + 1] = row.mean(), row.std() / math.sqrt(m)
+    del density, w, counts, ref  # only L(T) is read from here on
+
+    # each increment with its predicted drift, one row at a time
+    increments = [bundle.dw] + [bundle.dn[:, :, j] for j in range(k)]
+    drifts = [phi_z * dt] + [lam[j] * (1.0 + phi_jumps[j]) * dt for j in range(k)]
+    shift = np.array([[weighted_mean_se(row, inc[:, i] - drift)
+                       for inc, drift in zip(increments, drifts)] for i in range(n)])
+    margin = min(phi_jumps) - (-1.0 + 1e-6) if k else math.inf
+    return DoleansReport(closed_form_gap=float(gaps.max()), kazamaki_margin=margin, means=means,
+                         std_errors=ses, shift_gap=shift[..., 0], shift_se=shift[..., 1])
 
 
 def weighted_condexp(
@@ -257,44 +261,3 @@ def weighted_estimate(bundle: PathBundle, weights, payload, node: int = 0,
     per_path = weighted_condexp(bundle, weights, payload, node, config)
     _, se = weighted_mean_se(weights, payload)
     return Estimate.at_node(per_path, se, node)
-
-
-@dataclass(frozen=True)
-class GirsanovReport:
-    """Reweighted increment means against their predicted drifts, per step."""
-
-    dw_gap: np.ndarray
-    dw_se: np.ndarray
-    dn_gap: np.ndarray
-    dn_se: np.ndarray
-    k_sigma: float
-
-    @property
-    def worst_z(self) -> float:
-        """Largest |gap| / SE; a zero SE scores a zero gap 0 and any other inf."""
-        gap = np.abs(np.concatenate([self.dw_gap, self.dn_gap.ravel()]))
-        se = np.concatenate([self.dw_se, self.dn_se.ravel()])
-        z = np.divide(gap, se, out=np.full(gap.shape, np.inf), where=se > 0)
-        return float(np.where(gap == 0.0, 0.0, z).max())
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_z <= self.k_sigma
-
-
-def girsanov_shift_check(rn: RNProcess, k_sigma: float = 4.0) -> GirsanovReport:
-    """Check the measure change moves increments the way it should.
-
-    Under the reweighted measure, E[dW_i] = E[phi_z(t_i)] dt and
-    E[dN_{k,i}] = lambda_k E[1 + phi_k(t_i)] dt, both exactly at the
-    discrete level. Gaps are self-normalized weighted means of
-    d = increment - predicted drift (``weighted_mean_se``).
-    """
-    b = rn.bundle
-    m, n, k = b.path_count, b.grid.step_count, b.mark_count
-    dt = b.grid.dt
-    dw_gap, dw_se = weighted_mean_se(rn.terminal, b.dw - rn.phi_z * dt)
-    predicted = b.model.jump_intensities * (1.0 + rn.phi_jump) * dt
-    dn_gap, dn_se = weighted_mean_se(rn.terminal, (b.dn - predicted).reshape(m, n * k))
-    return GirsanovReport(dw_gap=dw_gap, dw_se=dw_se, dn_gap=dn_gap.reshape(n, k),
-                          dn_se=dn_se.reshape(n, k), k_sigma=k_sigma)

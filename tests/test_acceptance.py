@@ -192,28 +192,14 @@ def test_c06_convex_representation(brownian_desk, jump_desk):
 
 def test_c07_doleans_dade_density(jump_desk):
     start(7)
-    m, n = PATHS, STEPS
-    phi_z, phi_j = 0.5, 0.5
-    rn = br.doleans_dade(
-        jump_desk,
-        np.full((m, n), phi_z),
-        np.full((m, n, 1), phi_j),
-    )
-    t = jump_desk.grid.dt * np.arange(n + 1)
-    w = np.concatenate([np.zeros((m, 1)), np.cumsum(jump_desk.dw, axis=1)], axis=1)
-    counts = np.concatenate(
-        [np.zeros((m, 1)), np.cumsum(jump_desk.dn[:, :, 0], axis=1)], axis=1
-    )
-    log_ref = (phi_z * w - 0.5 * phi_z**2 * t
-               + counts * math.log1p(phi_j) - phi_j * LAM * t)
-    pathwise = float(np.abs(rn.lam - np.exp(log_ref)).max())
-    mart = br.martingale_diagnostic(rn, k_sigma=3.0)
-    gir = br.girsanov_shift_check(rn, k_sigma=4.0)
-    mean_gap = float(abs(rn.terminal.mean() - 1.0))
-    ok = pathwise <= 1e-12 and mart.passed and gir.passed
+    report = br.doleans_check(jump_desk, 0.5, (0.5,))
+    pathwise = report.closed_form_gap
+    mart = not np.any(np.abs(report.means - 1.0) > 3.0 * report.std_errors)
+    mean_gap = float(abs(report.means[-1] - 1.0))
+    ok = pathwise <= 1e-12 and mart and report.worst_z <= 4.0
     check(7, "stochastic exponential and measure change", ok,
           f"pathwise={pathwise:.2e} tol=1e-12; |mean-1|={mean_gap:.2e} "
-          f"within 3 SE: {mart.passed}; girsanov worst z={gir.worst_z:.2f} (4 SE)")
+          f"within 3 SE: {mart}; girsanov worst z={report.worst_z:.2f} (4 SE)")
 
 
 def test_c08_clark_ocone(jump_desk):

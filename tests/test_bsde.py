@@ -561,9 +561,9 @@ def test_block_sweep_matches_single_solves(two_mark_bundle, solve_stacked):
                                        rtol=0.0, atol=1e-10)
         assert block.clamped_z[j] == single.clamped_z
         assert block.clamped_upsilon[j] == single.clamped_upsilon
-        rn = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon),
-                             driver.partial_upsilon(single.z, single.upsilon))
-        np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
+        lam = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon),
+                              driver.partial_upsilon(single.z, single.upsilon))
+        np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(lam[-1]),
                                    rtol=0.0, atol=1e-10)
 
 
@@ -607,8 +607,8 @@ def test_brownian_block_densities_match_doleans_dade(brownian_bundle, solve_stac
     for j in range(3):
         single = solve_stacked(b, driver, terminals[:, j])
         np.testing.assert_allclose(block.y[0][:, j], single.y[:, 0], rtol=0.0, atol=1e-10)
-        rn = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon))
-        np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(rn.terminal),
+        lam = br.doleans_dade(b, driver.partial_z(single.z, single.upsilon))
+        np.testing.assert_allclose(np.log(block.density[0][:, j]), np.log(lam[-1]),
                                    rtol=0.0, atol=1e-10)
 
 

@@ -372,6 +372,19 @@ def test_signed_density_exits_five(config_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("estimator-failure/signed-density:")
 
 
+@pytest.mark.parametrize("phi_z", ["1e154", "1e155", "-1e155"])
+def test_doleans_check_with_a_vanishing_density_exits_five(config_path, tmp_path, capsys, phi_z):
+    # phi_z^2 dt / 2 beyond about 1e306 drives the density to 0 on every
+    # path, and at 1e155 phi_z^2 itself is beyond the float range: the
+    # reweighted Girsanov means are refused, not a traceback
+    code = run_cli("verify", "--config", config_path, "--out", tmp_path, "--set", "task=verify",
+                   "--set", 'verify={"checks": ["doleans"]}', "--set", f"verify.phi_z={phi_z}")
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("estimator-failure: weights must be finite and nonnegative"), err
+    assert not (tmp_path / "cli-unit.csv").exists()
+
+
 def test_console_script_is_installed(config_path, tmp_path):
     out = tmp_path / "sub"
     proc = subprocess.run(

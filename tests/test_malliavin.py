@@ -155,8 +155,7 @@ def _full_field_check(bundle, payoff, gamma, beta, config=br.RegressionConfig())
     def gaps_for(upsilon):
         with np.errstate(over="ignore"):
             phi_jump = np.exp(gamma * upsilon) - 1.0
-        rn = br.doleans_dade(bundle, gamma * controls.z, phi_jump)
-        return np.abs(rn.lam.T - ratio).mean(axis=1)
+        return np.abs(br.doleans_dade(bundle, gamma * controls.z, phi_jump) - ratio).mean(axis=1)
 
     gaps = gaps_for(controls.upsilon)
     return controls, gaps, gaps_for(controls.upsilon_linearized) if k else gaps
@@ -267,30 +266,16 @@ def test_identity_check_holds_rows_not_fields(jump_bundle, traced_peak):
 def test_per_step_fields_are_contiguous(jump_bundle):
     # time-major storage: each step's field across paths is one contiguous row
     b = jump_bundle
-    m, n = b.path_count, b.grid.step_count
+    n = b.grid.step_count
     payoff = br.ExpAffinePayoff(1.0, 0.5)
     co = br.clark_ocone(b, payoff)
     controls = [br.entropic_controls(b, payoff, 1.0), br.entropic_controls(b, payoff, 1.0, 0.0)]
-    # path-major full integrands, as a caller may build them
-    phi_z, phi_jump = np.full((m, n), 0.3), np.full((m, n, 1), 0.2)
-    rn = br.doleans_dade(b, phi_z, phi_jump)
-    assert rn.phi_z.shape == (m, n) and rn.phi_jump.shape == (m, n, 1)
     for i in range(n):
         assert co.u[:, i].flags.c_contiguous and co.v[:, i, 0].flags.c_contiguous
         for c in controls:
             assert c.z[:, i].flags.c_contiguous and c.normalizer[:, i].flags.c_contiguous
             assert c.upsilon[:, i, 0].flags.c_contiguous
             assert c.upsilon_linearized[:, i, 0].flags.c_contiguous
-        assert rn.lam[:, i].flags.c_contiguous and rn.phi_z[:, i].flags.c_contiguous
-        assert rn.phi_jump[:, i, 0].flags.c_contiguous
-    assert rn.lam[:, n].flags.c_contiguous
-    # time-major integrands are read in place, broadcast ones stay views
-    again = br.doleans_dade(b, rn.phi_z, rn.phi_jump)
-    assert np.shares_memory(again.phi_z, rn.phi_z)
-    assert np.shares_memory(again.phi_jump, rn.phi_jump)
-    scalar = br.doleans_dade(b, 0.3, 0.2)
-    assert scalar.phi_z.strides == (0, 0) and scalar.phi_jump.strides == (0, 0, 0)
-    assert np.array_equal(scalar.lam, rn.lam)
 
 
 @pytest.mark.parametrize("read", [
