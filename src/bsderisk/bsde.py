@@ -15,11 +15,14 @@ reduces the scheme to deterministic backward Euler. Driver inputs are
 clamped to configured guards against regression outliers.
 
 ``solve_bsde`` runs this recursion once for a block of terminals and returns
-one result, ``BsdeColumns``: the value process (and optionally densities and
-the controls, the clamped values the driver actually saw) at the nodes the
-caller reads, as copies of the sweep's in-place workspace (node 0 excepted);
-``BsdeColumns.estimate`` is the one place a value read off it gets its
-standard error. ``residual_replay`` checks a one-column solve read at every node.
+one result, ``BsdeColumns``: the value process (and optionally densities) at
+the nodes the caller reads, as copies of the sweep's in-place workspace (node
+0 excepted); ``BsdeColumns.estimate`` is the one place a value read off it
+gets its standard error. A caller that needs something at every step hands
+the sweep step consumers instead of reading every node: each sees the step's
+rows as a read-only ``SweepStep`` (Y_i, the clamped controls, the increments
+and a fit on the step's own design) and keeps what it needs.
+``residual_replay`` gives one: it checks a one-column solve step by step.
 The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure._ForwardDensity`` share it and its guards.
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +62,7 @@ __all__ = [
     "RegressionConfig",
     "Estimate",
     "BsdeColumns",
+    "SweepStep",
     "ResidualReport",
     "features_at_node",
     "condexp_at_nodes",
@@ -253,15 +258,20 @@ def condexp_at_nodes(
         raise ValueError(f"targets must have shape ({m},) or ({m}, q), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    rows = y.reshape(m, -1).T
     for node, x in bundle.walk(nodes):
         if node == n:
             yield node, y
             continue
-        design = features_at_node(bundle, node, config, x)
-        fit = np.empty(rows.shape)
-        _fit_range(_coefficients(design, rows, config.ridge), design, fit, 0, m)
-        yield node, fit.T if y.ndim == 2 else fit[0]
+        yield node, _fit(features_at_node(bundle, node, config, x), config.ridge, None, y)
+
+
+def _fit(design, ridge: float, gram, targets) -> np.ndarray:
+    """The fit of (M,) or (M, q) ``targets`` on ``design`` over every path,
+    in the targets' shape: ``_coefficients``, then ``_fit_range``."""
+    rows = targets.reshape(targets.shape[0], -1).T
+    fit = np.empty(rows.shape)
+    _fit_range(_coefficients(design, rows, ridge, gram), design, fit, 0, rows.shape[1])
+    return fit.T if targets.ndim == 2 else fit[0]
 
 
 def condexp_at_node(
@@ -304,21 +314,15 @@ class BsdeColumns:
     y        {node: (M, B)} value process; node 1 too when node 0 is read
     density  {node: (M, D)} L(T)/L(t_node) for the first D columns, L the
              stochastic exponential of the driver's partials at the controls
-    z        {node: (M, B)} Brownian control on [t_node, t_node+1), and
-    upsilon  {node: (M, B, K)} jump controls, per mark: the clamped values the
-             driver saw, at the read nodes below N; empty without ``controls``
     clamped_z, clamped_upsilon (B,) per column
 
-    Every array is the transpose of (B, M), (D, M) or (K, B, M) rows, so
-    every column y[node][:, j], density[node][:, j], z[node][:, j] or
-    upsilon[node][:, j, k] is contiguous. The rows are copies, not views of
-    the sweep's workspace, except y, z and upsilon at node 0.
+    Every array is the transpose of (B, M) or (D, M) rows, so every column
+    y[node][:, j] or density[node][:, j] is contiguous. The rows are copies,
+    not views of the sweep's workspace, except y at node 0.
     """
 
     y: dict
     density: dict
-    z: dict
-    upsilon: dict
     clamped_z: np.ndarray
     clamped_upsilon: np.ndarray
 
@@ -334,6 +338,35 @@ class BsdeColumns:
 
         spread = values(max(node, 1))
         return Estimate.at_node(values(node), spread.std() / math.sqrt(spread.size), node)
+
+
+@dataclass(frozen=True)
+class SweepStep:
+    """What a step consumer of ``solve_bsde`` sees at step i, once the step
+    has passed its guards.
+
+    node     i
+    y        (M, B) Y_i, which the sweep wrote over Y_{i+1}
+    z        (M, B) Brownian control on [t_i, t_i+1), and
+    upsilon  (M, B, K) jump controls, per mark: the clamped values the
+             driver saw
+    dw, dn   (M,) and (M, K) the step's increments
+    fit      fit(targets) is E[targets | F_{t_i}] for (M,) or (M, q) targets,
+             on the step's own design and Gram: ``condexp_at_node``'s fit at
+             node i, bit for bit, with no basis built again
+
+    The arrays are read-only views, laid out as ``BsdeColumns``' (each
+    column contiguous), and valid only during the call: the next step
+    overwrites the rows, so a consumer copies what it keeps.
+    """
+
+    node: int
+    y: np.ndarray
+    z: np.ndarray
+    upsilon: np.ndarray
+    dw: np.ndarray
+    dn: np.ndarray
+    fit: functools.partial
 
 
 def _doleans_step(log_l, jump_l, phi_z, phi_jump, dw, dn, dt, lam_dt, work) -> np.ndarray:
@@ -445,17 +478,22 @@ def solve_bsde(
     *,
     nodes,
     densities: int = 0,
-    controls: bool = False,
+    consumers=(),
 ) -> BsdeColumns:
     """Run the backward regression scheme once for a block of terminals.
 
     ``terminal`` is (M,) or (M, B); each step builds one design and its Gram
     and fits all B columns of Y_{i+1} in one regression and their B (1 + K)
     control targets in a second. A step holds one (p, M) design: it is freed
-    once the step's fits are done, before the next is built. Only the value
-    process of the current step is kept; BsdeColumns holds it at ``nodes``
-    (integers in 0..N, where an integral float names that node; node 1 too
-    if node 0 is read), and with ``controls`` z and upsilon at nodes below N.
+    once the step's fits and consumers are done, before the next is built.
+    Only the value process of the current step is kept; BsdeColumns holds it
+    at ``nodes`` (integers in 0..N, where an integral float names that node;
+    node 1 too if node 0 is read). Each of ``consumers``, called in turn as
+    consume(step) on the calling thread at every step i = N-1..0 once the
+    step has passed its guards, sees the step's rows as a read-only
+    ``SweepStep`` and may fit on the step's design; one that needs Y_{i+1}
+    keeps the previous step's row (Y_N is the terminal). A consumer's
+    exception ends the sweep.
     The sweep stores each column as a contiguous row: the value process is
     (B, M), the control targets (1 + K, B, M), z (B, M) and upsilon
     (K, B, M), so every per-path operation runs its inner loop over paths;
@@ -500,7 +538,6 @@ def solve_bsde(
     log_l, jump_l = np.zeros((densities, m)), np.ones((densities, m))
     y_at = {n: cur.copy().T} if n in y_reads else {}
     state_at = {n: (log_l.copy(), jump_l.copy())} if n in reads else {}
-    z_at, u_at = {}, {}
     clamped_z = clamped_u = np.zeros(cols, dtype=np.int64)
     worst = np.inf
 
@@ -573,9 +610,6 @@ def solve_bsde(
                 return counts, low, bad + lo
 
             results = _run_ranges(pool, phase_b, ranges)
-            # the design is done with: freed before the read node's copies
-            # and the next step's design are allocated
-            design = None
             for (cz, cu), _, _ in results:
                 clamped_z = clamped_z + cz
                 clamped_u = clamped_u + cu
@@ -584,15 +618,20 @@ def solve_bsde(
                 bad = np.concatenate([paths for *_, paths in results])
                 if bad.size:
                     raise _signed_density(bad)
+            for view in (views := (cur.T, fitted[0].T, fitted[1:].T, dw, dn)):
+                view.flags.writeable = False
+            step = SweepStep(i, *views, functools.partial(_fit, design, config.ridge, gram))
+            for consume in consumers:
+                consume(step)
+            # the design is done with: freed before the read node's copies
+            # and the next step's design are allocated
+            design = step = None
             # later steps overwrite the workspace, so a read node keeps
             # copies; node 0, the last step, keeps the rows themselves
-            rows = np.copy if i else np.asarray
             if i in y_reads:
-                y_at[i] = rows(cur).T
+                y_at[i] = (cur.copy() if i else cur).T
             if i in reads:
                 state_at[i] = (log_l.copy(), jump_l.copy())
-                if controls:
-                    z_at[i], u_at[i] = rows(fitted[0]).T, rows(fitted[1:]).T
 
     density = {node: _exponential(*state).T for node, state in state_at.items()}
     if worst < -1.0 + 1e-12:
@@ -600,7 +639,7 @@ def solve_bsde(
             f"jump integrand reaches {1.0 + worst:.3e} above -1; "
             "density is not a positive martingale"
         )
-    return BsdeColumns(y_at, density, z_at, u_at, clamped_z, clamped_u)
+    return BsdeColumns(y_at, density, clamped_z, clamped_u)
 
 
 # floor of the replay's standard error, in machine epsilons of a step's terms
@@ -635,15 +674,17 @@ class ResidualReport:
         return self.flagged.size == 0
 
 
-def residual_replay(
-    bundle: PathBundle, driver: Driver, columns: BsdeColumns, k_sigma: float = 3.0
-) -> ResidualReport:
-    """Replay the discrete identity
+def residual_replay(bundle: PathBundle, driver: Driver, terminal: np.ndarray,
+                    k_sigma: float = 3.0):
+    """A step consumer of ``solve_bsde`` that replays the discrete identity
     Y_{i+1} - Y_i + g dt - Z_i dW_i - sum_k Ups_{k,i} (dN_{k,i} - lambda_k dt)
-    and report its cross-path mean per step. ``columns`` is a one-column
-    solve read at every node with ``controls``. Near zero by construction for
-    a fresh solve; a corrupted Y at node i moves the means at steps i-1 and i
-    outside the noise band.
+    on column 0 of the sweep, whose (M,) terminal it is given, at each step
+    as the sweep reaches it, and the ``ResidualReport`` of cross-path means
+    per step that it fills. g is the driver's value at the clamped controls
+    of the step, evaluated here again. Near zero by construction for a fresh
+    solve; a corrupted Y at node i moves the means at steps i-1 and i
+    outside the noise band. The replay keeps one row, Y_{i+1}; a step it
+    never saw stays NaN, which the report flags.
 
     The standard error is taken at the one-step increment scale
     std(dY + g dt)/sqrt(M), the noise level the scheme's conditional
@@ -654,29 +695,32 @@ def residual_replay(
     step's terms, judges a noiseless run, whose means are a few ulps of
     rounding, against that rounding.
     """
-    n = bundle.grid.step_count
-    if columns.clamped_z.size != 1:
-        raise ValueError(f"residual_replay needs one column, got {columns.clamped_z.size}")
-    if len(columns.y) != n + 1 or len(columns.z) != n:
-        raise ValueError("residual_replay needs y at every node and the controls "
-                         "below N (solve_bsde with controls=True)")
-    dt = bundle.grid.dt
-    lam_dt = bundle.model.jump_intensities * dt
+    m, n = bundle.path_count, bundle.grid.step_count
+    y_next = np.array(terminal, dtype=float)
+    if y_next.shape != (m,):
+        raise ValueError(f"residual_replay needs one column, ({m},), got {y_next.shape}")
+    dt, lam_dt = bundle.grid.dt, bundle.model.jump_intensities * bundle.grid.dt
     floor = REPLAY_SE_FLOOR_ULPS * np.finfo(float).eps
-    means = np.empty(n)
-    ses = np.empty(n)
-    for i in range(n):
-        z, ups = columns.z[i][:, 0], columns.upsilon[i][:, 0]
-        y_next, y_now = columns.y[i + 1][:, 0], columns.y[i][:, 0]
+    report = ResidualReport(np.full(n, np.nan), np.full(n, np.nan), k_sigma)
+    # the step's rows, written in place: fresh rows at every step would be
+    # handed back to the system and faulted in again step after step
+    change, resid, size, z_dw, work = np.empty((5, m))
+    jumps = np.empty((m, bundle.mark_count))
+
+    def replay(step: SweepStep) -> None:
+        z, ups, y_now = step.z[:, 0], step.upsilon[:, 0], step.y[:, 0]
         g_dt = driver(z, ups) * dt
-        step = y_next - y_now + g_dt
-        z_dw = z * bundle.dw[:, i]
-        resid = step - z_dw
-        size = np.abs(y_next) + np.abs(y_now) + np.abs(g_dt) + np.abs(z_dw)
-        if bundle.mark_count:
-            jumps = ups * (bundle.dn[:, i] - lam_dt)
-            resid -= jumps.sum(axis=1)
-            size += np.abs(jumps).sum(axis=1)
-        means[i] = resid.mean()
-        ses[i] = max(step.std() / np.sqrt(bundle.path_count), floor * size.mean())
-    return ResidualReport(means=means, std_errors=ses, k_sigma=k_sigma)
+        np.add(np.subtract(y_next, y_now, out=change), g_dt, out=change)
+        np.subtract(change, np.multiply(z, step.dw, out=z_dw), out=resid)
+        np.abs(y_next, out=size)
+        for term in (y_now, g_dt, z_dw):
+            np.add(size, np.abs(term, out=work), out=size)
+        # the compensated jumps; none without marks
+        np.multiply(ups, np.subtract(step.dn, lam_dt, out=jumps), out=jumps)
+        np.subtract(resid, jumps.sum(axis=1, out=work), out=resid)
+        np.add(size, np.abs(jumps, out=jumps).sum(axis=1, out=work), out=size)
+        report.means[step.node] = resid.mean()
+        report.std_errors[step.node] = max(change.std() / np.sqrt(m), floor * size.mean())
+        np.copyto(y_next, y_now)
+
+    return replay, report

@@ -14,12 +14,15 @@ cross-check the backward solver and the stochastic-exponential identity
 Gamma(t)/Gamma(0) = DoleansDade(gamma Z^{beta xi}, e^{gamma Ups} - 1)(t).
 
 Each route reads its N nodes in one forward walk of conditional
-expectations (``bsde.condexp_at_nodes``). ``clark_ocone`` and
-``entropic_controls`` store what they fit as time-major (N, M) fields;
-``gamma_exponential_check`` consumes the entropic controls row by row as
-the walk yields them and steps its densities alongside with
-``measure._ForwardDensity``, the one forward Doleans-Dade stepper, so it
-holds (M,) rows, not fields, and reports only per-node gaps.
+expectations (``bsde.condexp_at_nodes``). ``clark_ocone`` adds each node's
+integrands into the reconstruction as the walk yields them, and
+``gamma_exponential_check`` consumes the entropic controls row by row and
+steps its densities alongside with ``measure._ForwardDensity``, the one
+forward Doleans-Dade stepper: both hold (M,) rows, not fields. Only
+``entropic_controls`` stacks its rows into time-major (N, M) fields. The
+closed-form targets of the entropic controls and the per-node step that
+turns their fit into controls (``_entropic_targets``) also serve a backward
+sweep's step consumer, which fits them on the step's own design.
 """
 
 from __future__ import annotations
@@ -87,19 +90,13 @@ def malliavin_derivative(bundle: PathBundle, payoff: Payoff) -> MalliavinField:
 
 @dataclass(frozen=True)
 class ClarkOconeResult:
-    """Predictable-representation integrands and the rebuilt claim.
+    """The claim rebuilt from its predictable representation.
 
-    u               (M, N)     Brownian integrand at each step
-    v               (M, N, K)  jump integrand per mark
-    reconstruction  (M,)       mean(xi) + sum_i u_i dW_i + sum_{i,k} v_ki dN~_ki
+    reconstruction  (M,)  mean(xi) + sum_i u_i dW_i + sum_{i,k} v_ki dN~_ki,
+                          u and v the Brownian and per-mark jump integrands
     residual        relative L2 error of the reconstruction against xi
-
-    u and v are transposed views of time-major (N, M) and (N, M, K) storage,
-    like the bundle's, so the step-i integrand u[:, i] or v[:, i] is contiguous.
     """
 
-    u: np.ndarray
-    v: np.ndarray
     reconstruction: np.ndarray
     residual: float
 
@@ -115,32 +112,29 @@ def clark_ocone(
     than with their theoretical compensators: under the sample measure the
     martingale parts then have exactly zero mean, which is the
     finite-sample statement of the representation and makes the affine
-    case exact to roundoff instead of O(M^-1/2).
+    case exact to roundoff instead of O(M^-1/2). Each node's integrands are
+    added in as the walk yields them and then dropped, so it holds (M,)
+    rows, not (M, N) fields.
     """
     field = malliavin_derivative(bundle, payoff)
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     xi = terminal_values(bundle, payoff)
 
-    # the conditional projections (E[D xi | F_t], E[D_k xi | F_t]), read at
-    # every node in one walk
+    # the integrands are the conditional projections (E[D xi | F_t],
+    # E[D_k xi | F_t]), read at every node in one walk
     targets = np.column_stack([field.brownian, field.jump])
-    # time-major storage: row i holds the step-i integrands of every path
-    u = np.empty((n, m))
-    v = np.empty((n, m, k))
     recon = np.full(m, xi.mean())
     for i, fitted in condexp_at_nodes(bundle, range(n), targets, config):
-        u[i], v[i] = fitted[:, 0], fitted[:, 1:]
         dw_c = bundle.dw[:, i] - bundle.dw[:, i].mean()
-        recon += u[i] * dw_c
+        recon += fitted[:, 0] * dw_c
         for j in range(k):
             dn_c = bundle.dn[:, i, j] - bundle.dn[:, i, j].mean()
-            recon += v[i, :, j] * dn_c
+            recon += fitted[:, 1 + j] * dn_c
 
     scale = float(np.sqrt(np.mean(xi * xi)))
     err = float(np.sqrt(np.mean((recon - xi) ** 2)))
     residual = err / scale if scale > 0.0 else err
-    return ClarkOconeResult(u=u.T, v=v.transpose(1, 0, 2), reconstruction=recon,
-                            residual=residual)
+    return ClarkOconeResult(reconstruction=recon, residual=residual)
 
 
 # --------------------------------------------------------------------------
@@ -169,48 +163,42 @@ class EntropicControls:
     normalizer: np.ndarray
 
 
-def _entropic_rows(
-    bundle: PathBundle, payoff: Payoff, gamma: float, beta: float, config: RegressionConfig
-):
-    """Yield (i, normalizer, z, upsilon, upsilon_linearized) at nodes
-    i = 0..N-1 in turn: the step-i rows (M,), (M,), (M, K) and (M, K) of
-    ``EntropicControls``, fitted in one ``condexp_at_nodes`` walk. A
-    non-positive normalizer or shifted numerator raises EstimatorFailure at
-    its node. beta = 0 yields ones and zeros without evaluating the payoff;
-    those rows are shared between nodes.
+def _entropic_targets(bundle: PathBundle, payoff: Payoff, gamma: float, beta: float):
+    """The closed-form entropic controls of beta * xi as a regression and a
+    per-node step: (targets, rows), where ``targets`` is the (M, 2 + 2K)
+    block [w, w D xi, e^{-g b (xi + D_k xi)} per mark, w D_k xi per mark],
+    with w = e^{-g b xi}, each exponential shifted by its own minimum, and
+    ``rows(i, fitted)`` turns its fit at node i into the step-i rows
+    (normalizer, z, upsilon, upsilon_linearized), (M,), (M,), (M, K) and
+    (M, K), of ``EntropicControls``. A non-positive normalizer or shifted
+    numerator raises EstimatorFailure at its node. beta = 0 has no targets
+    (None) and does not evaluate the payoff; its rows are ones and zeros,
+    shared between nodes.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError(f"beta must be nonnegative and finite, got {beta}")
-    m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
+    m, k = bundle.path_count, bundle.mark_count
     if beta == 0.0:
-        ones, zeros, jump_zeros = np.ones(m), np.zeros(m), np.zeros((m, k))
-        for i in range(n):
-            yield i, ones, zeros, jump_zeros, jump_zeros
-        return
-
+        zero_rows = (np.ones(m), np.zeros(m), np.zeros((m, k)), np.zeros((m, k)))
+        return None, lambda i, fitted: zero_rows
     field = malliavin_derivative(bundle, payoff)
     xi = terminal_values(bundle, payoff)
     c0 = float(xi.min())
     w = np.exp(-gamma * beta * (xi - c0))
-
     # xi + D_k xi per mark, each shifted by its own minimum
     jumped = xi[:, None] + field.jump
     shifts = jumped.min(axis=0)
     shifted = np.exp(-gamma * beta * (jumped - shifts))
     targets = np.column_stack([w, w * field.brownian, shifted, w[:, None] * field.jump])
-    # the walk holds the target block, not the (M,) and (M, K) arrays it is built from
-    del field, xi, w, jumped, shifted
 
-    for i, fitted in condexp_at_nodes(bundle, range(n), targets, config):
+    def rows(i, fitted):
         den = fitted[:, 0]
         bad = np.flatnonzero(den <= 0.0)
         if bad.size:
-            raise EstimatorFailure(
-                f"non-positive entropic normalizer at node {i} on {bad.size} paths",
-                paths=bad,
-            )
+            raise EstimatorFailure(f"non-positive entropic normalizer at node {i} on "
+                                   f"{bad.size} paths", paths=bad)
         z = -beta * fitted[:, 1] / den
         log_den = np.log(den)
         ups, ups_lin = np.empty((m, k)), np.empty((m, k))
@@ -218,13 +206,26 @@ def _entropic_rows(
             num = fitted[:, 2 + j]
             bad = np.flatnonzero(num <= 0.0)
             if bad.size:
-                raise EstimatorFailure(
-                    f"non-positive shifted entropic numerator at node {i}, mark {j}",
-                    paths=bad,
-                )
+                raise EstimatorFailure(f"non-positive shifted entropic numerator at node {i}, "
+                                       f"mark {j}", paths=bad)
             ups[:, j] = (np.log(num) - log_den - gamma * beta * (shifts[j] - c0)) / gamma
             ups_lin[:, j] = -beta * fitted[:, 2 + k + j] / den
-        yield i, den, z, ups, ups_lin
+        return den, z, ups, ups_lin
+
+    return targets, rows
+
+
+def _entropic_rows(bundle: PathBundle, payoff: Payoff, gamma: float, beta: float,
+                   config: RegressionConfig):
+    """Yield (i, normalizer, z, upsilon, upsilon_linearized) at nodes
+    i = 0..N-1 in turn: ``_entropic_targets``' rows, fitted in one
+    ``condexp_at_nodes`` walk (none at beta = 0)."""
+    targets, rows = _entropic_targets(bundle, payoff, gamma, beta)
+    n = bundle.grid.step_count
+    fits = (((i, None) for i in range(n)) if targets is None
+            else condexp_at_nodes(bundle, range(n), targets, config))
+    for i, fitted in fits:
+        yield i, *rows(i, fitted)
 
 
 def entropic_controls(
@@ -286,7 +287,6 @@ def gamma_exponential_check(
     gamma: float,
     beta: float = 1.0,
     config: RegressionConfig = RegressionConfig(),
-    each_node=None,
 ) -> GammaExponentialReport:
     """Check Gamma(t)/Gamma(0) = stochastic exponential of the control integrands.
 
@@ -302,11 +302,10 @@ def gamma_exponential_check(
     ``measure._ForwardDensity``, so it holds a few (M,) rows rather than
     (M, N) fields; its gaps are those of ``entropic_controls``, the
     reference stepper ``measure.doleans_dade`` on its whole fields and the
-    Gamma ratio, bit for bit. ``each_node(i, z, upsilon)``, when given, sees
-    the step-i control rows before they are dropped. Failures are theirs in
-    their order: a failing fit raises at its node; the densities' failures
-    (``doleans_dade``'s, the exact density's before the linearized one's)
-    are raised once the walk is done.
+    Gamma ratio, bit for bit. Failures are theirs in their order: a failing
+    fit raises at its node; the densities' failures (``doleans_dade``'s, the
+    exact density's before the linearized one's) are raised once the walk
+    is done.
     """
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
     # the exact density, then the linearized one when there are marks, each
@@ -321,8 +320,6 @@ def gamma_exponential_check(
     failures: list[Exception | None] = [None] * count
     gamma0 = None
     for i, normalizer, z, ups, ups_lin in _entropic_rows(bundle, payoff, gamma, beta, config):
-        if each_node is not None:
-            each_node(i, z, ups)
         if gamma0 is None:
             gamma0 = normalizer.copy()
         # Gamma-hat(t_i) / Gamma-hat(0)

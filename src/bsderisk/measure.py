@@ -228,8 +228,10 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
     standard error sqrt(sum v_m^2 (h_m - mean)^2), v = w / sum w.
 
     An (M,) payload gives two floats; an (M, q) payload gives two (q,) arrays,
-    one entry per column. The payload is read column-major, so that the sums
-    run in one order and give the same bits whatever its memory layout.
+    one entry per column. The payload is read column-major and each sum is
+    numpy's pairwise sum down a contiguous column, not a BLAS product, whose
+    order follows the layout and the BLAS thread count: the bits depend on
+    the values alone.
     Unless the weights are finite and nonnegative with a positive sum (exact
     zeros allowed) EstimatorFailure is raised, listing the negative or
     non-finite ones; a non-finite payload raises ValueError."""
@@ -245,12 +247,13 @@ def weighted_mean_se(weights: np.ndarray, payload: np.ndarray):
             f"{bad.size} negative or non-finite (first: {bad[:5]})",
             paths=bad,
         )
-    v = w / total
-    mean = v @ payload
-    # squared in place: a copied payload and one temporary, no more
-    spread = payload - mean
-    se = np.sqrt((v * v) @ np.square(spread, out=spread))
-    return (float(mean), float(se)) if np.ndim(payload) == 1 else (mean, se)
+    v = w / total if payload.ndim == 1 else (w / total)[:, None]
+    # one column-major temporary, written in place
+    terms = np.multiply(payload, v, order="F")
+    mean = terms.sum(axis=0)
+    np.square(np.subtract(payload, mean, out=terms), out=terms)
+    se = np.sqrt(np.multiply(terms, v * v, out=terms).sum(axis=0))
+    return (float(mean), float(se)) if payload.ndim == 1 else (mean, se)
 
 
 def weighted_estimate(bundle: PathBundle, weights, payload, node: int = 0,

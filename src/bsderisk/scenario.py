@@ -52,7 +52,7 @@ from .allocation import SHAPLEY_NODES, build_allocation_report
 from .bsde import REPLAY_SE_FLOOR_ULPS, Estimate, RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
 from .errors import BsdeRiskError, ConfigParseError, ConfigValidationError
-from .malliavin import clark_ocone, gamma_exponential_check
+from .malliavin import _entropic_targets, clark_ocone, gamma_exponential_check
 from .market import (
     MAX_STEP_RATE,
     AffinePayoff,
@@ -505,17 +505,17 @@ def _clamp_rows(sid: str, label: str, clamped_z, clamped_upsilon) -> list[Row]:
 def _task_solve(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
     sid = cfg.scenario_id
     xi = terminal_values(bundle, cfg.payoff)
-    n = bundle.grid.step_count
-    columns = solve_bsde(bundle, cfg.driver, xi, cfg.method.regression,
-                         nodes=range(n + 1), controls=True)
     sigmas = cfg.method.tolerance("replay_sigmas")
-    replay = residual_replay(bundle, cfg.driver, columns, k_sigma=sigmas)
+    # the replay reads each step's rows inside the sweep
+    replay, report = residual_replay(bundle, cfg.driver, xi, k_sigma=sigmas)
+    columns = solve_bsde(bundle, cfg.driver, xi, cfg.method.regression, nodes=(0,),
+                         consumers=(replay,))
     y0 = columns.estimate(0)
     return [
         Row(sid, "y0", y0.value, y0.se),
         *_clamp_rows(sid, "y0", columns.clamped_z[0], columns.clamped_upsilon[0]),
-        Row(sid, "y0_replay_worst_z", replay.worst_z,
-            check=f"replay_within_{sigmas:g}_se", passed=replay.passed),
+        Row(sid, "y0_replay_worst_z", report.worst_z,
+            check=f"replay_within_{sigmas:g}_se", passed=report.passed),
     ]
 
 
@@ -603,26 +603,28 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
     reg = cfg.method.regression
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
 
-    # the solver's controls at every node, compared with the closed form's
-    # as the check's walk reaches them, so the solve runs first
+    # per node, the squared gaps of the solver's controls (row 0 z, row 1
+    # upsilon) to the closed form's, fitted on the sweep step's own design
+    squares = np.zeros((2, n))
+
+    def compare(step):
+        fitted = None if targets is None else step.fit(targets)
+        _, z, upsilon, _ = closed_rows(step.node, fitted)
+        squares[0, step.node] = np.square(step.z[:, 0] - z).sum()
+        squares[1, step.node] = np.square(step.upsilon[:, 0] - upsilon).sum()
+
     try:
+        targets, closed_rows = _entropic_targets(bundle, cfg.payoff, gamma, beta)
         xi = terminal_values(bundle, cfg.payoff)
-        columns = solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=range(n), controls=True)
+        solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=(), consumers=(compare,))
     except (BsdeRiskError, ValueError):
         # a failure of the check itself still comes first
         gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
         raise
-    columns.y.clear()  # only the controls are compared
-    # the sums of squared control gaps, added node by node
-    z_sq = ups_sq = 0.0
-
-    def compare(i, z, upsilon):
-        nonlocal z_sq, ups_sq
-        z_sq += float(np.square(columns.z.pop(i)[:, 0] - z).sum())
-        if k:
-            ups_sq += float(np.square(columns.upsilon.pop(i)[:, 0] - upsilon).sum())
-
-    report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg, each_node=compare)
+    report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
+    # the sums over the nodes, added in node order 0..N-1 (cumsum adds in
+    # sequence)
+    z_sq, ups_sq = np.cumsum(squares, axis=1)[:, -1]
     z_gap = math.sqrt(z_sq / (m * n))
     rows = [
         Row(sid, "gamma_exponential_gap", report.max_gap,
@@ -679,9 +681,13 @@ def _verify_closed_form(cfg: ScenarioConfig, bundle: PathBundle, axioms) -> Row:
 
 
 def _task_verify(cfg: ScenarioConfig, bundle: PathBundle) -> list[Row]:
-    """The rows of each verify check in turn. A check's arrays, such as
-    clark_ocone's (M, N) integrands, are dropped once its rows are written,
-    so no check runs beside an earlier one's fields."""
+    """The rows of each verify check in turn. Each check holds (M,) rows,
+    not (M, N) fields: ``doleans`` and ``entropic_identity`` step their
+    densities forward, ``clark_ocone`` adds each node's integrands into its
+    reconstruction, and ``entropic_identity`` compares the solver's controls
+    with the closed form's inside the sweep, in a step consumer. A check's
+    arrays are dropped once its rows are written, so no check runs beside an
+    earlier one's."""
     sid = cfg.scenario_id
     reg = cfg.method.regression
     rows: list[Row] = []

@@ -46,18 +46,19 @@ def two_mark_bundle(desk_grid):
 
 
 def _solve_stacked(bundle, driver, terminal, config=br.RegressionConfig()):
-    """A one-column solve read at every node with controls, stacked into
-    y (M, N+1), z (M, N) and upsilon (M, N, K) arrays (time-major storage,
-    like the bundle's), with its clamp counts as ints. Each node is dropped
-    from the columns once copied, so stacking adds little to the solve's
-    memory."""
+    """A one-column solve whose step consumer copies Y and the clamped
+    controls at every step, stacked into y (M, N+1), z (M, N) and upsilon
+    (M, N, K) arrays (time-major storage, like the bundle's), with its clamp
+    counts as ints."""
     m, n, k = bundle.path_count, bundle.grid.step_count, bundle.mark_count
-    cols = br.solve_bsde(bundle, driver, terminal, config, nodes=range(n + 1), controls=True)
     y, z, ups = np.empty((n + 1, m)), np.empty((n, m)), np.empty((n, m, k))
-    for i in range(n + 1):
-        y[i] = cols.y.pop(i)[:, 0]
-    for i in range(n):
-        z[i], ups[i] = cols.z.pop(i)[:, 0], cols.upsilon.pop(i)[:, 0]
+    y[n] = terminal
+
+    def keep(step):
+        i = step.node
+        y[i], z[i], ups[i] = step.y[:, 0], step.z[:, 0], step.upsilon[:, 0]
+
+    cols = br.solve_bsde(bundle, driver, terminal, config, nodes=(), consumers=(keep,))
     return SimpleNamespace(y=y.T, z=z.T, upsilon=ups.transpose(1, 0, 2),
                            clamped_z=int(cols.clamped_z[0]),
                            clamped_upsilon=int(cols.clamped_upsilon[0]))

@@ -214,7 +214,7 @@ def test_c08_clark_ocone(jump_desk):
           f"clipped exp residual={clipped.residual:.2e} tol=2e-2")
 
 
-def test_c09_entropic_value_process(brownian_desk, jump_desk, solve_stacked):
+def test_c09_entropic_value_process(brownian_desk, jump_desk):
     start(9)
     # position size 0.5: at beta = 1 the desk claim's exponential spread
     # exceeds what a cubic fit of the normalizer keeps positive, which the
@@ -224,11 +224,19 @@ def test_c09_entropic_value_process(brownian_desk, jump_desk, solve_stacked):
     rep_b = br.gamma_exponential_check(brownian_desk, payoff, gamma, beta)
     rep_j = br.gamma_exponential_check(jump_desk, payoff, gamma, beta)
     controls = br.entropic_controls(jump_desk, payoff, gamma, beta)
-    solution = solve_stacked(
-        jump_desk, br.make_entropic_driver(gamma, (LAM,)), -beta * jump_desk.terminal
-    )
-    z_gap = float(np.sqrt(np.mean((solution.z - controls.z) ** 2)))
-    u_gap = float(np.sqrt(np.mean((solution.upsilon - controls.upsilon) ** 2)))
+    # the solver's controls against the closed form's, node by node inside
+    # the sweep: the squared gaps of z (row 0) and upsilon (row 1)
+    squares = np.zeros((2, jump_desk.grid.step_count))
+
+    def compare(step):
+        i = step.node
+        squares[0, i] = np.square(step.z[:, 0] - controls.z[:, i]).sum()
+        squares[1, i] = np.square(step.upsilon[:, 0] - controls.upsilon[:, i]).sum()
+
+    br.solve_bsde(jump_desk, br.make_entropic_driver(gamma, (LAM,)), -beta * jump_desk.terminal,
+                  nodes=(), consumers=(compare,))
+    cells = jump_desk.path_count * jump_desk.grid.step_count
+    z_gap, u_gap = map(float, np.sqrt(squares.sum(axis=1) / cells))
     ok = (rep_b.max_gap <= 3e-2 and rep_j.max_gap <= 5e-2
           and z_gap <= 3e-2 and u_gap <= 3e-2)
     check(9, "entropic value process identity and controls", ok,

@@ -1,5 +1,6 @@
 """Regression machinery and the backward solver."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -26,6 +27,23 @@ def fit(features, targets, ridge):
     out = np.empty(rows.shape)
     bsde._fit_range(bsde._coefficients(features, rows, ridge), features, out, 0, y.shape[0])
     return out.T if y.ndim == 2 else out[0]
+
+
+class StepRecorder:
+    """A step consumer that copies what each step shows, keyed by node, in
+    the layout of BsdeColumns: y and z {node: (M, B)}, upsilon
+    {node: (M, B, K)}, and, when given ``targets``, the step's fit of them."""
+
+    def __init__(self, targets=None):
+        self.targets = targets
+        self.y, self.z, self.upsilon, self.fit, self.nodes = {}, {}, {}, {}, []
+
+    def __call__(self, step):
+        self.nodes.append(step.node)
+        for name in ("y", "z", "upsilon"):
+            getattr(self, name)[step.node] = np.copy(getattr(step, name))
+        if self.targets is not None:
+            self.fit[step.node] = step.fit(self.targets)
 
 
 def test_regression_recovers_linear_function_exactly():
@@ -333,27 +351,47 @@ def test_block_controls_match_reference_recursion(two_mark_bundle):
     x = b.terminal
     terminals = np.column_stack([-(x + 0.5 * x * x), -x, -(0.5 * x + 0.2), np.zeros_like(x)])
     n = b.grid.step_count
-    cols = br.solve_bsde(b, driver, terminals, cfg, nodes=range(n + 1), controls=True)
-    assert sorted(cols.z) == sorted(cols.upsilon) == list(range(n))
+    seen = StepRecorder()
+    cols = br.solve_bsde(b, driver, terminals, cfg, nodes=(), consumers=(seen,))
+    assert sorted(seen.z) == sorted(seen.upsilon) == list(range(n))
     for j in range(terminals.shape[1]):
         _, z, ups, clamps = reference_sweep(b, driver, terminals[:, j], cfg)
         for i in range(n):
-            np.testing.assert_allclose(cols.z[i][:, j], z[:, i], rtol=0.0, atol=1e-10)
-            np.testing.assert_allclose(cols.upsilon[i][:, j], ups[:, i], rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(seen.z[i][:, j], z[:, i], rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(seen.upsilon[i][:, j], ups[:, i], rtol=0.0, atol=1e-10)
         assert (cols.clamped_z[j], cols.clamped_upsilon[j]) == tuple(clamps.sum(axis=0))
     assert cols.clamped_z[0] > 0 and cols.clamped_upsilon[0] > 0
 
 
-def test_controls_only_on_request(jump_bundle):
+def test_consumers_see_every_step_read_only(jump_bundle):
+    # every consumer sees steps N-1..0 in turn, once each, after the step is
+    # written: Y_i as the read node holds it, the step's increments, and a
+    # fit equal to a standalone fit at the node, all read-only
+    b = jump_bundle
     driver = br.make_entropic_driver(2.0, (1.5,))
-    xi = -jump_bundle.terminal
-    plain = br.solve_bsde(jump_bundle, driver, xi, nodes=(0, 25, 50))
-    assert plain.z == {} and plain.upsilon == {}
-    # node N has no control step; the others are read as asked
-    read = br.solve_bsde(jump_bundle, driver, xi, nodes=(0, 25, 50), controls=True)
-    assert sorted(read.z) == sorted(read.upsilon) == [0, 25]
-    m = jump_bundle.path_count
-    assert read.z[25].shape == (m, 1) and read.upsilon[25].shape == (m, 1, 1)
+    x = b.terminal
+    terminals = np.column_stack([-x, -(0.5 * x + 0.2)])
+    targets = np.column_stack([x * x, np.cos(x)])
+    m, n = b.path_count, b.grid.step_count
+    checked = []
+
+    def check(step):
+        i = step.node
+        assert step.y.shape == step.z.shape == (m, 2) and step.upsilon.shape == (m, 2, 1)
+        assert np.array_equal(step.dw, b.dw[:, i]) and np.array_equal(step.dn, b.dn[:, i])
+        for a in (step.y, step.z, step.upsilon, step.dw, step.dn):
+            assert not a.flags.writeable
+        if i in (0, 25, 49):
+            fit = step.fit(targets)
+            assert np.array_equal(fit, condexp_at_node(b, i, targets, br.RegressionConfig()))
+            assert np.array_equal(step.fit(x), condexp_at_node(b, i, x, br.RegressionConfig()))
+        checked.append(i)
+
+    seen = StepRecorder()
+    cols = br.solve_bsde(b, driver, terminals, nodes=(0, 25, 49), consumers=(check, seen))
+    assert checked == seen.nodes == list(range(n - 1, -1, -1))
+    for i in (0, 25, 49):
+        assert np.array_equal(seen.y[i], cols.y[i]), i
 
 
 def test_node_reads_equal_full_solution(jump_bundle, solve_stacked):
@@ -400,11 +438,11 @@ def test_sweep_estimate_matches_the_old_rules(jump_bundle):
 def test_reading_node_zero_keeps_y_at_node_one(jump_bundle):
     driver = br.make_entropic_driver(2.0, (1.5,))
     xi = -jump_bundle.terminal
-    alone = br.solve_bsde(jump_bundle, driver, xi, nodes=(0,), densities=1, controls=True)
+    alone = br.solve_bsde(jump_bundle, driver, xi, nodes=(0,), densities=1)
     both = br.solve_bsde(jump_bundle, driver, xi, nodes=(0, 1), densities=1)
     assert sorted(alone.y) == [0, 1]
-    # only y: the density and the controls stay at the nodes asked for
-    assert list(alone.density) == list(alone.z) == list(alone.upsilon) == [0]
+    # only y: the density stays at the nodes asked for
+    assert list(alone.density) == [0]
     assert np.array_equal(alone.y[1], both.y[1])
     assert alone.estimate(0).se == both.estimate(0).se > 0.0
     assert sorted(br.solve_bsde(jump_bundle, driver, xi, nodes=(25,)).y) == [25]
@@ -419,13 +457,17 @@ def test_condexp_rejects_non_finite_targets(jump_bundle):
 
 
 def test_solution_rows_are_contiguous(jump_bundle):
+    contiguous = []
+
+    def check(step):
+        contiguous.append(step.y[:, 0].flags.c_contiguous and step.z[:, 0].flags.c_contiguous
+                          and step.upsilon[:, 0, 0].flags.c_contiguous)
+
     cols = br.solve_bsde(jump_bundle, br.make_entropic_driver(2.0, (1.5,)),
-                         -jump_bundle.terminal, nodes=range(51), controls=True)
-    for i in (0, 1, 49):
+                         -jump_bundle.terminal, nodes=(0, 1, 49, 50), consumers=(check,))
+    assert len(contiguous) == 50 and all(contiguous)
+    for i in (0, 1, 49, 50):
         assert cols.y[i][:, 0].flags.c_contiguous
-        assert cols.z[i][:, 0].flags.c_contiguous
-        assert cols.upsilon[i][:, 0, 0].flags.c_contiguous
-    assert cols.y[50][:, 0].flags.c_contiguous
 
 
 def test_block_columns_are_contiguous(jump_bundle):
@@ -452,9 +494,14 @@ def test_solution_shapes_and_terminal_row(jump_bundle, solve_stacked):
     assert np.all(np.ptp(sol.y[:, 0]) == 0.0)  # time-0 value is scalar
 
 
-def replay_columns(bundle, driver, terminal, **kwargs):
-    n = bundle.grid.step_count
-    return br.solve_bsde(bundle, driver, terminal, nodes=range(n + 1), **kwargs)
+def replay(bundle, driver, terminal, k_sigma=3.0, corrupt=None):
+    """The residual replay of a one-column solve, read inside the sweep;
+    ``corrupt(step)``, when given, is what the replay sees instead of each
+    step."""
+    replayed, report = br.residual_replay(bundle, driver, terminal, k_sigma)
+    consumer = replayed if corrupt is None else (lambda step: replayed(corrupt(step)))
+    br.solve_bsde(bundle, driver, terminal, nodes=(), consumers=(consumer,))
+    return report
 
 
 def deterministic_replay_case():
@@ -471,33 +518,34 @@ def test_residual_replay_clean_solution(jump_bundle):
     cases = [(jump_bundle, br.make_entropic_driver(1.0, (1.5,)), -jump_bundle.terminal),
              deterministic_replay_case()]
     for bundle, driver, terminal in cases:
-        cols = replay_columns(bundle, driver, terminal, controls=True)
-        report = br.residual_replay(bundle, driver, cols)
+        report = replay(bundle, driver, terminal)
         assert report.flagged.size == 0
         assert np.all(report.std_errors > 0.0)
         assert report.passed and report.worst_z == float(report.z_scores.max())
 
 
 def test_residual_replay_flags_corruption(jump_bundle):
+    # the replay is fed one corrupted row of Y: it keeps that row as the
+    # next step's Y_{i+1}, so steps node-1 and node both see it
     cases = [(jump_bundle, br.make_entropic_driver(1.0, (1.5,)), -jump_bundle.terminal, 20),
              (*deterministic_replay_case(), 5)]
     for bundle, driver, terminal, node in cases:
-        cols = replay_columns(bundle, driver, terminal, controls=True)
-        cols.y[node][:, 0] += 0.05  # corrupt one node; steps node-1 and node both see it
-        report = br.residual_replay(bundle, driver, cols)
+        def corrupt(step, node=node):
+            return dataclasses.replace(step, y=step.y + 0.05) if step.node == node else step
+
+        report = replay(bundle, driver, terminal, corrupt=corrupt)
         assert set(report.flagged) == {node - 1, node}
         assert not report.passed
 
 
-def test_residual_replay_needs_one_column_with_controls(jump_bundle):
+def test_residual_replay_needs_one_column_and_flags_unseen_steps(jump_bundle):
     driver = br.make_entropic_driver(1.0, (1.5,))
     x = jump_bundle.terminal
-    block = replay_columns(jump_bundle, driver, -np.column_stack([x, x]), controls=True)
     with pytest.raises(ValueError, match="one column"):
-        br.residual_replay(jump_bundle, driver, block)
-    plain = replay_columns(jump_bundle, driver, -x)
-    with pytest.raises(ValueError, match="controls"):
-        br.residual_replay(jump_bundle, driver, plain)
+        br.residual_replay(jump_bundle, driver, -np.column_stack([x, x]))
+    # a replay that no sweep fed has seen no step, and passes none
+    _, report = br.residual_replay(jump_bundle, driver, -x)
+    assert report.flagged.tolist() == list(range(jump_bundle.grid.step_count))
 
 
 def test_terminal_shape_validation(jump_bundle):
@@ -632,7 +680,7 @@ def test_residual_replay_equals_per_step_replay(two_mark_bundle, solve_stacked):
     b = two_mark_bundle
     driver = block_driver(b)
     xi = -(b.terminal + 0.5 * b.terminal**2)
-    report = br.residual_replay(b, driver, replay_columns(b, driver, xi, controls=True))
+    report = replay(b, driver, xi)
     means, ses = reference_residual_replay(b, driver, solve_stacked(b, driver, xi))
     assert np.array_equal(report.means, means)
     assert np.array_equal(report.std_errors, ses)
@@ -764,14 +812,23 @@ def test_sweep_is_the_same_on_any_number_of_threads(family, marks):
     threads = threading.active_count()
     for terminals in blocks:
         densities = 1 if terminals.ndim == 1 else 3
+        # a consumer sees the same rows, and fits the same values, on any
+        # number of path ranges
+        seen = [StepRecorder(np.column_stack([x * x, np.cos(x)])) for _ in range(3)]
         runs = [sweep_on(w, b, driver, terminals, cfg, nodes=range(n + 1),
-                         densities=densities, controls=True) for w in (1, 2, 3)]
+                         densities=densities, consumers=(steps,))
+                for w, steps in zip((1, 2, 3), seen)]
         ref = runs[0]
         assert ref.clamped_z.any() and (marks == 0 or ref.clamped_upsilon.any())
-        for run in runs[1:]:
-            for name in ("y", "density", "z", "upsilon"):
+        for run, steps in zip(runs[1:], seen[1:]):
+            for name in ("y", "density"):
                 want, got = getattr(ref, name), getattr(run, name)
                 assert sorted(want) == sorted(got), name
+                for node in want:
+                    assert np.array_equal(want[node], got[node]), (name, node)
+            for name in ("y", "z", "upsilon", "fit"):
+                want, got = getattr(seen[0], name), getattr(steps, name)
+                assert sorted(want) == sorted(got) == list(range(n)), name
                 for node in want:
                     assert np.array_equal(want[node], got[node]), (name, node)
             assert np.array_equal(run.clamped_z, ref.clamped_z)
@@ -789,18 +846,12 @@ def test_single_node_reads_equal_a_read_of_every_node(workers):
     x = b.terminal
     terminals = np.column_stack([-x, -(x * x), -(0.5 * x + 0.2)])
     n = b.grid.step_count
-    full = sweep_on(workers, b, driver, terminals, nodes=range(n + 1), densities=2,
-                    controls=True)
+    full = sweep_on(workers, b, driver, terminals, nodes=range(n + 1), densities=2)
     for i in (0, 1, n // 2, n - 1, n):
-        alone = sweep_on(workers, b, driver, terminals, nodes=(i,), densities=2,
-                         controls=True)
-        for name in ("y", "density", "z", "upsilon"):
-            got = getattr(alone, name)
-            if name in ("z", "upsilon") and i == n:
-                assert not got
-                continue
-            assert np.array_equal(got[i], getattr(full, name)[i]), (name, i)
-    arrays = [(name, node, a) for name in ("y", "density", "z", "upsilon")
+        alone = sweep_on(workers, b, driver, terminals, nodes=(i,), densities=2)
+        for name in ("y", "density"):
+            assert np.array_equal(getattr(alone, name)[i], getattr(full, name)[i]), (name, i)
+    arrays = [(name, node, a) for name in ("y", "density")
               for node, a in getattr(full, name).items()]
     for j, (name, node, a) in enumerate(arrays):
         for other, other_node, c in arrays[j + 1:]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -394,6 +395,34 @@ def test_console_script_is_installed(config_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "cli-unit.csv").exists()
+
+
+def test_payload_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the same verify run at one and at two BLAS threads writes the same
+    # bytes. Its Girsanov rows are weighted means over 20000 paths, where a
+    # BLAS dot product's summation order follows the thread count
+    cfg = {
+        "scenario_id": "threads",
+        "grid": {"horizon": 1.0, "steps": 50},
+        "mc": {"paths": 20000, "seed": 20240901},
+        "model": {"x0": 0.0, "mu": 0.1, "sigma": 0.3,
+                  "jumps": [{"size": -0.2, "intensity": 1.5}]},
+        "verify": {"checks": ["doleans"], "phi_jumps": [0.3]},
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(cfg))
+    payloads = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsderisk.cli", "verify",
+             "--config", str(tmp_path / "scenario.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads.append((out / "threads.csv").read_bytes())
+    assert payloads[0] == payloads[1]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -68,10 +68,10 @@ def test_clark_ocone_affine_is_exact(jump_bundle):
     payoff = br.AffinePayoff(0.1, 0.8)
     result = br.clark_ocone(jump_bundle, payoff)
     assert result.residual <= 1e-10
-    sigma = jump_bundle.model.sigma
-    zeta = jump_bundle.model.jumps[0].size
-    assert np.allclose(result.u, 0.8 * sigma, atol=1e-9)
-    assert np.allclose(result.v[:, :, 0], 0.8 * zeta, atol=1e-9)
+    # the integrands are the constants 0.8 sigma and 0.8 zeta, so the
+    # reconstruction is the claim on every path
+    xi = br.terminal_values(jump_bundle, payoff)
+    assert np.allclose(result.reconstruction, xi, rtol=0.0, atol=1e-9)
 
 
 def test_clark_ocone_reconstruction_is_mean_centered(jump_bundle):
@@ -172,18 +172,29 @@ def test_streamed_gaps_equal_the_full_field_formula(request, fixture, payoff, ga
                                                     config):
     bundle = request.getfixturevalue(fixture)
     controls, gaps, gaps_lin = _full_field_check(bundle, payoff, gamma, beta, config)
-    seen = []
-    report = br.gamma_exponential_check(
-        bundle, payoff, gamma, beta, config,
-        each_node=lambda i, z, ups: seen.append((i, z.copy(), ups.copy())))
+    report = br.gamma_exponential_check(bundle, payoff, gamma, beta, config)
     assert np.array_equal(report.gaps, gaps)
     assert np.array_equal(report.gaps_linearized, gaps_lin)
     assert (report.max_gap, report.max_gap_linearized) == (gaps.max(), gaps_lin.max())
-    # each_node sees the controls entropic_controls stacks, node by node
-    assert [i for i, _, _ in seen] == list(range(bundle.grid.step_count))
-    for i, z, ups in seen:
+    # the closed-form targets fitted on a backward sweep's steps, as the
+    # verify task's consumer fits them, give the controls entropic_controls
+    # stacks, node by node
+    targets, rows = malliavin._entropic_targets(bundle, payoff, gamma, beta)
+    seen = []
+
+    def fit_closed_form(step):
+        fitted = None if targets is None else step.fit(targets)
+        seen.append((step.node, *rows(step.node, fitted)))
+
+    driver = br.make_entropic_driver(gamma, bundle.model.jump_intensities)
+    br.solve_bsde(bundle, driver, -bundle.terminal, config, nodes=(),
+                  consumers=(fit_closed_form,))
+    assert [row[0] for row in seen] == list(range(bundle.grid.step_count - 1, -1, -1))
+    for i, den, z, ups, ups_lin in seen:
+        assert np.array_equal(den, controls.normalizer[:, i])
         assert np.array_equal(z, controls.z[:, i])
         assert np.array_equal(ups, controls.upsilon[:, i])
+        assert np.array_equal(ups_lin, controls.upsilon_linearized[:, i])
     if beta == 0.0:
         assert not gaps.any()
 
@@ -263,15 +274,24 @@ def test_identity_check_holds_rows_not_fields(jump_bundle, traced_peak):
     assert peak <= rows * 8 * jump_bundle.path_count
 
 
+def test_clark_ocone_holds_rows_not_fields(jump_bundle, traced_peak):
+    # beyond the walk's c rows of X and their two scratch rows, the check
+    # holds a fixed number of (M,) rows at any N: the claim, the derivative
+    # fields and their target block, the design and its fit, the centred
+    # increments and the reconstruction. The (M, N) and (M, N, K) integrand
+    # fields alone would take 100 rows here.
+    _, peak = traced_peak(br.clark_ocone, jump_bundle, br.ExpAffinePayoff(1.0, 0.5))
+    rows = jump_bundle.stride + 2 + 20
+    assert peak <= rows * 8 * jump_bundle.path_count
+
+
 def test_per_step_fields_are_contiguous(jump_bundle):
     # time-major storage: each step's field across paths is one contiguous row
     b = jump_bundle
     n = b.grid.step_count
     payoff = br.ExpAffinePayoff(1.0, 0.5)
-    co = br.clark_ocone(b, payoff)
     controls = [br.entropic_controls(b, payoff, 1.0), br.entropic_controls(b, payoff, 1.0, 0.0)]
     for i in range(n):
-        assert co.u[:, i].flags.c_contiguous and co.v[:, i, 0].flags.c_contiguous
         for c in controls:
             assert c.z[:, i].flags.c_contiguous and c.normalizer[:, i].flags.c_contiguous
             assert c.upsilon[:, i, 0].flags.c_contiguous

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bsderisk as br
+from bsderisk import scenario
 from bsderisk.cli import main
 from bsderisk.scenario import (_moment_rows, apply_overrides, build_scenario, load_config,
                                run_scenario)
@@ -619,7 +620,6 @@ def test_run_scenario_is_seed_deterministic():
                                     ["closed_form"]])
 def test_verify_solves_claim_once(monkeypatch, checks):
     # the closed_form check reads rho(xi) off the axiom block when both run
-    import bsderisk.scenario as scenario
 
     calls = []
     original = scenario.solve_bsde
@@ -646,8 +646,9 @@ def test_verify_solves_claim_once(monkeypatch, checks):
 
 
 def test_verify_entropic_identity_estimates_controls_once(monkeypatch):
-    # the controls are fitted in one walk of the per-node fit, which both the
-    # identity's gaps and the control gaps read
+    # the identity's gaps fit the closed-form controls in one walk of the
+    # per-node fit; the control gaps fit them inside the solver's sweep, on
+    # each step's own design, with no walk of their own
     import bsderisk.malliavin as malliavin
 
     calls = []
@@ -670,7 +671,6 @@ def test_verify_entropic_identity_raises_the_checks_failure_before_the_solves(mo
     # the solve runs before the check's walk, but a failure of the check
     # itself still comes before a failure of the solve
     import bsderisk.malliavin as malliavin
-    import bsderisk.scenario as scenario
 
     def failing_solve(*args, **kwargs):
         raise br.SolverFailure("solve failed")
@@ -692,11 +692,30 @@ def test_verify_entropic_identity_raises_the_checks_failure_before_the_solves(mo
     monkeypatch.setattr(malliavin, "condexp_at_nodes", failing_fit)
     with pytest.raises(br.EstimatorFailure, match="normalizer at node 0 on 2 paths"):
         run_scenario(cfg)
+    monkeypatch.undo()
+    # closed-form rows failing at nodes 2 and 7: the sweep's consumer meets
+    # node 7 first, but the check's forward walk, and so the run, fails at 2
+    split = malliavin._entropic_targets
+
+    def failing_targets(*args):
+        targets, rows = split(*args)
+
+        def failing_rows(i, fitted):
+            if i in (2, 7):
+                raise br.EstimatorFailure(f"closed form fails at node {i}")
+            return rows(i, fitted)
+
+        return targets, failing_rows
+
+    for module in (malliavin, scenario):
+        monkeypatch.setattr(module, "_entropic_targets", failing_targets)
+    with pytest.raises(br.EstimatorFailure, match="fails at node 2$"):
+        run_scenario(cfg)
 
 
 @pytest.mark.parametrize("jumps", [[], [{"size": -0.2, "intensity": 1.5}]],
                          ids=["brownian", "one_mark"])
-def test_verify_control_gaps_are_the_whole_field_rms(jumps):
+def test_verify_control_gaps_are_the_whole_field_rms(jumps, solve_stacked):
     # summed node by node, the control gaps are the root mean square of the
     # difference of the solver's whole control fields and entropic_controls'
     raw = base_config(task="verify")
@@ -708,14 +727,47 @@ def test_verify_control_gaps_are_the_whole_field_rms(jumps):
     bundle = br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
     n, reg = bundle.grid.step_count, cfg.method.regression
     xi = br.terminal_values(bundle, cfg.payoff)
-    cols = br.solve_bsde(bundle, cfg.driver, -0.5 * xi, reg, nodes=range(n), controls=True)
+    solution = solve_stacked(bundle, cfg.driver, -0.5 * xi, reg)
     closed = br.entropic_controls(bundle, cfg.payoff, 1.0, 0.5, reg)
-    z = np.stack([cols.z[i][:, 0] for i in range(n)], axis=1)
     assert rows["controls_z_l2_gap"] == pytest.approx(
-        np.sqrt(np.mean((z - closed.z) ** 2)), rel=1e-12, abs=0.0)
+        np.sqrt(np.mean((solution.z - closed.z) ** 2)), rel=1e-12, abs=0.0)
     if not jumps:
         assert "controls_upsilon_l2_gap" not in rows
         return
-    ups = np.stack([cols.upsilon[i][:, 0] for i in range(n)], axis=1)
     assert rows["controls_upsilon_l2_gap"] == pytest.approx(
-        np.sqrt(np.mean((ups - closed.upsilon) ** 2)), rel=1e-12, abs=0.0)
+        np.sqrt(np.mean((solution.upsilon - closed.upsilon) ** 2)), rel=1e-12, abs=0.0)
+
+
+def desk_rows_config(task):
+    """A 20000-path, 50-step one-mark scenario for the memory tests, without
+    jump-count features (a cached count block would count in whichever test
+    builds it first)."""
+    raw = base_config(task=task)
+    raw["grid"]["steps"] = 50
+    raw["mc"] = {"paths": 20_000, "seed": 20240901}
+    raw["driver"] = {"family": "entropic", "gamma": 1.0}
+    raw["verify"] = {"checks": ["entropic_identity"], "beta": 0.5}
+    cfg = build_scenario(raw)
+    return cfg, br.simulate_paths(cfg.grid, cfg.model, cfg.paths, cfg.seed)
+
+
+def test_verify_entropic_identity_holds_rows_not_fields(traced_peak):
+    # the sweep, whose consumer fits the closed form on each step's design,
+    # then the identity check: each holds a fixed number of (M,) rows, at
+    # most 44 beyond the walk's c rows of X and their two scratch rows. The
+    # solver's controls stored at every node would take 100 rows more.
+    cfg, bundle = desk_rows_config("verify")
+    rows, peak = traced_peak(scenario._verify_entropic_identity, cfg, bundle)
+    assert [r.quantity for r in rows][:2] == ["gamma_exponential_gap", "controls_z_l2_gap"]
+    assert peak <= (bundle.stride + 2 + 44) * 8 * bundle.path_count
+
+
+def test_solve_task_replays_inside_the_sweep(traced_peak):
+    # beyond the walk's rows of X, the solve holds its design (4 rows), its
+    # workspace (8 rows at K = 1), the node 0 and 1 reads (2 rows) and the
+    # replay's kept Y_{i+1} and per-step temporaries (about 10 rows). Y at
+    # every node and the controls below N would take 150 rows more.
+    cfg, bundle = desk_rows_config("solve")
+    rows, peak = traced_peak(scenario._task_solve, cfg, bundle)
+    assert [r.quantity for r in rows][-1] == "y0_replay_worst_z" and rows[-1].passed
+    assert peak <= (bundle.stride + 2 + 26) * 8 * bundle.path_count
