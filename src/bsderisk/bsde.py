@@ -27,8 +27,9 @@ The per-step Doleans-Dade factor (``_doleans_step``) lives here too: the
 sweep and ``measure._ForwardDensity`` share it and its guards.
 
 Every fit, in the sweep or standalone (``condexp_at_nodes`` and its
-one-node case ``condexp_at_node``), reads X at its node through
-``PathBundle.walk`` and is the same two steps on the (p, M) basis rows of
+one-node case ``condexp_at_node``), reads its node's state through
+``PathBundle.walk`` (X, and the cumulative jump counts when the basis has
+jump-count features) and is the same two steps on the (p, M) basis rows of
 ``features_at_node``: ``_coefficients`` finds the coefficients on the
 calling thread with F Y^T summed over path chunks in path order, and
 ``_fit_range`` forms the fitted values chunk by chunk, each chunk's product
@@ -200,19 +201,19 @@ def _scale(row: np.ndarray, mean: float, square: np.ndarray) -> bool:
     return True
 
 
-def features_at_node(
-    bundle: PathBundle, node: int, config: RegressionConfig, state: np.ndarray
-) -> np.ndarray | None:
-    """Regression design at grid node: the (p, M) basis rows [1, x, ...,
-    x^degree] in the standardized state, optionally followed by standardized
-    cumulative jump counts, each row contiguous. Row 0 is always the constant
-    intercept, which ``_coefficients`` leaves unpenalized. Returns None when
-    every candidate row is constant (the node carries no cross-path
-    information).
-    ``state`` is X at the node, (M,), as ``PathBundle.walk`` yields it. The
-    rows are built in place in the design."""
-    m, degree = bundle.path_count, config.degree
-    marks = bundle.mark_count if config.jump_count_features and node > 0 else 0
+def features_at_node(state: np.ndarray, counts, config: RegressionConfig) -> np.ndarray | None:
+    """Regression design at a grid node: the (p, M) basis rows [1, x, ...,
+    x^degree] in the standardized state, followed by the standardized
+    cumulative jump counts when ``counts`` is not None, each row contiguous.
+    Row 0 is always the constant intercept, which ``_coefficients`` leaves
+    unpenalized. Returns None when every candidate row is constant (the node
+    carries no cross-path information).
+    ``state`` is X at the node, (M,), and ``counts`` the (K, M) count block
+    or None, as ``PathBundle.walk`` yields them (with counts exactly when
+    ``config.jump_count_features``). The rows are built in place in the
+    design."""
+    m, degree = state.size, config.degree
+    marks = 0 if counts is None else len(counts)
     design = np.empty((1 + degree + marks, m))
     design[0] = 1.0
     rows = 1
@@ -228,7 +229,7 @@ def features_at_node(
             rows += degree
     for k in range(marks):
         row = design[rows]
-        np.copyto(row, bundle.jump_counts[:, node - 1, k])
+        np.copyto(row, counts[k])
         mean = row.mean()
         row -= mean
         if _scale(row, mean, spare):
@@ -258,11 +259,11 @@ def condexp_at_nodes(
         raise ValueError(f"targets must have shape ({m},) or ({m}, q), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    for node, x in bundle.walk(nodes):
+    for node, x, counts in bundle.walk(nodes, counts=config.jump_count_features):
         if node == n:
             yield node, y
             continue
-        yield node, _fit(features_at_node(bundle, node, config, x), config.ridge, None, y)
+        yield node, _fit(features_at_node(x, counts, config), config.ridge, None, y)
 
 
 def _fit(design, ridge: float, gram, targets) -> np.ndarray:
@@ -499,17 +500,18 @@ def solve_bsde(
     (K, B, M), so every per-path operation runs its inner loop over paths;
     the driver and ``_doleans_step`` see their transposes, which have the
     shapes of their contracts. These arrays are one workspace, allocated
-    once per sweep and written in place, Y_i over the rows of Y_{i+1}; a
-    read node keeps copies of its rows, except node 0, the last step. X at
-    each node comes from one ``PathBundle.walk`` of nodes N-1..0, whose
-    refills run over the sweep's path ranges. Each step finds the
-    regression coefficients on the calling thread and runs the rest in two
-    per-path phases over contiguous path ranges, one thread per usable CPU
-    for blocks of at least ``_SPLIT_FLOOR`` values: (A) the fit of Y_{i+1}
-    and the control targets, (B) the fitted controls, the clamps, the
-    driver, the value update (a non-finite Y_i raises SolverFailure) and the
-    Doleans-Dade step. The results, and which failure is raised, do not
-    depend on the number of ranges.
+    with the other sweep arrays before the first step and written in place,
+    Y_i over the rows of Y_{i+1}; a read node keeps copies of its rows,
+    except node 0, the last step. X at each node, and the jump counts when
+    ``config.jump_count_features`` is on, come from one ``PathBundle.walk``
+    of nodes N-1..0, whose refills of X run over the sweep's path ranges.
+    Each step finds the regression coefficients on the calling thread and
+    runs the rest in two per-path phases over contiguous path ranges, one
+    thread per usable CPU for blocks of at least ``_SPLIT_FLOOR`` values:
+    (A) the fit of Y_{i+1} and the control targets, (B) the fitted
+    controls, the clamps, the driver, the value update (a non-finite Y_i
+    raises SolverFailure) and the Doleans-Dade step. The results, and which
+    failure is raised, do not depend on the number of ranges.
     The first ``densities`` columns also run ``_doleans_step`` on the driver's
     partials at their controls and return L(T)/L(t_node), under its guards
     and the uniform Kazamaki bound: a dg/du_k below -1 + 1e-12 at any step
@@ -541,30 +543,25 @@ def solve_bsde(
     clamped_z = clamped_u = np.zeros(cols, dtype=np.int64)
     worst = np.inf
 
-    # the step workspace, allocated in the first step after its design: that
-    # design may build the bundle's cached jump counts, and a long-lived
-    # array allocated above the workspace would keep the heap from reusing
-    # its memory once the sweep frees it
-    y_fit = None
+    # the step workspace: the fit of Y_{i+1}, the control targets
+    # (1 + K, B, M) and their fit, the compensated jumps, the driver's
+    # partials and the Doleans-Dade step's scratch
+    y_fit = np.empty((cols, m))
+    targets, fitted = np.empty((1 + k, cols, m)), np.empty((1 + k, cols, m))
+    comp_dn = np.empty((k, m))
+    phi_z, phi_u = np.empty((densities, m)), np.empty((k, densities, m))
+    work = (np.empty((densities, m)), np.empty((densities, m)))
     ranges = _path_ranges(m, cols)
     # one thread per range, alive for the sweep; one range needs none
     with (concurrent.futures.ThreadPoolExecutor(len(ranges)) if len(ranges) > 1
           else contextlib.nullcontext()) as pool:
-        for i, x in bundle.walk(range(n - 1, -1, -1),
-                                lambda fill: _run_ranges(pool, fill, ranges)):
-            design = features_at_node(bundle, i, config, x)
+        for i, x, counts in bundle.walk(range(n - 1, -1, -1),
+                                        lambda fill: _run_ranges(pool, fill, ranges),
+                                        config.jump_count_features):
+            design = features_at_node(x, counts, config)
             gram = None if design is None else design @ design.T
             y_coef = _coefficients(design, cur, config.ridge, gram)
             dw, dn = bundle.dw[:, i], bundle.dn[:, i]
-            if y_fit is None:
-                # the fit of Y_{i+1}, the control targets (1 + K, B, M) and
-                # their fit, the compensated jumps, the driver's partials and
-                # the Doleans-Dade step's scratch
-                y_fit = np.empty((cols, m))
-                targets, fitted = np.empty((1 + k, cols, m)), np.empty((1 + k, cols, m))
-                comp_dn = np.empty((k, m))
-                phi_z, phi_u = np.empty((densities, m)), np.empty((k, densities, m))
-                work = (np.empty((densities, m)), np.empty((densities, m)))
 
             def phase_a(lo, hi):
                 # martingale-increment control variate: the fitted mean is

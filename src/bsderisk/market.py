@@ -10,11 +10,14 @@ nu = sum_k lambda_k delta_{zeta_k}. Every jump integral downstream is a
 finite sum over the K marks.
 
 A path bundle keeps X only at every c-th node and at N (``PathBundle``).
-Every fit reads X through ``PathBundle.walk``: one block of c rows,
-refilled from the checkpoints, bit for bit as simulated, only when the walk
-reaches a node outside it; a backward sweep refills it once per block of c
-nodes, over its path ranges. ``PathBundle.states`` materializes rows for a
-caller that keeps them. No other module knows the stride.
+Every fit reads a node's state through ``PathBundle.walk``: X from one
+block of c rows, refilled from the checkpoints, bit for bit as simulated,
+only when the walk reaches a node outside it (a backward sweep refills it
+once per block of c nodes, over its path ranges), and, for a basis with
+jump-count features, the per-mark cumulative jump counts, one running
+(K, M) block moved by the ``dn`` rows between nodes. ``PathBundle.states``
+materializes rows of X for a caller that keeps them. No other module knows
+the stride.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -148,8 +150,7 @@ def checkpoint_stride(step_count: int) -> int:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments on a grid and the state they drive; treated as
-    immutable.
+    """Simulated increments on a grid and the state they drive; immutable.
 
     dw           Brownian increments, shape (M, N), float64
     dn           Poisson jump counts per mark and step, shape (M, N, K), int16
@@ -162,7 +163,8 @@ class PathBundle:
     X at any other node is not stored: ``walk`` and ``states`` recompute it
     forward from the nearest checkpoint at or below, with the operations and
     order of ``simulate_paths``, so every row is bit for bit the one the
-    simulation summed. Node 0 is x0 on every path.
+    simulation summed. Node 0 is x0 on every path. Nor are the cumulative
+    jump counts: ``walk`` sums them from dn as it goes.
 
     simulate_paths stores dw and dn time-major, one contiguous row per date,
     and these fields are transposed views of that storage: the
@@ -199,29 +201,43 @@ class PathBundle:
         self.fill_states(lo, out, np.empty((2, m)), 0, m)
         return out
 
-    def walk(self, nodes, run=None):
-        """Yield (node, X at node) for each of ``nodes``, integers in 0..N in
-        any order, repeats allowed: the reader of X for a fit. Like
-        ``fill_states`` it trusts its caller to name valid nodes (``states``
-        checks them).
+    def walk(self, nodes, run=None, counts=False):
+        """Yield (node, X at node, counts) for each of ``nodes``, integers in
+        0..N in any order, repeats allowed: the one reader of a node's state
+        for a fit. Like ``fill_states`` it trusts its caller to name valid
+        nodes (``states`` checks them).
 
         The walk holds one block of c rows, X at the nodes of one checkpoint
         block, and refills it (``fill_states``) only when a node lies
         outside it, from the block's first node up to the highest of
-        ``nodes`` in the block; node N is ``terminal``. A yielded row is a
-        view that a later refill overwrites. ``run(fill)`` calls fill(a, b)
-        on path ranges that cover 0..M-1 (default: 0..M on the calling
-        thread). Every row is ``states``' row, bit for bit."""
+        ``nodes`` in the block; node N is ``terminal``. ``run(fill)`` calls
+        fill(a, b) on path ranges that cover 0..M-1 (default: 0..M on the
+        calling thread). Every row is ``states``' row, bit for bit.
+
+        With ``counts`` the walk also holds the per-mark cumulative jump
+        counts at the node, one (K, M) float64 block that counts steps
+        0..node-1, and moves it between nodes by adding or subtracting the
+        ``dn`` rows in between; else counts is None. The counts are integers
+        below 2^53, so the block is exact whatever the order of the nodes.
+        A yielded row or block is a view that the walk's next move
+        overwrites."""
         n, m, c = self.grid.step_count, self.path_count, self.stride
         nodes, run = list(nodes), run or (lambda fill: fill(0, m))
         block, work = np.empty((c, m)), np.empty((2, m))
-        base = None
+        tally = np.zeros((self.mark_count, m)) if counts else None
+        base, at = None, 0
         for node in nodes:
             if node < n and node - node % c != base:
                 base = node - node % c
                 top = max(v for v in nodes if base <= v < min(base + c, n))
                 run(lambda a, b: self.fill_states(base, block[:top - base + 1], work, a, b))
-            yield node, self.terminal if node == n else block[node - base]
+            if counts:
+                for step in range(at, node):
+                    tally += self.dn[:, step].T
+                for step in range(node, at):
+                    tally -= self.dn[:, step].T
+                at = node
+            yield node, self.terminal if node == n else block[node - base], tally
 
     def fill_states(self, lo: int, out: np.ndarray, work: np.ndarray, a: int, b: int) -> None:
         """``states`` on paths a..b-1, in place: X at nodes lo..lo+len(out)-1
@@ -244,17 +260,6 @@ class PathBundle:
                     np.add(total, x0, out=out[node - lo, a:b])
                 else:
                     out[0, a:b] = x0
-
-    @cached_property
-    def jump_counts(self) -> np.ndarray:
-        """Cumulative per-mark jump counts, shape (M, N, K): [:, i] counts
-        steps 0..i. A running sum can pass the int16 range of dn: it is int32
-        while N MAX_STEP_COUNT fits (N <= 65538 steps), else int64."""
-        wide = np.int32 if self.dn.shape[1] * MAX_STEP_COUNT <= np.iinfo(np.int32).max else np.int64
-        counts = self.dn.transpose(1, 0, 2).astype(wide)  # time-major rows
-        for i in range(1, counts.shape[0]):
-            counts[i] += counts[i - 1]
-        return counts.transpose(1, 0, 2)
 
 
 def _add_step(total, inc, jump, dw, dn, model: LevyModel, dt: float, first: bool) -> None:

@@ -51,7 +51,7 @@ from . import __version__
 from .allocation import SHAPLEY_NODES, build_allocation_report
 from .bsde import REPLAY_SE_FLOOR_ULPS, Estimate, RegressionConfig, residual_replay, solve_bsde
 from .drivers import Driver, LinearForm, make_entropic_driver, make_qexp_driver, make_sublinear_driver
-from .errors import BsdeRiskError, ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, ConfigValidationError
 from .malliavin import _entropic_targets, clark_ocone, gamma_exponential_check
 from .market import (
     MAX_STEP_RATE,
@@ -613,15 +613,10 @@ def _verify_entropic_identity(cfg: ScenarioConfig, bundle: PathBundle) -> list[R
         squares[0, step.node] = np.square(step.z[:, 0] - z).sum()
         squares[1, step.node] = np.square(step.upsilon[:, 0] - upsilon).sum()
 
-    try:
-        targets, closed_rows = _entropic_targets(bundle, cfg.payoff, gamma, beta)
-        xi = terminal_values(bundle, cfg.payoff)
-        solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=(), consumers=(compare,))
-    except (BsdeRiskError, ValueError):
-        # a failure of the check itself still comes first
-        gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
-        raise
     report = gamma_exponential_check(bundle, cfg.payoff, gamma, beta, reg)
+    targets, closed_rows = _entropic_targets(bundle, cfg.payoff, gamma, beta)
+    xi = terminal_values(bundle, cfg.payoff)
+    solve_bsde(bundle, cfg.driver, -beta * xi, reg, nodes=(), consumers=(compare,))
     # the sums over the nodes, added in node order 0..N-1 (cumsum adds in
     # sequence)
     z_sq, ups_sq = np.cumsum(squares, axis=1)[:, -1]

@@ -151,7 +151,7 @@ def test_condexp_reads_nodes_as_the_sweep_does(jump_bundle):
 
 
 def test_features_standardized(jump_bundle):
-    feats = features_at_node(jump_bundle, 25, br.RegressionConfig(), jump_bundle.states(25, 26)[0])
+    feats = features_at_node(jump_bundle.states(25, 26)[0], None, br.RegressionConfig())
     assert feats.shape == (4, jump_bundle.path_count)
     np.testing.assert_allclose(feats[0], 1.0)
     assert abs(feats[1].mean()) < 1e-12
@@ -164,20 +164,26 @@ def test_standardized_state_is_numpys_bitwise(jump_bundle, degree):
     cfg = br.RegressionConfig(degree=degree)
     n = jump_bundle.grid.step_count
     states = jump_bundle.states(0, n + 1)
-    assert features_at_node(jump_bundle, 0, cfg, states[0]) is None
+    assert features_at_node(states[0], None, cfg) is None
     for node in range(1, n + 1):
         x = states[node]
         z = (x - x.mean()) / x.std()
-        feats = features_at_node(jump_bundle, node, cfg, x)
+        feats = features_at_node(x, None, cfg)
         assert feats.shape == (1 + degree, jump_bundle.path_count)
         assert np.array_equal(feats[1], z), node
         if degree == 3:
             assert np.array_equal(feats[2], z * z) and np.array_equal(feats[3], z * z * z)
 
 
+def walk_state(bundle, node, config):
+    """X and the count block at ``node``, as a fit's walk yields them."""
+    (_, x, counts), = bundle.walk([node], counts=config.jump_count_features)
+    return x, counts
+
+
 def test_jump_count_features_extend_basis(jump_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
-    feats = features_at_node(jump_bundle, 25, cfg, jump_bundle.states(25, 26)[0])
+    feats = features_at_node(*walk_state(jump_bundle, 25, cfg), cfg)
     assert feats.shape == (5, jump_bundle.path_count)
 
 
@@ -211,19 +217,37 @@ def reference_features(bundle, node, config):
 def test_jump_count_basis_matches_direct_sums(two_mark_bundle):
     cfg = br.RegressionConfig(jump_count_features=True)
     for node in range(two_mark_bundle.grid.step_count + 1):
-        feats = features_at_node(two_mark_bundle, node, cfg,
-                                 two_mark_bundle.states(node, node + 1)[0])
+        feats = features_at_node(*walk_state(two_mark_bundle, node, cfg), cfg)
         ref = reference_features(two_mark_bundle, node, cfg)
         assert (feats is None and ref is None) or np.array_equal(feats, ref.T), node
 
 
-def test_jump_counts_cached_only_with_count_features(desk_grid, jump_model):
+def test_count_feature_sweep_leaves_the_bundle_as_built(desk_grid, jump_model):
+    # the walk sums the counts it reads: a sweep and a standalone fit with
+    # jump-count features leave nothing on the bundle beyond its fields
     bundle = br.simulate_paths(desk_grid, jump_model, 500, 9)
-    x = bundle.states(25, 26)[0]
-    features_at_node(bundle, 25, br.RegressionConfig(), x)
-    assert "jump_counts" not in vars(bundle)
-    features_at_node(bundle, 25, br.RegressionConfig(jump_count_features=True), x)
-    assert "jump_counts" in vars(bundle)
+    cfg = br.RegressionConfig(jump_count_features=True)
+    driver = br.make_entropic_driver(2.0, tuple(jump_model.jump_intensities))
+    br.solve_bsde(bundle, driver, -bundle.terminal, cfg, nodes=(0,))
+    condexp_at_node(bundle, 25, bundle.terminal, cfg)
+    assert set(vars(bundle)) == {field.name for field in dataclasses.fields(bundle)}
+
+
+def test_count_feature_sweep_holds_k_rows_of_counts(desk_grid, jump_model, traced_peak):
+    # with jump-count features a one-column sweep holds what it holds
+    # without them (design, workspace, c state rows and their two scratch
+    # rows), plus K design rows, the K rows of the walk's count block and
+    # the scratch row of the counts' squares: rows of (M,), not an (M, N, K)
+    # count field, which at N = 50 and K = 1 takes 25 rows more in int32
+    m, k = 20_000, jump_model.mark_count
+    bundle = br.simulate_paths(desk_grid, jump_model, m, 3)
+    cfg = br.RegressionConfig(jump_count_features=True)
+    driver = br.make_entropic_driver(2.0, tuple(jump_model.jump_intensities))
+    _, swept = traced_peak(br.solve_bsde, bundle, driver, -bundle.terminal, cfg, nodes=[0])
+    design = 1 + cfg.degree + k
+    workspace = 2 + 2 * (1 + k) + k + 1
+    walk = bundle.stride + 2 + k
+    assert swept <= (design + workspace + walk + 1) * 8 * m + 64 * 1024
 
 
 def test_sweep_memory_is_design_workspace_and_one_state_block(desk_grid, jump_model,

@@ -177,23 +177,34 @@ def test_states_match_serial_reference(paths, extra, steps, marks, x0, seed, lo,
          picks=[12, 2, 4, 3, 3, 11, 0, 12, 9, 10, 2], cuts=[3, 5])
 def test_walk_yields_the_rows_of_states(paths, steps, marks, x0, seed, picks, cuts):
     # every row the walk yields is states' row at its node, bit for bit, in
-    # the order asked, for any node list and any split of the paths
+    # the order asked, for any node list and any split of the paths; with
+    # counts, the count block is the cumulative sum of dn up to the node,
+    # exactly, and without it is None
     jumps = (br.JumpMark(-0.2, 1.5), br.JumpMark(0.1, 0.7))[:marks]
     model = br.LevyModel(x0=x0, mu=0.1, sigma=0.25, jumps=jumps)
     bundle = br.simulate_paths(br.build_grid(1.0, steps), model, paths, seed)
     nodes = [min(node, steps) for node in picks]
     edges = [0, *sorted(min(cut, paths) for cut in cuts), paths]
+    # counts[i] holds steps 0..i-1 as (K, M) rows
+    sums = np.cumsum(bundle.dn.transpose(1, 2, 0), axis=0, dtype=np.int64)
+    counts_at = np.concatenate([np.zeros((1, marks, paths), np.int64), sums])
 
     def run(fill):
         for a, b in zip(edges[:-1], edges[1:]):
             fill(a, b)
 
-    for walk in (bundle.walk(nodes), bundle.walk(nodes, run)):
-        seen = []
-        for node, x in walk:
-            seen.append(node)
-            assert np.array_equal(x, bundle.states(node, node + 1)[0]), node
-        assert seen == nodes
+    for counted in (False, True):
+        for walk in (bundle.walk(nodes, counts=counted), bundle.walk(nodes, run, counted)):
+            seen = []
+            for node, x, counts in walk:
+                seen.append(node)
+                assert np.array_equal(x, bundle.states(node, node + 1)[0]), node
+                if counted:
+                    assert counts.dtype == np.float64
+                    assert np.array_equal(counts, counts_at[node]), node
+                else:
+                    assert counts is None
+            assert seen == nodes
 
 
 def test_worker_failure_reaches_the_caller(monkeypatch):
@@ -251,28 +262,34 @@ def test_step_count_above_int16_raises():
         br.simulate_paths(br.build_grid(1.0, 1), model, 5, 3)
 
 
+def count_row_at_horizon(bundle):
+    """The count block the walk yields at node N, where the jump-count
+    features read the whole running sum."""
+    (_, _, counts), = bundle.walk([bundle.grid.step_count], counts=True)
+    return counts
+
+
 def test_jump_counts_widen_past_int16():
     # about 10000 jumps a step fit in int16; their running sum does not
     model = br.LevyModel(x0=0.0, jumps=(br.JumpMark(0.1, 40_000.0),))
     b = br.simulate_paths(br.build_grid(1.0, 4), model, 5, 3)
     total = b.dn.sum(axis=1, dtype=np.int64)
     assert total.min() > np.iinfo(np.int16).max
-    assert b.jump_counts.dtype == np.int32
-    assert np.array_equal(b.jump_counts[:, -1], total)
+    assert np.array_equal(count_row_at_horizon(b), total.T)
 
 
 def test_jump_counts_widen_past_int32():
-    # 65539 full steps of one path sum past the int32 range
+    # 65539 full steps of one path sum past the int32 range; the count row
+    # holds the sum exactly, and so it does one step fewer
     model = br.LevyModel(x0=0.0, jumps=(br.JumpMark(0.1, 1.0),))
     b = br.simulate_paths(br.build_grid(1.0, 2), model, 1, 3)
     steps = 65539
-    full = dataclasses.replace(b, dn=np.full((1, steps, 1), market.MAX_STEP_COUNT, np.int16))
     assert steps * market.MAX_STEP_COUNT > np.iinfo(np.int32).max
-    assert full.jump_counts.dtype == np.int64
-    assert full.jump_counts[0, -1, 0] == steps * market.MAX_STEP_COUNT
-    below = dataclasses.replace(b, dn=full.dn[:, :steps - 1])
-    assert below.jump_counts.dtype == np.int32
-    assert below.jump_counts[0, -1, 0] == (steps - 1) * market.MAX_STEP_COUNT
+    for n in (steps, steps - 1):
+        full = dataclasses.replace(b, grid=br.build_grid(1.0, n),
+                                   dn=np.full((1, n, 1), market.MAX_STEP_COUNT, np.int16))
+        row = count_row_at_horizon(full)
+        assert row.shape == (1, 1) and row[0, 0] == n * market.MAX_STEP_COUNT
 
 
 def test_cross_sections_are_contiguous(desk_grid, jump_model):

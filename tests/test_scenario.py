@@ -668,8 +668,8 @@ def test_verify_entropic_identity_estimates_controls_once(monkeypatch):
 
 
 def test_verify_entropic_identity_raises_the_checks_failure_before_the_solves(monkeypatch):
-    # the solve runs before the check's walk, but a failure of the check
-    # itself still comes before a failure of the solve
+    # the check's walk runs before the solve, so a failure of the check
+    # comes before a failure of the solve
     import bsderisk.malliavin as malliavin
 
     def failing_solve(*args, **kwargs):
@@ -693,8 +693,8 @@ def test_verify_entropic_identity_raises_the_checks_failure_before_the_solves(mo
     with pytest.raises(br.EstimatorFailure, match="normalizer at node 0 on 2 paths"):
         run_scenario(cfg)
     monkeypatch.undo()
-    # closed-form rows failing at nodes 2 and 7: the sweep's consumer meets
-    # node 7 first, but the check's forward walk, and so the run, fails at 2
+    # closed-form rows failing at nodes 2 and 7: the check's forward walk
+    # runs first and fails at node 2, before the sweep's consumer meets 7
     split = malliavin._entropic_targets
 
     def failing_targets(*args):
@@ -740,8 +740,7 @@ def test_verify_control_gaps_are_the_whole_field_rms(jumps, solve_stacked):
 
 def desk_rows_config(task):
     """A 20000-path, 50-step one-mark scenario for the memory tests, without
-    jump-count features (a cached count block would count in whichever test
-    builds it first)."""
+    jump-count features."""
     raw = base_config(task=task)
     raw["grid"]["steps"] = 50
     raw["mc"] = {"paths": 20_000, "seed": 20240901}
